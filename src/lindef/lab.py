@@ -249,10 +249,12 @@ def full_check(algebra, horizon: int) -> AlgebraReport:
     ups = upsilon_defect_profile(ladder)
 
     for i in range(horizon + 1):
-        assert ladder.tor_dim(1, i) == res.betti[i], (
-            f"Tor_{i}(k, k) = {ladder.tor_dim(1, i)} but b_{i} = {res.betti[i]}"
-        )
-    assert ups["h"][0] == 0, "v^n_1(k) must vanish for every n"
+        if ladder.tor_dim(1, i) != res.betti[i]:
+            raise AssertionError(
+                f"Tor_{i}(k, k) = {ladder.tor_dim(1, i)} but b_{i} = {res.betti[i]}"
+            )
+    if ups["h"][0] != 0:
+        raise AssertionError("v^n_1(k) must vanish for every n")
 
     oracle = {
         "classification_match": lin["classification"] == ups["classification"],

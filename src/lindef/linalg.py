@@ -2,13 +2,19 @@
 
 Every Subspace keeps its basis in reduced row echelon form, so equal
 subspaces compare equal array-wise and everything built from them is
-deterministic. Two facts about RREF bases are used throughout:
+deterministic. Three facts about RREF bases are used throughout:
 
 * if W ⊆ V then pivots(W) ⊆ pivots(V), and the rows of V's basis whose
   pivots are not pivots of W represent a basis of V/W;
 * those representative rows are already reduced against W's basis, and
   the V/W-coordinates of a vector reduced against W can be read off at
-  the representative pivot columns.
+  the representative pivot columns;
+* column j of a is free when read from the right (a_j lies in the span
+  of a_{j+1}, ..., a_{n-1}) exactly when ker(a) has a vector whose first
+  nonzero entry is at j. So the free-column kernel basis of a with its
+  columns reversed, read backwards, is already the RREF basis of ker(a):
+  each row leads with a 1 at such a column and is zero at the others.
+  `kernel` gets the canonical kernel from one elimination this way.
 """
 
 from __future__ import annotations
@@ -220,9 +226,11 @@ def kernel_structured(field: Field, a):
 
     Returns (basis, free_cols). Row t has a 1 at free_cols[t], zeros at
     the other free columns, so coordinates of any kernel vector v in this
-    basis are just v[free_cols]. Not canonical; see `kernel`.
+    basis are just v[free_cols]. Not RREF itself: `kernel` runs it on the
+    column-reversed matrix and reads the result backwards, which is.
+    Over GF(p) the only copy of `a` made is the one `rref` reduces.
     """
-    a = field.asarray(a)
+    a = np.asarray(a) if field.p else field.asarray(a)
     m, n = a.shape
     r, piv = field.rref(a)
     piv_set = set(piv)
@@ -237,9 +245,17 @@ def kernel_structured(field: Field, a):
 
 
 def kernel(field: Field, a) -> Subspace:
-    """Canonical kernel of the linear map x -> a @ x (right null space)."""
-    basis, _ = kernel_structured(field, a)
-    return Subspace.from_rows(field, basis, a.shape[1])
+    """Canonical kernel of the linear map x -> a @ x (right null space).
+
+    One elimination, of `a` with its columns reversed; see the third
+    fact in the module docstring. `a` may be a view such as `x.T`: the
+    reversal is a view too, so rref's working copy is the only one.
+    """
+    a = np.asarray(a)
+    n = a.shape[1]
+    basis, free = kernel_structured(field, a[:, ::-1])
+    pivots = [n - 1 - f for f in reversed(free)]
+    return Subspace(field, n, np.ascontiguousarray(basis[::-1, ::-1]), pivots)
 
 
 def row_space(field: Field, a) -> Subspace:

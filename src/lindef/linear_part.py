@@ -141,7 +141,7 @@ class GradedComplex:
                 cycles = Subspace.full(field, ambient)
             else:
                 mat = self.slice_matrix(i, j)
-                cycles = kernel(field, np.ascontiguousarray(mat.T))
+                cycles = kernel(field, mat.T)
             boundaries = row_space_of(field, self.slice_matrix(i + 1, j), ambient)
             if not cycles.contains(boundaries):
                 raise AssertionError(

@@ -18,7 +18,9 @@ import numpy as np
 
 from .algebra import FiniteLocalAlgebra, RModule
 from .errors import LindefError, ResourceLimitError
-from .linalg import Subspace, kernel_structured
+# kernel_structured stays bound here: perfbench/tracer.py rebinds it at
+# every lindef import site, and `kernel` runs it for each stage.
+from .linalg import Subspace, kernel, kernel_structured  # noqa: F401
 
 __all__ = ["AlgebraMatrix", "MinimalResolution", "resolve", "minimal_generators"]
 
@@ -162,15 +164,13 @@ class MinimalResolution:
         self.aug = gens
         aug_expand = self._expand_augmentation(gens)
         self.aug_expand = aug_expand
-        kernel_rows, _ = kernel_structured(
-            field, np.ascontiguousarray(aug_expand.T)
-        )
-        rank = b0 * d - kernel_rows.shape[0]
+        ker = kernel(field, aug_expand.T)
+        rank = b0 * d - ker.dim
         if rank != mdim:
             raise AssertionError(
                 "augmentation is not surjective: generators do not span M"
             )
-        self.kernels.append(Subspace.from_rows(field, kernel_rows, b0 * d))
+        self.kernels.append(ker)
         prev_expand = aug_expand
 
         for i in range(1, self.horizon + 1):
@@ -194,10 +194,8 @@ class MinimalResolution:
             comp = field.matmul(expand, prev_expand)
             if not field.is_zero(comp):
                 raise AssertionError(f"differential {i} does not compose to zero")
-            kernel_rows, _ = kernel_structured(
-                field, np.ascontiguousarray(expand.T)
-            )
-            rank = b_i * d - kernel_rows.shape[0]
+            ker = kernel(field, expand.T)
+            rank = b_i * d - ker.dim
             if rank != w.dim:
                 raise AssertionError(
                     f"resolution not exact at stage {i - 1}: image rank {rank}"
@@ -206,7 +204,7 @@ class MinimalResolution:
             self.betti.append(b_i)
             self.diff.append(dmat)
             self.expands.append(expand)
-            self.kernels.append(Subspace.from_rows(field, kernel_rows, b_i * d))
+            self.kernels.append(ker)
             prev_expand = expand
 
     def _expand_augmentation(self, gens):

@@ -111,7 +111,7 @@ class _TorComplex:
             if i == 0:
                 cycles = Subspace.full(field, ambient)
             else:
-                cycles = kernel(field, np.ascontiguousarray(self.projected[i].T))
+                cycles = kernel(field, self.projected[i].T)
             incoming = self.projected[i + 1]
             if incoming.shape[0] == 0:
                 boundaries = Subspace.zero(field, ambient)
@@ -333,6 +333,6 @@ def msquared_preimage_condition(res: MinimalResolution, i: int) -> bool:
     m2_block = Subspace.block_sum(algebra.power(2), b_prev)
     qc = QuotientCoords(field, Subspace.full(field, b_prev * d), m2_block)
     composite = qc.coords(res.expands[i], check=False)
-    preimage = kernel(field, np.ascontiguousarray(composite.T))
+    preimage = kernel(field, composite.T)
     m_block = Subspace.block_sum(algebra.power(1), b_i)
     return m_block.contains(preimage)

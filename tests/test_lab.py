@@ -1,8 +1,15 @@
 """Random-algebra scans: sampling, full_check, summaries, JSONL output."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import lindef
 
 from lindef.errors import LindefError
 from lindef.lab import (
@@ -126,6 +133,55 @@ class TestFullCheck:
         report = full_check(ring("vars x\nideal x^5"), 3)
         assert report.checks["vanishing_step"] is None
         assert report.flags["vanishing_step_violation"] is False
+
+    # Each script breaks one invariant full_check re-verifies; run under
+    # `python -O`, which strips bare asserts, it must still raise.
+    BROKEN_INVARIANTS = {
+        "tor_dim": """
+            real = lab.tor_ladder
+            def tor_ladder(res, horizon):
+                ladder = real(res, horizon)
+                right = ladder.tor_dim
+                ladder.tor_dim = lambda n, i: right(n, i) + (i == 1)
+                return ladder
+            lab.tor_ladder = tor_ladder
+        """,
+        "upsilon_h1": """
+            real = lab.upsilon_defect_profile
+            def upsilon_defect_profile(ladder):
+                out = real(ladder)
+                out["h"][0] = 1
+                return out
+            lab.upsilon_defect_profile = upsilon_defect_profile
+        """,
+    }
+
+    @pytest.mark.parametrize("broken", sorted(BROKEN_INVARIANTS))
+    def test_invariant_checks_survive_python_O(self, broken):
+        script = (
+            "from lindef import lab\n"
+            "from lindef.presentation import algebra_from_text\n"
+            + textwrap.dedent(self.BROKEN_INVARIANTS[broken])
+            + textwrap.dedent("""
+                import sys
+                if __debug__:
+                    sys.exit("not running under -O")
+                try:
+                    lab.full_check(algebra_from_text("vars x\\nideal x^3"), 2)
+                except AssertionError as exc:
+                    print("raised:", exc)
+                else:
+                    sys.exit("full_check passed a broken invariant")
+            """)
+        )
+        src = str(Path(lindef.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert proc.stdout.startswith("raised:")
 
     def test_betti_recorded_to_horizon(self):
         report = full_check(ring("vars x y\nideal x^2, x*y, y^2"), 3)

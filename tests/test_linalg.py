@@ -160,6 +160,101 @@ class TestKernel:
         assert k.basis[0].tolist() == [Fraction(1), Fraction(-1, 2)]
 
 
+def _two_eliminations(field, a):
+    """The canonical kernel the long way: structured basis, then rref."""
+    return Subspace.from_rows(field, kernel_structured(field, a)[0], a.shape[1])
+
+
+def _kernel_case(field, shape):
+    """Deterministic test matrices; QQ stays small (Fraction elimination)."""
+    q = field.p or 7
+    rng = np.random.default_rng(sum(map(ord, shape)) + q)
+    if shape == "0xn":
+        a = np.zeros((0, 9), dtype=np.int64)
+    elif shape == "mx0":
+        a = np.zeros((4, 0), dtype=np.int64)
+    elif shape == "zero":
+        a = np.zeros((5, 11), dtype=np.int64)
+    elif shape == "full column rank":
+        a = np.vstack([np.eye(6, dtype=np.int64), rng.integers(0, q, (3, 6))])
+    elif shape == "low rank":
+        a = rng.integers(0, q, (9, 2)) @ rng.integers(0, q, (2, 12))
+    elif shape == "random":
+        a = rng.integers(0, q, (7, 12))
+    elif shape == "wide, 270 rows":
+        # rank above one panel (256 columns): the reversed matrix needs
+        # a second panel, and the reference rref of the kernel too
+        a = rng.integers(0, q, (270, 520))
+    elif shape == "wide, empty first panels":
+        # columns reversed, the first two panels hold no pivot
+        a = np.zeros((40, 600), dtype=np.int64)
+        a[:, :80] = rng.integers(0, q, (40, 80))
+    return field.asarray(a)
+
+
+KERNEL_SHAPES = [
+    "0xn", "mx0", "zero", "full column rank", "low rank", "random",
+    "wide, 270 rows", "wide, empty first panels",
+]
+KERNEL_CASES = [
+    pytest.param(field, shape, id=f"{field!r}-{shape}")
+    for field in (Field(2), Field(3), Field(101), Field(32003), QQ)
+    for shape in KERNEL_SHAPES
+    if field.p or not shape.startswith("wide")
+]
+
+
+class TestCanonicalKernel:
+    """`kernel` from one elimination equals the two-elimination RREF."""
+
+    @pytest.mark.parametrize("field, shape", KERNEL_CASES)
+    def test_matches_two_eliminations(self, field, shape):
+        a = _kernel_case(field, shape)
+        got = kernel(field, a)
+        want = _two_eliminations(field, a)
+        assert got.pivots == want.pivots
+        assert got.ambient_dim == want.ambient_dim == a.shape[1]
+        assert got.basis.shape == want.basis.shape
+        assert got.basis.flags.c_contiguous
+        if field.p:
+            assert got.basis.dtype == want.basis.dtype == np.int64
+            assert got.basis.tobytes() == want.basis.tobytes()
+        else:
+            assert got.basis.tolist() == want.basis.tolist()
+        assert got.dim + field.rank(a) == a.shape[1]
+        if got.dim:
+            assert field.is_zero(field.matmul(a, np.ascontiguousarray(got.basis.T)))
+
+    def test_transposed_view_input(self):
+        # callers pass x.T without copying it
+        f = Field(101)
+        x = f.asarray(np.random.default_rng(2).integers(0, 101, (30, 12)))
+        assert kernel(f, x.T) == _two_eliminations(f, np.ascontiguousarray(x.T))
+
+    def test_input_left_untouched(self):
+        f = Field(5)
+        a = f.asarray(np.random.default_rng(4).integers(0, 5, (6, 9)))
+        before = a.copy()
+        kernel(f, a)
+        assert (a == before).all()
+
+    @given(
+        st.integers(0, 8),
+        st.integers(0, 10),
+        st.integers(0, 3),
+        st.integers(0, 2**32),
+        st.sampled_from([2, 3, 5, 101]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_two_eliminations_random(self, m, n, r, seed, p):
+        f = Field(p)
+        rng = np.random.default_rng(seed)
+        a = f.asarray(rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n)))
+        got, want = kernel(f, a), _two_eliminations(f, a)
+        assert got.pivots == want.pivots
+        assert got.basis.tobytes() == want.basis.tobytes()
+
+
 class TestSubspace:
     def test_canonical_equality(self):
         s1 = Subspace.from_rows(GF5, GF5.asarray([[1, 2, 0], [0, 0, 1]]))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lindef import _kernels
 from lindef.errors import LindefError, ResourceLimitError
 from lindef.fields import Field
 from lindef.presentation import algebra_from_text
@@ -130,3 +131,26 @@ class TestAlgebraMatrix:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(LindefError):
             AlgebraMatrix(X2, X2.field.zeros((2, 2, 5)))
+
+
+def test_one_elimination_per_kernel(monkeypatch):
+    """Pin the rref count of a whole resolution.
+
+    k[x,y]/(x^2,y^2) has b_i = i + 1, so every syzygy module is nonzero.
+    Each of the h + 1 stages 0..h runs nvars rrefs of the products
+    W*x_g (M*x_g at stage 0), nvars - 1 to sum them into mW, and one for
+    the kernel of its differential: (h + 1) * 2 * nvars = 5 * 4 = 20 at
+    h = 4. Row-reducing each kernel basis a second time would make 25.
+    """
+    k = ring("vars x y\nideal x^2, y^2").residue_field()
+    calls = []
+    real = _kernels.rref
+
+    def counting(a, p):
+        calls.append(a.shape)
+        return real(a, p)
+
+    monkeypatch.setattr(_kernels, "rref", counting)
+    res = resolve(k, 4)
+    assert res.betti == [1, 2, 3, 4, 5]
+    assert len(calls) == 20
