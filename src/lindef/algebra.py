@@ -24,7 +24,6 @@ __all__ = [
     "GradedAlgebra",
     "RModule",
     "compute_filtration",
-    "associated_graded",
     "quotient_module",
 ]
 
@@ -188,10 +187,6 @@ class FiniteLocalAlgebra:
         return self.quotient_module(1)
 
 
-def associated_graded(algebra: FiniteLocalAlgebra) -> "GradedAlgebra":
-    return algebra.graded()
-
-
 class GradedAlgebra:
     """Associated graded algebra of the power filtration.
 
@@ -213,17 +208,10 @@ class GradedAlgebra:
         self.dims = [qc.dim for qc in self.qcs]
         self._tensors = {}
 
-    @property
-    def top_degree(self) -> int:
-        return len(self.dims) - 1
-
     def component_dim(self, q: int) -> int:
         if 0 <= q < len(self.dims):
             return self.dims[q]
         return 0
-
-    def representatives(self, q: int):
-        return self.qcs[q].reps
 
     def component_product(self, a: int, b: int):
         """Tensor (dims[a], dims[b], dims[a+b]) of the graded product."""

@@ -15,6 +15,18 @@ deterministic. Three facts about RREF bases are used throughout:
   columns reversed, read backwards, is already the RREF basis of ker(a):
   each row leads with a 1 at such a column and is zero at the others.
   `kernel` gets the canonical kernel from one elimination this way.
+
+Block layout. A direct sum of b copies of a module with a basis of
+length J (R itself, R/m^n, a graded piece of gr(R)) is stored as row
+vectors of length b*J: coordinate j of copy c is entry c*J + j. A ring
+element acts on one block by an operator matrix on the right
+(x -> x @ op), so a stack of such rows is mapped blockwise by
+`block_apply`. A matrix of
+ring elements entries[g, g', e] (coordinates e in some basis, ops[e]
+the operator of that basis element) is the scalar matrix
+sum_e entries[:, :, e] (x) ops[e] on these rows, built by
+`block_expand`. The resolution, the linear part and the Tor ladder build
+their matrices with these two.
 """
 
 from __future__ import annotations
@@ -38,7 +50,8 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: Field, rows, ambient_dim: int | None = None):
-        rows = field.asarray(rows)
+        # over GF(p) rref's working copy is the only copy of `rows`
+        rows = np.asarray(rows) if field.p else field.asarray(rows)
         if rows.ndim != 2:
             raise LindefError("expected a 2-d array of row vectors")
         if ambient_dim is None:
@@ -264,8 +277,52 @@ def row_space(field: Field, a) -> Subspace:
 
 def image(field: Field, a) -> Subspace:
     """Canonical column space of a, as row vectors of length a.shape[0]."""
-    a = field.asarray(a)
-    return Subspace.from_rows(field, a.T.copy(), a.shape[0])
+    a = np.asarray(a)
+    return Subspace.from_rows(field, a.T, a.shape[0])
+
+
+def homology_cell(field: Field, outgoing, incoming, where: str):
+    """Cycles and boundaries at one spot of a complex of row vectors.
+
+    outgoing is the matrix of the map leaving the spot (a zero-column
+    matrix at the end of the complex), incoming that of the map into
+    it. Returns (cycles, boundaries); raises AssertionError, named by
+    `where`, when the boundaries are not cycles.
+    """
+    cycles = kernel(field, outgoing.T)
+    boundaries = row_space(field, incoming)
+    if not cycles.contains(boundaries):
+        raise AssertionError(f"boundaries escape cycles at {where}")
+    return cycles, boundaries
+
+
+def block_apply(field: Field, rows, blocks: int, op):
+    """Apply op (a x b) to each of the `blocks` blocks of every row.
+
+    rows has shape (z, blocks * a); the result has shape (z, blocks * b).
+    """
+    z = rows.shape[0]
+    a, b = op.shape
+    if z == 0 or blocks == 0:
+        return field.zeros((z, blocks * b))
+    out = field.matmul(np.ascontiguousarray(rows).reshape(z * blocks, a), op)
+    return out.reshape(z, blocks * b)
+
+
+def block_expand(field: Field, entries, ops):
+    """Scalar matrix sum_e entries[:, :, e] (x) ops[e] of a module map.
+
+    entries has shape (r, c, e) and ops shape (e, J, F); the result has
+    shape (r * J, c * F) with out[g*J + j, g'*F + f] equal to
+    sum_e entries[g, g', e] * ops[e, j, f].
+    """
+    r, c, e = entries.shape
+    _, J, F = ops.shape
+    if 0 in (r, c, e, J, F):
+        return field.zeros((r * J, c * F))
+    out = field.matmul(entries.reshape(r * c, e), ops.reshape(e, J * F))
+    out = out.reshape(r, c, J, F).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(out).reshape(r * J, c * F)
 
 
 def induced_map_on_quotients(field: Field, m, src, dst, check: bool = True):

@@ -7,8 +7,8 @@ each differential entry is replaced by its class in F_1/F_2. Per
 internal degree this yields honest scalar matrices (slices), whose
 kernels and images give the graded homology and the defect profile.
 
-Slice coordinates: stage n, internal degree j has one block of length
-dim gr_{j-n} per generator, flattened as c * dim + u.
+Slice coordinates: stage n, internal degree j is laid out in the block
+layout of `linalg`, one block of length dim gr_{j-n} per generator.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LindefError
-from .linalg import Subspace, kernel, row_space
+from .linalg import Subspace, block_apply, block_expand, homology_cell
 from .resolution import MinimalResolution, resolve
 
 __all__ = [
@@ -103,22 +103,14 @@ class GradedComplex:
         key = (i, j)
         if key in self._slices:
             return self._slices[key]
-        field = self.field
-        q = j - i
-        b_i = self.stage_rank(i)
-        b_prev = self.stage_rank(i - 1)
-        dq = self.gr.component_dim(q)
-        dq1 = self.gr.component_dim(q + 1)
-        rows, cols = b_i * dq, b_prev * dq1
-        if rows == 0 or cols == 0 or i < 1 or i > self.res.horizon:
-            out = field.zeros((rows, cols))
+        if 1 <= i <= self.res.horizon:
+            out = block_expand(
+                self.field, self.classes[i], self.gr.component_product(1, j - i)
+            )
         else:
-            tensor = self.gr.component_product(1, q)
-            d1 = tensor.shape[0]
-            c2 = self.classes[i].reshape(b_i * b_prev, d1)
-            out = field.matmul(c2, tensor.reshape(d1, dq * dq1))
-            out = out.reshape(b_i, b_prev, dq, dq1).transpose(0, 2, 1, 3)
-            out = np.ascontiguousarray(out).reshape(rows, cols)
+            out = self.field.zeros(
+                (self.component_dim(i, j), self.component_dim(i - 1, j))
+            )
         self._slices[key] = out
         return out
 
@@ -133,21 +125,12 @@ class GradedComplex:
             )
         if i in self._homology:
             return self._homology[i]
-        field = self.field
         out = {}
         for j in self.degree_range(i):
-            ambient = self.component_dim(i, j)
-            if i == 0:
-                cycles = Subspace.full(field, ambient)
-            else:
-                mat = self.slice_matrix(i, j)
-                cycles = kernel(field, mat.T)
-            boundaries = row_space_of(field, self.slice_matrix(i + 1, j), ambient)
-            if not cycles.contains(boundaries):
-                raise AssertionError(
-                    f"boundaries escape cycles at stage {i}, degree {j}"
-                )
-            out[j] = HomologySlice(cycles, boundaries)
+            out[j] = HomologySlice(*homology_cell(
+                self.field, self.slice_matrix(i, j), self.slice_matrix(i + 1, j),
+                f"stage {i}, degree {j}",
+            ))
         self._homology[i] = out
         return out
 
@@ -156,12 +139,6 @@ class GradedComplex:
 
     def total_homology(self, i: int) -> int:
         return sum(s.dim for s in self.homology(i).values())
-
-
-def row_space_of(field, mat, ambient: int) -> Subspace:
-    if mat.shape[0] == 0:
-        return Subspace.zero(field, ambient)
-    return row_space(field, mat)
 
 
 def linear_part(res: MinimalResolution) -> GradedComplex:
@@ -227,7 +204,6 @@ def mstar_annihilation_check(complex_: GradedComplex, n: int):
     """
     field = complex_.field
     gr = complex_.gr
-    d1 = gr.component_dim(1)
     hom = complex_.homology(n)
     b_n = complex_.stage_rank(n)
     for j in sorted(hom):
@@ -235,22 +211,17 @@ def mstar_annihilation_check(complex_: GradedComplex, n: int):
         if sl.cycles.dim == 0:
             continue
         q = j - n
-        dq1 = gr.component_dim(q + 1)
         nxt = hom.get(j + 1)
-        target = nxt.boundaries if nxt else Subspace.zero(field, b_n * dq1)
+        target = nxt.boundaries if nxt else (
+            Subspace.zero(field, b_n * gr.component_dim(q + 1))
+        )
         tensor = gr.component_product(1, q)
         z = sl.cycles.basis
-        m = z.shape[0]
-        for s in range(d1):
-            if dq1 == 0:
-                continue
-            imgs = field.matmul(
-                np.ascontiguousarray(z).reshape(m * b_n, tensor.shape[1]),
-                tensor[s],
-            ).reshape(m, b_n * dq1)
+        for s, op in enumerate(tensor):
+            imgs = block_apply(field, z, b_n, op)
             if target.contains_rows(imgs):
                 continue
-            for r in range(m):
+            for r in range(z.shape[0]):
                 if not target.contains_rows(imgs[r : r + 1]):
                     return False, {
                         "stage": n,
@@ -272,30 +243,19 @@ def mstar_cycle_boundary_equality(complex_: GradedComplex, d: int) -> bool:
         raise LindefError(f"cycle/boundary equality is defined for d >= 1, got {d}")
     field = complex_.field
     gr = complex_.gr
-    d1 = gr.component_dim(1)
     hom = complex_.homology(d)
     b_d = complex_.stage_rank(d)
     for j in sorted(hom):
         sl = hom[j]
-        q = j - d
-        dq = gr.component_dim(q)
-        dq1 = gr.component_dim(q + 1)
-        ambient = b_d * dq1
+        ambient = b_d * gr.component_dim(j - d + 1)
         if ambient == 0:
             continue
-        tensor = gr.component_product(1, q)
+        # gr is standard graded, so ambient > 0 gives gr_1 != 0 and
+        # tensor has at least one slice to stack
+        tensor = gr.component_product(1, j - d)
 
         def span_of_products(basis_rows):
-            if basis_rows.shape[0] == 0 or d1 == 0 or dq == 0:
-                return Subspace.zero(field, ambient)
-            m = basis_rows.shape[0]
-            stacked = [
-                field.matmul(
-                    np.ascontiguousarray(basis_rows).reshape(m * b_d, dq),
-                    tensor[s],
-                ).reshape(m, ambient)
-                for s in range(d1)
-            ]
+            stacked = [block_apply(field, basis_rows, b_d, op) for op in tensor]
             return Subspace.from_rows(field, np.vstack(stacked), ambient)
 
         if span_of_products(sl.cycles.basis) != span_of_products(sl.boundaries.basis):

@@ -8,31 +8,25 @@ expanded differential. Everything is exact linear algebra over the base
 field; all structural facts (complex property, minimality, exactness)
 are recomputed and enforced, not assumed.
 
-A free module R^b is the row space k^(b*d); coordinate (c, j) with
-j < d = dim R is basis element e_j of generator c, flattened as c*d+j.
+A free module R^b is the row space k^(b*d) in the block layout of
+`linalg` (one block of length d = dim R per generator).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .algebra import FiniteLocalAlgebra, RModule
 from .errors import LindefError, ResourceLimitError
 # kernel_structured stays bound here: perfbench/tracer.py rebinds it at
 # every lindef import site, and `kernel` runs it for each stage.
-from .linalg import Subspace, kernel, kernel_structured  # noqa: F401
+from .linalg import (  # noqa: F401
+    Subspace,
+    block_apply,
+    block_expand,
+    kernel,
+    kernel_structured,
+)
 
 __all__ = ["AlgebraMatrix", "MinimalResolution", "resolve", "minimal_generators"]
-
-
-def _block_right_mult(field, rows, blocks: int, op):
-    """Apply an operator to each length-d block of the given rows."""
-    z = rows.shape[0]
-    d = op.shape[0]
-    if z == 0 or blocks == 0:
-        return field.zeros((z, blocks * d))
-    out = field.matmul(np.ascontiguousarray(rows).reshape(z * blocks, d), op)
-    return out.reshape(z, blocks * d)
 
 
 class AlgebraMatrix:
@@ -63,19 +57,11 @@ class AlgebraMatrix:
         return self.entries.shape[1]
 
     def expand(self):
-        """Scalar matrix of the map on row vectors k^(src*d) -> k^(dst*d)."""
-        field = self.algebra.field
-        d = self.algebra.dim
-        r, c, _ = self.entries.shape
-        if r == 0 or c == 0:
-            return field.zeros((r * d, c * d))
-        # out[(g, j), (g', f)] = sum_e entries[g, g', e] * table[j, e, f]
-        t2 = np.ascontiguousarray(
-            self.algebra.table.transpose(1, 0, 2)
-        ).reshape(d, d * d)
-        out = field.matmul(self.entries.reshape(r * c, d), t2)
-        out = out.reshape(r, c, d, d).transpose(0, 2, 1, 3)
-        return np.ascontiguousarray(out).reshape(r * d, c * d)
+        """Scalar matrix of the map on row vectors k^(src*d) -> k^(dst*d).
+
+        table[e] is the operator of basis element e: row j holds e * e_j.
+        """
+        return block_expand(self.algebra.field, self.entries, self.algebra.table)
 
     def is_minimal(self) -> bool:
         """True when every entry lies in the maximal ideal."""
@@ -92,35 +78,33 @@ class AlgebraMatrix:
         return f"AlgebraMatrix({self.src_rank}x{self.dst_rank} over dim {self.algebra.dim})"
 
 
-def minimal_generators(module_space: Subspace, algebra: FiniteLocalAlgebra,
-                       free_rank: int):
-    """Adapted representatives of a basis of W/mW for W ⊆ R^free_rank.
+def minimal_generators(space: Subspace, blocks: int, ops):
+    """Adapted representatives of a basis of W/mW for W = space.
 
-    W must be closed under the R-action (callers pass kernels of
-    R-linear maps, which are). Representatives are the rref basis rows
-    of W whose pivots survive in W/mW; they generate W over R by
-    Nakayama. Returns (rows, mW subspace).
+    W lies in a module of `blocks` blocks, and ops are the operators of
+    the generators of m on one block. W must be closed under the
+    R-action (callers pass kernels of R-linear maps, which are).
+    Representatives are the rref basis rows of W whose pivots survive
+    in W/mW; they generate W over R by Nakayama.
     """
-    field = algebra.field
-    ambient = module_space.ambient_dim
-    if module_space.dim == 0:
-        return field.zeros((0, ambient)), Subspace.zero(field, ambient)
+    field = space.field
+    if space.dim == 0:
+        return field.zeros((0, space.ambient_dim))
     mw = None
-    for op in algebra.generator_ops:
-        rows = _block_right_mult(field, module_space.basis, free_rank, op)
-        part = Subspace.from_rows(field, rows, ambient)
+    for op in ops:
+        rows = block_apply(field, space.basis, blocks, op)
+        part = Subspace.from_rows(field, rows, space.ambient_dim)
         mw = part if mw is None else mw.sum(part)
-    reps, _ = module_space.adapted_reps(mw)
-    return reps, mw
+    return space.adapted_reps(mw)[0]
 
 
 class MinimalResolution:
     """Truncated minimal free resolution of an R-module.
 
     betti[i] for 0 <= i <= horizon; diff[i] (1 <= i) the differential
-    R^{b_i} -> R^{b_{i-1}} as an AlgebraMatrix; expands[i] its scalar
-    expansion; kernels[i] the canonical syzygy subspace inside
-    k^{b_i * d}; aug the lifted generator rows F_0 -> M.
+    R^{b_i} -> R^{b_{i-1}} as an AlgebraMatrix (diff[i].expand() is its
+    scalar matrix); kernels[i] the canonical syzygy subspace inside
+    k^{b_i * d}.
 
     max_expand_entries caps the size of any single expanded
     differential; Betti numbers of Artinian algebras grow
@@ -138,7 +122,6 @@ class MinimalResolution:
         self.max_expand_entries = max_expand_entries
         self.betti = []
         self.diff = [None]
-        self.expands = [None]
         self.kernels = []
         self._build()
 
@@ -150,33 +133,27 @@ class MinimalResolution:
         mod = self.module
         mdim = mod.dim
 
-        # stage 0: minimal generators of M itself
-        if mdim:
-            mM = None
-            for g in range(len(self.algebra.mgens)):
-                part = Subspace.from_rows(field, mod.act_of_gen(g), mdim)
-                mM = part if mM is None else mM.sum(part)
-            gens, _ = Subspace.full(field, mdim).adapted_reps(mM)
-        else:
-            gens = field.zeros((0, 0))
+        # stage 0: minimal generators of M itself, and F_0 -> M
+        gens = minimal_generators(
+            Subspace.full(field, mdim), 1, mod.generator_actions
+        )
         b0 = gens.shape[0]
         self.betti.append(b0)
-        self.aug = gens
-        aug_expand = self._expand_augmentation(gens)
-        self.aug_expand = aug_expand
-        ker = kernel(field, aug_expand.T)
+        prev_expand = block_expand(
+            field, gens[:, None, :], mod.act.transpose(1, 0, 2)
+        )
+        ker = kernel(field, prev_expand.T)
         rank = b0 * d - ker.dim
         if rank != mdim:
             raise AssertionError(
                 "augmentation is not surjective: generators do not span M"
             )
         self.kernels.append(ker)
-        prev_expand = aug_expand
 
         for i in range(1, self.horizon + 1):
             w = self.kernels[i - 1]
             b_prev = self.betti[i - 1]
-            reps, _ = minimal_generators(w, self.algebra, b_prev)
+            reps = minimal_generators(w, b_prev, self.algebra.generator_ops)
             b_i = reps.shape[0]
             if b_i * d * b_prev * d > self.max_expand_entries:
                 raise ResourceLimitError(
@@ -203,23 +180,8 @@ class MinimalResolution:
                 )
             self.betti.append(b_i)
             self.diff.append(dmat)
-            self.expands.append(expand)
             self.kernels.append(ker)
             prev_expand = expand
-
-    def _expand_augmentation(self, gens):
-        """Rows (c, j) -> coords of e_j . gen_c in M."""
-        field = self.algebra.field
-        d = self.algebra.dim
-        mdim = self.module.dim
-        b0 = gens.shape[0]
-        if b0 == 0 or mdim == 0:
-            return field.zeros((b0 * d, mdim))
-        actT = np.ascontiguousarray(
-            self.module.act.transpose(1, 0, 2)
-        ).reshape(mdim, d * mdim)
-        out = field.matmul(gens, actT)
-        return out.reshape(b0 * d, mdim)
 
     # -- accessors -----------------------------------------------------
 
@@ -238,16 +200,11 @@ class MinimalResolution:
         z = w.dim
         act = field.zeros((d, z, z))
         for j in range(d):
-            rows = _block_right_mult(field, w.basis, b, self.algebra.table[j])
-            act[j] = w.coords(rows)
+            act[j] = w.coords(block_apply(field, w.basis, b, self.algebra.table[j]))
         return RModule(
             self.algebra, z, act,
             embedding=(b, w), validate=False,
         )
-
-    def betti_table(self) -> str:
-        cells = "  ".join(f"b{i}={b}" for i, b in enumerate(self.betti))
-        return cells
 
 
 def resolve(module: RModule, horizon: int, **kw) -> MinimalResolution:

@@ -1,10 +1,11 @@
 """Tor modules Tor_i(M, R/m^n) and the comparison maps between them.
 
 Tor is computed from the already-built minimal resolution F of M: the
-complex F (x) R/m^n has one block of dim R/m^n per generator, and its
-differential is the expanded differential conjugated by the quotient's
-lift/projection matrices, applied blockwise. The map v^n_i is induced
-on homology by the coordinate surjection R/m^{n+1} -> R/m^n.
+complex F (x) R/m^n has one block of dim R/m^n per generator (the
+block layout of `linalg`), and its differential is the differential's
+entries acting on R/m^n, `block_expand` with the quotient's action
+matrices. The map v^n_i is induced on homology by the coordinate
+surjection R/m^{n+1} -> R/m^n, applied blockwise.
 
 Power conventions follow m^0 = R: n = 0 gives the zero module, and
 n >= nilpotency index gives R itself, so those rows of the ladder are
@@ -13,15 +14,14 @@ forced (free source) and are recorded without homology computations.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import AlgebraError, LindefError
 from .linalg import (
-    QuotientCoords,
     Subspace,
+    block_apply,
+    block_expand,
+    homology_cell,
     induced_map_on_quotients,
     kernel,
-    row_space,
 )
 from .linear_part import CLASSIFICATION_CLEAN
 from .resolution import MinimalResolution
@@ -36,44 +36,15 @@ __all__ = [
 ]
 
 
-def _project_expand(field, expand, b_src, b_dst, lift, proj):
-    """Blockwise conjugate of an expanded differential by a quotient.
-
-    Returns the matrix of (R/m^n)^{b_src} -> (R/m^n)^{b_dst} on row
-    vectors: lift each block, apply the expanded map, project back.
-    """
-    d, q = proj.shape
-    if b_src == 0 or b_dst == 0 or q == 0:
-        return field.zeros((b_src * q, b_dst * q))
-    if q == d:
-        return expand
-    step = field.matmul(expand.reshape(b_src * d * b_dst, d), proj)
-    step = step.reshape(b_src * d, b_dst * q)
-    x = b_dst * q
-    step = np.ascontiguousarray(
-        step.reshape(b_src, d, x).transpose(1, 0, 2)
-    ).reshape(d, b_src * x)
-    out = field.matmul(lift, step)
-    out = np.ascontiguousarray(
-        out.reshape(q, b_src, x).transpose(1, 0, 2)
-    ).reshape(b_src * q, x)
-    return out
-
-
 def _pi_applier(algebra, n: int, b: int):
     """Blockwise application of R/m^{n+1} -> R/m^n to stacks of rows."""
     field = algebra.field
-    src = algebra.quotient_module(n + 1)
-    dst = algebra.quotient_module(n)
-    pi = field.matmul(src.lift, dst.proj)
-    q1, q0 = pi.shape
+    pi = field.matmul(
+        algebra.quotient_module(n + 1).lift, algebra.quotient_module(n).proj
+    )
 
     def apply_rows(rows):
-        m = rows.shape[0]
-        if m == 0 or b == 0:
-            return field.zeros((m, b * q0))
-        out = field.matmul(np.ascontiguousarray(rows).reshape(m * b, q1), pi)
-        return out.reshape(m, b * q0)
+        return block_apply(field, rows, b, pi)
 
     return apply_rows
 
@@ -87,39 +58,20 @@ class _TorComplex:
                 f"Tor through {top} needs the resolution through {top + 1}, "
                 f"have horizon {res.horizon}"
             )
-        self.res = res
-        self.n = n
         field = res.algebra.field
-        self.field = field
-        self.quotient = res.algebra.quotient_module(n)
-        q = self.quotient.dim
-        self.qdim = q
-        lift, proj = self.quotient.lift, self.quotient.proj
-        self.projected = [None]
+        act = res.algebra.quotient_module(n).act
+        # maps[i]: F_i (x) R/m^n -> F_{i-1} (x) R/m^n; nothing leaves F_0
+        maps = [field.zeros((res.betti[0] * act.shape[1], 0))]
         for i in range(1, top + 2):
-            pe = _project_expand(
-                field, res.expands[i], res.betti[i], res.betti[i - 1], lift, proj
-            )
-            if n == 1 and not field.is_zero(pe):
+            maps.append(block_expand(field, res.diff[i].entries, act))
+            if n == 1 and not field.is_zero(maps[i]):
                 raise AssertionError(
                     "differential survives reduction mod m: resolution not minimal"
                 )
-            self.projected.append(pe)
-        self.cells = []
-        for i in range(0, top + 1):
-            ambient = res.betti[i] * q
-            if i == 0:
-                cycles = Subspace.full(field, ambient)
-            else:
-                cycles = kernel(field, self.projected[i].T)
-            incoming = self.projected[i + 1]
-            if incoming.shape[0] == 0:
-                boundaries = Subspace.zero(field, ambient)
-            else:
-                boundaries = row_space(field, incoming)
-            if not cycles.contains(boundaries):
-                raise AssertionError(f"Tor complex not a complex at (n={n}, i={i})")
-            self.cells.append((cycles, boundaries))
+        self.cells = [
+            homology_cell(field, maps[i], maps[i + 1], f"Tor complex (n={n}, i={i})")
+            for i in range(top + 1)
+        ]
 
     def dim(self, i: int) -> int:
         z, b = self.cells[i]
@@ -326,13 +278,16 @@ def msquared_preimage_condition(res: MinimalResolution, i: int) -> bool:
     field = algebra.field
     if i == 0:
         return res.betti[0] == 0
-    b_i, b_prev = res.betti[i], res.betti[i - 1]
+    b_i = res.betti[i]
     if b_i == 0:
         return True
     d = algebra.dim
-    m2_block = Subspace.block_sum(algebra.power(2), b_prev)
-    qc = QuotientCoords(field, Subspace.full(field, b_prev * d), m2_block)
-    composite = qc.coords(res.expands[i], check=False)
+    # d_i followed by F_{i-1} -> F_{i-1}/m^2 F_{i-1}, blockwise
+    proj = algebra.quotient_module(2).proj
+    ops = field.matmul(algebra.table.reshape(d * d, d), proj)
+    composite = block_expand(
+        field, res.diff[i].entries, ops.reshape(d, d, proj.shape[1])
+    )
     preimage = kernel(field, composite.T)
     m_block = Subspace.block_sum(algebra.power(1), b_i)
     return m_block.contains(preimage)

@@ -1,5 +1,7 @@
 """Exact linear algebra: frozen examples, brute-force oracles, invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -10,6 +12,9 @@ from lindef.errors import LindefError
 from lindef.linalg import (
     QuotientCoords,
     Subspace,
+    block_apply,
+    block_expand,
+    homology_cell,
     image,
     induced_map_on_quotients,
     kernel,
@@ -405,3 +410,119 @@ class TestImage:
         assert im.dim == 2
         for col in a.T:
             assert im.contains_vector(col)
+
+
+class TestOneCopy:
+    """from_rows and image hand their input to rref, which copies it once."""
+
+    @pytest.mark.parametrize("p", [2, 101, 32003])
+    @pytest.mark.parametrize("rank", [3, 7])
+    def test_basis_matches_reference_and_input_untouched(self, p, rank):
+        rng = np.random.default_rng(p + rank)
+        low = rng.integers(0, p, (7, rank)) @ rng.integers(0, p, (rank, 11))
+        # unreduced, negative, int32 entries: rref does the reduction
+        a = (low % p - p * rng.integers(-1, 2, (7, 11))).astype(np.int32)
+        before = a.copy()
+        f = Field(p)
+        for got, rows in ((Subspace.from_rows(f, a), a), (image(f, a), a.T)):
+            want, piv = naive_rref(rows, p)
+            assert got.pivots == piv
+            assert got.basis.dtype == np.int64
+            assert got.basis.tobytes() == want[: len(piv)].tobytes()
+        assert a.dtype == np.int32 and (a == before).all()
+
+    def test_shape_checks_kept(self):
+        with pytest.raises(LindefError):
+            Subspace.from_rows(GF5, np.zeros(3, dtype=np.int64))
+        with pytest.raises(LindefError):
+            Subspace.from_rows(GF5, np.zeros((2, 3), dtype=np.int64), 4)
+
+
+def _random(field, rng, shape):
+    x = rng.integers(-3, 4, shape)
+    if field.p:
+        return field.asarray(x)
+    return field.asarray(x) / field.asarray(rng.integers(1, 4, shape))
+
+
+def _loop_block_apply(field, rows, blocks, op):
+    a, b = op.shape
+    out = field.zeros((rows.shape[0], blocks * b))
+    for z, g, f in itertools.product(range(rows.shape[0]), range(blocks), range(b)):
+        out[z, g * b + f] = field.scalar(
+            sum(rows[z, g * a + u] * op[u, f] for u in range(a))
+        )
+    return out
+
+
+def _loop_block_expand(field, entries, ops):
+    r, c, e = entries.shape
+    _, J, F = ops.shape
+    out = field.zeros((r * J, c * F))
+    for g, h, j, f in itertools.product(range(r), range(c), range(J), range(F)):
+        out[g * J + j, h * F + f] = field.scalar(
+            sum(entries[g, h, k] * ops[k, j, f] for k in range(e))
+        )
+    return out
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("field", [Field(101), QQ], ids=["GF101", "QQ"])
+    @pytest.mark.parametrize("z,blocks,a,b", [
+        (3, 2, 4, 3), (3, 2, 3, 3), (0, 2, 4, 3), (3, 0, 4, 3),
+        (3, 2, 0, 3), (3, 2, 4, 0),
+    ])
+    def test_block_apply(self, field, z, blocks, a, b):
+        rng = np.random.default_rng(z + 7 * blocks + 31 * a + 97 * b)
+        rows = _random(field, rng, (z, blocks * a))
+        op = _random(field, rng, (a, b))
+        got = block_apply(field, rows, blocks, op)
+        want = _loop_block_apply(field, rows, blocks, op)
+        assert got.shape == (z, blocks * b)
+        assert got.dtype == want.dtype and (got == want).all()
+
+    @pytest.mark.parametrize("field", [Field(101), QQ], ids=["GF101", "QQ"])
+    @pytest.mark.parametrize("r,c,e,J,F", [
+        (2, 3, 4, 3, 2), (1, 1, 1, 1, 1), (0, 3, 4, 2, 2), (2, 0, 4, 2, 2),
+        (2, 3, 0, 2, 2), (2, 3, 4, 0, 2), (2, 3, 4, 2, 0),
+    ])
+    def test_block_expand(self, field, r, c, e, J, F):
+        rng = np.random.default_rng(r + 5 * c + 17 * e + 41 * J + 83 * F)
+        entries = _random(field, rng, (r, c, e))
+        ops = _random(field, rng, (e, J, F))
+        got = block_expand(field, entries, ops)
+        want = _loop_block_expand(field, entries, ops)
+        assert got.shape == (r * J, c * F)
+        assert got.dtype == want.dtype and (got == want).all()
+
+
+class TestHomologyCell:
+    @pytest.mark.parametrize("field", [Field(101), QQ], ids=["GF101", "QQ"])
+    def test_cycles_and_boundaries(self, field):
+        incoming = field.asarray([[1, 2], [2, 4], [0, 0]])
+        outgoing = field.asarray([[2], [-1]])
+        cycles, boundaries = homology_cell(field, outgoing, incoming, "k^2")
+        assert cycles == kernel(field, outgoing.T) and cycles.dim == 1
+        assert boundaries == row_space(field, incoming) and boundaries.dim == 1
+
+    @pytest.mark.parametrize("field", [Field(101), QQ], ids=["GF101", "QQ"])
+    def test_ends_of_a_complex(self, field):
+        # nothing leaves, nothing enters: all cycles, no boundaries
+        cycles, boundaries = homology_cell(
+            field, field.zeros((4, 0)), field.zeros((0, 4)), "end"
+        )
+        for got, want in ((cycles, Subspace.full(field, 4)),
+                          (boundaries, Subspace.zero(field, 4))):
+            assert got.ambient_dim == want.ambient_dim
+            assert got.pivots == want.pivots
+            assert got.basis.dtype == want.basis.dtype
+            assert got.basis.shape == want.basis.shape
+            assert (got.basis == want.basis).all()
+
+    @pytest.mark.parametrize("field", [Field(101), QQ], ids=["GF101", "QQ"])
+    def test_non_complex_raises(self, field):
+        # runs under python -O too: the check must not be a bare assert
+        incoming = field.asarray([[1, 0]])
+        outgoing = field.asarray([[1], [0]])
+        with pytest.raises(AssertionError, match="cell-x"):
+            homology_cell(field, outgoing, incoming, "cell-x")

@@ -3,6 +3,7 @@
 import pytest
 
 from lindef.errors import AlgebraError, LindefError
+from lindef.linalg import QuotientCoords, Subspace, block_expand
 from lindef.presentation import algebra_from_text
 from lindef.resolution import resolve
 from lindef.tor_ladder import (
@@ -22,6 +23,10 @@ X3 = ring("vars x\nideal x^3")
 X4 = ring("vars x\nideal x^4")
 X5 = ring("vars x\nideal x^5")
 KOSZUL3 = ring("vars x y z\nideal x^2, x*y, y^2, x*z, y*z, z^2")
+
+
+GF101_RING = ring("vars x y\nideal x^3, y^3, x*y^2")
+QQ_RING = ring("char 0\nvars x y\nideal x^2, x*y, y^3")
 
 
 def ladder_of(algebra, horizon):
@@ -189,3 +194,54 @@ class TestGuards:
             upsilon(res, -1, 0)
         with pytest.raises(LindefError):
             upsilon(res, 1, -1)
+
+
+def conjugate_by_quotient(field, expand, b_src, b_dst, quotient):
+    """Reference for F (x) R/m^n: lift each block of the scalar matrix of
+    the differential, apply it, project back."""
+    q, d = quotient.lift.shape
+    out = field.zeros((b_src * q, b_dst * q))
+    for g in range(b_src):
+        for h in range(b_dst):
+            block = expand[g * d : (g + 1) * d, h * d : (h + 1) * d]
+            out[g * q : (g + 1) * q, h * q : (h + 1) * q] = field.matmul(
+                field.matmul(quotient.lift, block), quotient.proj
+            )
+    return out
+
+
+@pytest.mark.parametrize("algebra", [GF101_RING, QQ_RING], ids=["GF101", "QQ"])
+class TestBlockExpandIdentities:
+    def test_tor_differential(self, algebra):
+        field = algebra.field
+        res = resolve(algebra.residue_field(), 3)
+        t = algebra.nilpotency_index
+        for n in range(1, t + 2):
+            quotient = algebra.quotient_module(n)
+            for i in range(1, 4):
+                dmat = res.diff[i]
+                got = block_expand(field, dmat.entries, quotient.act)
+                want = conjugate_by_quotient(
+                    field, dmat.expand(), dmat.src_rank, dmat.dst_rank, quotient
+                )
+                assert got.shape == want.shape and (got == want).all()
+                if n >= t:
+                    assert (got == dmat.expand()).all()
+
+    def test_msquared_composite(self, algebra):
+        field = algebra.field
+        d = algebra.dim
+        res = resolve(algebra.residue_field(), 3)
+        proj = algebra.quotient_module(2).proj
+        ops = field.matmul(algebra.table.reshape(d * d, d), proj)
+        ops = ops.reshape(d, d, proj.shape[1])
+        for i in range(1, 4):
+            b_prev = res.betti[i - 1]
+            qc = QuotientCoords(
+                field,
+                Subspace.full(field, b_prev * d),
+                Subspace.block_sum(algebra.power(2), b_prev),
+            )
+            want = qc.coords(res.diff[i].expand(), check=False)
+            got = block_expand(field, res.diff[i].entries, ops)
+            assert got.shape == want.shape and (got == want).all()
