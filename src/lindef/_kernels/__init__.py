@@ -163,7 +163,3 @@ def rref(a, p):
         r += k
         c0 = c1
     return a, tuple(pivots)
-
-
-def rank(a, p) -> int:
-    return len(rref(a, p)[1])

@@ -2,7 +2,12 @@
 
 An algebra is given by a structure-constant table on a distinguished
 basis, a unit vector, and designated generators of the maximal ideal.
-Construction validates the ring laws, computes the power filtration
+Construction checks the ring laws exhaustively on the basis:
+commutativity, then the unit and associativity laws of R as its own
+regular module (act = table). `_check_action` is the one check of an
+action, for R and for every validated module; it holds d * m^2 entries
+per slab for a dim-m module over a dim-d ring (d^3 for R itself).
+Construction then computes the power filtration
 R = F_0 ⊇ F_1 ⊇ ... ⊇ F_t = 0 of the maximal ideal, and checks
 locality (codimension-one nilpotent maximal ideal). The associated
 graded algebra and the quotient modules R/F_n are derived here too.
@@ -28,11 +33,43 @@ __all__ = [
 ]
 
 
-def _mult_operator(field: Field, table, v):
-    """Matrix of multiplication by v: row j holds coords of v * e_j."""
-    d = table.shape[0]
-    flat = table.reshape(d, d * d)
-    return field.matmul(field.asarray(v).reshape(1, d), flat).reshape(d, d)
+def _action(field: Field, act, v):
+    """Operator sum_u v[u] act[u] of the ring element v on a module.
+
+    act[u] is the operator of basis element e_u; with act = table this
+    is multiplication by v (row j holds the coordinates of v * e_j).
+    """
+    d, m, n = act.shape
+    return field.matmul(
+        field.asarray(v).reshape(1, d), act.reshape(d, m * n)
+    ).reshape(m, n)
+
+
+def _check_action(field: Field, table, act, unit):
+    """Verify that act (d, m, m) is a unital action of the ring `table`.
+
+    Exhaustive on the basis: the unit acts as the identity, and
+    x (e_i e_j) = (x e_i) e_j for every i, j and module basis vector x,
+    that is sum_u table[i, j, u] act[u] = act[i] @ act[j]. The second
+    law is checked one slab (fixed i, all j) at a time, so memory stays
+    at d * m^2 entries. The ring itself is the case act = table.
+    """
+    d, m, _ = act.shape
+    if not field.is_zero(field.sub(_action(field, act, unit), field.eye(m))):
+        raise AlgebraError("designated unit does not act as identity")
+    flat = act.reshape(d, m * m)
+    # cols[v, j*m + l] = act[j, v, l], so act[i] @ cols holds every act[i] @ act[j]
+    cols = np.ascontiguousarray(act.transpose(1, 0, 2)).reshape(m, d * m)
+    for i in range(d):
+        lhs = field.matmul(table[i], flat).reshape(d, m, m).transpose(1, 0, 2)
+        rhs = field.matmul(act[i], cols).reshape(m, d, m)
+        bad = lhs != rhs
+        if bad.any():
+            k, j, _ = np.argwhere(bad)[0]
+            raise AlgebraError(
+                f"action is not associative: x*(e{i}*e{j}) != (x*e{i})*e{j} "
+                f"for module basis vector x = {k}"
+            )
 
 
 def compute_filtration(field: Field, table, mgens):
@@ -45,7 +82,7 @@ def compute_filtration(field: Field, table, mgens):
     ideal product because F_n is closed under the R-action.
     """
     d = table.shape[0]
-    gen_ops = [_mult_operator(field, table, g) for g in mgens]
+    gen_ops = [_action(field, table, g) for g in mgens]
     chain = [Subspace.full(field, d)]
     current = Subspace.from_rows(field, np.vstack([op for op in gen_ops]), d)
     chain.append(current)
@@ -108,34 +145,17 @@ class FiniteLocalAlgebra:
     # -- laws ---------------------------------------------------------
 
     def _validate_laws(self):
-        field = self.field
-        d = self.dim
         t = self.table
-        sym = t.transpose(1, 0, 2)
-        if not field.is_zero(field.sub(t, np.ascontiguousarray(sym))):
-            i, j = np.argwhere(
-                np.any(np.asarray(t != sym), axis=2)
-            )[0][:2]
+        asym = np.argwhere(np.any(np.asarray(t != t.transpose(1, 0, 2)), axis=2))
+        if len(asym):
+            i, j = asym[0]
             raise AlgebraError(f"table is not commutative at e{i}*e{j}")
-        unit_op = _mult_operator(field, t, self.unit)
-        if not field.is_zero(field.sub(unit_op, field.eye(d))):
-            raise AlgebraError("designated unit does not act as identity")
-        # (e_i e_j) e_k vs e_i (e_j e_k), all triples via two contractions
-        flat = t.reshape(d * d, d)
-        left = field.matmul(flat, t.reshape(d, d * d)).reshape(d, d, d, d)
-        tt = np.ascontiguousarray(t.transpose(1, 0, 2)).reshape(d, d * d)
-        right = field.matmul(flat, tt).reshape(d, d, d, d)
-        # right[j, k, i, l] = sum_u t[j,k,u] t[i,u,l]
-        right = np.ascontiguousarray(right.transpose(2, 0, 1, 3))
-        if not field.is_zero(field.sub(left, right)):
-            bad = np.argwhere(np.any(np.asarray(left != right), axis=3))[0]
-            i, j, k = bad
-            raise AlgebraError(f"table is not associative at (e{i}*e{j})*e{k}")
+        _check_action(self.field, t, t, self.unit)
 
     # -- arithmetic ---------------------------------------------------
 
     def mult_op(self, v):
-        return _mult_operator(self.field, self.table, v)
+        return _action(self.field, self.table, v)
 
     def mult(self, u, v):
         return self.field.matmul(
@@ -268,40 +288,15 @@ class RModule:
             self._validate()
 
     def _validate(self):
-        field = self.field
-        d = self.algebra.dim
-        m = self.dim
-        unit_act = self.action_of(self.algebra.unit)
-        if not field.is_zero(field.sub(unit_act, field.eye(m))):
-            raise AlgebraError("unit does not act as identity on the module")
-        # x * (e_i e_j) = (x * e_i) * e_j for all basis pairs
-        flat = self.algebra.table.reshape(d * d, d)
-        lhs = field.matmul(flat, self.act.reshape(d, m * m)).reshape(d, d, m, m)
-        cols = np.ascontiguousarray(
-            self.act.transpose(1, 0, 2)
-        ).reshape(m, d * m)
-        for i in range(d):
-            rhs_i = field.matmul(self.act[i], cols).reshape(m, d, m)
-            rhs_i = np.ascontiguousarray(rhs_i.transpose(1, 0, 2))
-            if not field.is_zero(field.sub(lhs[i], rhs_i)):
-                raise AlgebraError(
-                    f"module action violates associativity against e{i}"
-                )
+        _check_action(self.field, self.algebra.table, self.act, self.algebra.unit)
 
     def action_of(self, r):
         """Action matrix of a ring element given by coordinates."""
-        d = self.algebra.dim
-        m = self.dim
-        return self.field.matmul(
-            self.field.asarray(r).reshape(1, d), self.act.reshape(d, m * m)
-        ).reshape(m, m)
+        return _action(self.field, self.act, r)
 
     @property
     def generator_actions(self):
-        return [self.act_of_gen(g) for g in range(len(self.algebra.mgens))]
-
-    def act_of_gen(self, g: int):
-        return self.action_of(self.algebra.mgens[g])
+        return [self.action_of(g) for g in self.algebra.mgens]
 
     def __repr__(self):
         tag = f", power={self.power}" if self.power is not None else ""

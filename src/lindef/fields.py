@@ -83,10 +83,6 @@ class Field:
     def __repr__(self):
         return "QQ" if self.p == 0 else f"GF({self.p})"
 
-    @property
-    def is_modular(self) -> bool:
-        return self.p != 0
-
     # -- scalars ----------------------------------------------------------
 
     def scalar(self, x) -> object:
@@ -146,11 +142,6 @@ class Field:
         if self.p:
             return (a + b) % self.p
         return a + b
-
-    def scale(self, c, a):
-        if self.p:
-            return a * (int(c) % self.p) % self.p
-        return a * c
 
     def is_zero(self, a) -> bool:
         if self.p:

@@ -99,12 +99,6 @@ class Polynomial:
         mon = max(self.terms, key=degrevlex_key)
         return mon, self.terms[mon]
 
-    @property
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(monomial_degree(m) for m in self.terms)
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from .errors import AlgebraError, LindefError
 from .linalg import (
-    Subspace,
     block_apply,
     block_expand,
     homology_cell,
@@ -289,5 +288,8 @@ def msquared_preimage_condition(res: MinimalResolution, i: int) -> bool:
         field, res.diff[i].entries, ops.reshape(d, d, proj.shape[1])
     )
     preimage = kernel(field, composite.T)
-    m_block = Subspace.block_sum(algebra.power(1), b_i)
-    return m_block.contains(preimage)
+    # x lies in m F_i exactly when each of its blocks vanishes in R/m
+    residue = block_apply(
+        field, preimage.basis, b_i, algebra.quotient_module(1).proj
+    )
+    return field.is_zero(residue)

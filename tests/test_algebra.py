@@ -1,9 +1,16 @@
 """Structure-constant algebras: laws, filtration, graded pieces, modules."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lindef.algebra import FiniteLocalAlgebra, quotient_module
+import lindef
+from lindef.algebra import FiniteLocalAlgebra, RModule, quotient_module
 from lindef.errors import AlgebraError, LindefError
 from lindef.fields import Field
 from lindef.presentation import algebra_from_text
@@ -16,6 +23,7 @@ def ring(text):
 
 
 X4 = ring("vars x\nideal x^4")
+QQ_RING = ring("char 0\nvars x y\nideal x^2, x*y, y^3")
 KOSZUL3 = ring("vars x y z\nideal x^2, x*y, y^2, x*z, y*z, z^2")
 FIELD = ring("vars x\nideal x")
 
@@ -64,6 +72,49 @@ class TestLawValidation:
         table[1, 1] = [0, 0]
         with pytest.raises(AlgebraError, match="unit"):
             FiniteLocalAlgebra(f, table, f.asarray([1, 0]), f.asarray([[0, 1]]))
+
+    @pytest.mark.parametrize("char", [7, 0], ids=["GF7", "QQ"])
+    def test_non_associative_rejected(self, char):
+        # basis 1, a, b with a^2 = b, ab = 0, b^2 = b: commutative and
+        # unital, but a * (a * b) = 0 while (a * a) * b = b
+        f = Field(char)
+        table = f.zeros((3, 3, 3))
+        for j in range(3):
+            table[0, j, j] = table[j, 0, j] = 1
+        table[1, 1, 2] = 1
+        table[2, 2, 2] = 1
+        with pytest.raises(AlgebraError, match=r"not associative: x\*\(e1\*e2\)"):
+            FiniteLocalAlgebra(
+                f, table, f.asarray([1, 0, 0]), f.asarray([[0, 1, 0], [0, 0, 1]])
+            )
+
+    def test_single_corrupted_entries_against_dense_reference(self):
+        # every symmetric one-entry change of k[x,y]/(x^3, y^3, xy^2) off
+        # the unit row: rejected as non-associative exactly when the dense
+        # (e_i e_j) e_k = e_i (e_j e_k) comparison over all triples fails
+        A = ring("vars x y\nideal x^3, y^3, x*y^2")
+        f, d = A.field, A.dim
+
+        def associative(t):
+            left = np.einsum("iju,ukl->ijkl", t, t) % f.p
+            right = np.einsum("jku,iul->ijkl", t, t) % f.p
+            return (left == right).all()
+
+        assert associative(A.table)
+        caught = 0
+        for i in range(1, d):
+            for j in range(i, d):
+                for u in range(d):
+                    t = A.table.copy()
+                    t[i, j, u] = t[j, i, u] = (t[i, j, u] + 1) % f.p
+                    try:
+                        FiniteLocalAlgebra(f, t, A.unit, A.mgens)
+                        rejected = False
+                    except AlgebraError as exc:
+                        rejected = "not associative" in str(exc)
+                    assert rejected == (not associative(t)), (i, j, u)
+                    caught += rejected
+        assert caught > 100
 
     def test_non_nilpotent_generators_rejected(self):
         # k x k with idempotent e: not local
@@ -126,9 +177,40 @@ class TestQuotientModules:
         assert (Q.action_of(x) == X4.mult_op(x)).all()
 
     def test_invalid_module_action_rejected(self):
-        from lindef.algebra import RModule
-
         f = X4.field
         act = f.zeros((4, 1, 1))  # unit does not act as identity
         with pytest.raises(AlgebraError):
             RModule(X4, 1, act)
+
+    def test_non_associative_module_action_rejected(self):
+        # k over k[x]/(x^4) with x acting as 1: the unit acts correctly,
+        # but x * x^3 = 0 must act as 0 while x then x^3 act as 1
+        f = X4.field
+        act = f.asarray(np.ones((4, 1, 1)))
+        with pytest.raises(AlgebraError, match=r"not associative: x\*\(e1\*e3\)"):
+            RModule(X4, 1, act)
+
+    @pytest.mark.parametrize("algebra", [X4, KOSZUL3, QQ_RING], ids=["X4", "KOSZUL3", "QQ"])
+    def test_quotient_actions_pass_the_law_check(self, algebra):
+        for n in range(algebra.nilpotency_index + 1):
+            Q = quotient_module(algebra, n)
+            RModule(algebra, Q.dim, Q.act)
+
+
+def test_dim100_law_check_fits_in_one_gib():
+    """The law check of a dim-100 ring runs under a 1 GiB address space."""
+    pytest.importorskip("resource")
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from lindef.presentation import algebra_from_text
+        print(algebra_from_text("vars x y\\nideal x^10, y^10").dim)
+    """)
+    src = str(Path(lindef.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["100"]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lindef import _kernels
-from lindef._kernels import matmul_mod, pure, rank, rref
+from lindef._kernels import matmul_mod, pure, rref
 
 try:
     from lindef._kernels import _speedups as speedups
@@ -109,7 +109,8 @@ class TestRref:
         rng = np.random.default_rng(2)
         for _ in range(6):
             a = rng.integers(0, 13, size=(7, 11), dtype=np.int64)
-            assert rank(a, 13) == rank(np.ascontiguousarray(a.T), 13)
+            at = np.ascontiguousarray(a.T)
+            assert len(rref(a, 13)[1]) == len(rref(at, 13)[1])
 
     def test_wide_matrix_multiple_panels(self):
         # force more columns than one panel at a tiny width budget

@@ -3,7 +3,7 @@
 import pytest
 
 from lindef.errors import AlgebraError, LindefError
-from lindef.linalg import QuotientCoords, Subspace, block_expand
+from lindef.linalg import QuotientCoords, Subspace, block_expand, kernel
 from lindef.presentation import algebra_from_text
 from lindef.resolution import resolve
 from lindef.tor_ladder import (
@@ -245,3 +245,23 @@ class TestBlockExpandIdentities:
             want = qc.coords(res.diff[i].expand(), check=False)
             got = block_expand(field, res.diff[i].entries, ops)
             assert got.shape == want.shape and (got == want).all()
+
+    def test_msquared_preimage_against_block_sum(self, algebra):
+        # reference: the preimage of m^2 F_{i-1} reduced against the
+        # Kronecker basis of m F_i
+        field = algebra.field
+        d = algebra.dim
+        res = resolve(algebra.residue_field(), 4)
+        outcomes = []
+        for i in range(1, 5):
+            b_prev = res.betti[i - 1]
+            qc = QuotientCoords(
+                field,
+                Subspace.full(field, b_prev * d),
+                Subspace.block_sum(algebra.power(2), b_prev),
+            )
+            preimage = kernel(field, qc.coords(res.diff[i].expand(), check=False).T)
+            m_block = Subspace.block_sum(algebra.power(1), res.betti[i])
+            outcomes.append(m_block.contains(preimage))
+            assert msquared_preimage_condition(res, i) == outcomes[-1]
+        assert set(outcomes) == {True, False}
