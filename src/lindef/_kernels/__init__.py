@@ -48,7 +48,8 @@ def matmul_mod(x, y, p):
 
     Runs on float64 BLAS when the inner dimension permits exact sums,
     on int64 otherwise, chunking the inner dimension as a last resort.
-    Operands are chunked so temporaries stay within a fixed byte budget.
+    Operands and the output are chunked so each temporary stays within
+    _CHUNK_ELEMS entries.
     """
     x = np.ascontiguousarray(x, dtype=np.int64)
     y = np.ascontiguousarray(y, dtype=np.int64)
@@ -63,8 +64,8 @@ def matmul_mod(x, y, p):
         out[:] = 0
         return out
     sq = (p - 1) ** 2
-    row_step = max(1, _CHUNK_ELEMS // max(1, k))
-    col_step = max(1, _CHUNK_ELEMS // max(1, k))
+    col_step = max(1, _CHUNK_ELEMS // k)
+    row_step = max(1, min(_CHUNK_ELEMS // k, _CHUNK_ELEMS // min(n, col_step)))
     if k * sq < _FLOAT_BUDGET:
         for j0 in range(0, n, col_step):
             yb = y[:, j0 : j0 + col_step].astype(np.float64)

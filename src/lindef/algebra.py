@@ -269,8 +269,7 @@ class RModule:
     """
 
     def __init__(self, algebra: FiniteLocalAlgebra, dim: int, act,
-                 proj=None, lift=None, power=None, embedding=None,
-                 validate: bool = True):
+                 proj=None, lift=None, power=None, validate: bool = True):
         self.algebra = algebra
         self.field = algebra.field
         self.dim = dim
@@ -283,7 +282,6 @@ class RModule:
         self.proj = proj
         self.lift = lift
         self.power = power
-        self.embedding = embedding
         if validate and dim:
             self._validate()
 

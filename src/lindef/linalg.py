@@ -325,27 +325,19 @@ def block_expand(field: Field, entries, ops):
     return np.ascontiguousarray(out).reshape(r * J, c * F)
 
 
-def induced_map_on_quotients(field: Field, m, src, dst, check: bool = True):
-    """Matrix of the map src_Z/src_B -> dst_Z/dst_B induced by m.
+def induced_map_on_quotients(field: Field, apply_rows, src, dst,
+                             check: bool = True):
+    """Matrix of the map src_Z/src_B -> dst_Z/dst_B induced by a linear map.
 
-    m is either a matrix, acting on column vectors as x -> m @ x, or a
-    callable taking a stack of basis rows and returning their images as
-    rows (for block-structured maps too large to materialize). src and
-    dst are (Z, B) pairs of Subspaces with B ⊆ Z. Returns (matrix, rank)
+    apply_rows takes a stack of row vectors and returns their images as
+    rows (block-structured maps are never materialized). src and dst
+    are (Z, B) pairs of Subspaces with B ⊆ Z. Returns (matrix, rank)
     with matrix columns indexed by source quotient coordinates. Raises
     LindefError when the map fails to send src_Z into dst_Z or src_B
     into dst_B: callers are expected to pass filtered maps.
     """
     z_src, b_src = src
     z_dst, b_dst = dst
-    if callable(m):
-        apply_rows = m
-    else:
-        mt = field.asarray(m).T.copy()
-
-        def apply_rows(rows):
-            return field.matmul(rows, mt)
-
     q_src = QuotientCoords(field, z_src, b_src, check=check)
     q_dst = QuotientCoords(field, z_dst, b_dst, check=check)
     if check:

@@ -152,11 +152,9 @@ def graded_homology(complex_: GradedComplex, i: int) -> dict:
 
 
 def defect_profile(complex_: GradedComplex, horizon: int) -> dict:
-    """Homology totals h_1..h_horizon with defect classification.
+    """Homology totals h_1..h_horizon with their defect classification.
 
-    Requires the underlying resolution to reach horizon + 1. The
-    silence-tail flag marks h_d != 0 followed by >= 2 silent stages up
-    to the horizon: the finite shadow of 0 < ld < infinity.
+    Requires the underlying resolution to reach horizon + 1.
     """
     if horizon < 1:
         raise LindefError(f"profile horizon must be >= 1, got {horizon}")
@@ -171,21 +169,30 @@ def defect_profile(complex_: GradedComplex, horizon: int) -> dict:
         dims = {j: s for j, s in complex_.homology_dims(i).items() if s}
         if dims:
             by_degree[i] = dims
-    nonzero = [i for i, v in zip(range(1, horizon + 1), h) if v]
-    dmax = max(nonzero) if nonzero else 0
-    if dmax == 0:
-        classification = CLASSIFICATION_CLEAN
-    else:
-        classification = f"defect >= {dmax}"
-    silence_tail = dmax >= 1 and horizon - dmax >= 2
     return {
         "horizon": horizon,
         "h": h,
         "by_degree": by_degree,
+        **defect_classification(h),
+    }
+
+
+def defect_classification(h) -> dict:
+    """Defect classification of totals h = [h_1, ..., h_horizon].
+
+    dmax is the last index with h_i != 0 (0 when there is none), and
+    the silence-tail flag marks >= 2 silent stages after it up to the
+    horizon: the finite shadow of 0 < ld < infinity.
+    """
+    nonzero = [i for i, v in enumerate(h, start=1) if v]
+    dmax = max(nonzero) if nonzero else 0
+    return {
         "nonzero_indices": nonzero,
         "dmax": dmax,
-        "classification": classification,
-        "silence_tail": silence_tail,
+        "classification": (
+            CLASSIFICATION_CLEAN if dmax == 0 else f"defect >= {dmax}"
+        ),
+        "silence_tail": dmax >= 1 and len(h) - dmax >= 2,
     }
 
 

@@ -103,8 +103,12 @@ class MinimalResolution:
 
     betti[i] for 0 <= i <= horizon; diff[i] (1 <= i) the differential
     R^{b_i} -> R^{b_{i-1}} as an AlgebraMatrix (diff[i].expand() is its
-    scalar matrix); kernels[i] the canonical syzygy subspace inside
-    k^{b_i * d}.
+    scalar matrix). Stage i reads only the syzygy space ker d_{i-1}
+    (ker of the augmentation F_0 -> M at i = 1, all of M at i = 0), so
+    construction carries one syzygy space at a time and keeps none;
+    syzygy(i) recomputes ker d_i from diff[i]. Every stage enforces
+    minimality, d o d = 0 and exactness; the last checks its rank from
+    one elimination without building a kernel basis.
 
     max_expand_entries caps the size of any single expanded
     differential; Betti numbers of Artinian algebras grow
@@ -122,7 +126,6 @@ class MinimalResolution:
         self.max_expand_entries = max_expand_entries
         self.betti = []
         self.diff = [None]
-        self.kernels = []
         self._build()
 
     # -- construction --------------------------------------------------
@@ -131,62 +134,61 @@ class MinimalResolution:
         field = self.algebra.field
         d = self.algebra.dim
         mod = self.module
-        mdim = mod.dim
-
-        # stage 0: minimal generators of M itself, and F_0 -> M
-        gens = minimal_generators(
-            Subspace.full(field, mdim), 1, mod.generator_actions
-        )
-        b0 = gens.shape[0]
-        self.betti.append(b0)
-        prev_expand = block_expand(
-            field, gens[:, None, :], mod.act.transpose(1, 0, 2)
-        )
-        ker = kernel(field, prev_expand.T)
-        rank = b0 * d - ker.dim
-        if rank != mdim:
-            raise AssertionError(
-                "augmentation is not surjective: generators do not span M"
-            )
-        self.kernels.append(ker)
-
-        for i in range(1, self.horizon + 1):
-            w = self.kernels[i - 1]
-            b_prev = self.betti[i - 1]
-            reps = minimal_generators(w, b_prev, self.algebra.generator_ops)
+        # stage 0 resolves M itself: the whole of M, one block, acted on
+        # by the module's own generator actions
+        w = Subspace.full(field, mod.dim)
+        blocks, ops = 1, mod.generator_actions
+        for i in range(self.horizon + 1):
+            reps = minimal_generators(w, blocks, ops)
             b_i = reps.shape[0]
-            if b_i * d * b_prev * d > self.max_expand_entries:
-                raise ResourceLimitError(
-                    f"differential {i} would expand to a {b_i * d} x "
-                    f"{b_prev * d} matrix, over the cap of "
-                    f"{self.max_expand_entries} entries"
+            if i == 0:
+                # the augmentation F_0 -> M sends generator g to reps[g]
+                expand = block_expand(
+                    field, reps[:, None, :], mod.act.transpose(1, 0, 2)
                 )
-            entries = reps.reshape(b_i, b_prev, d)
-            dmat = AlgebraMatrix(self.algebra, entries)
-            if not dmat.is_minimal():
-                raise AssertionError(
-                    f"differential {i} has an entry outside the maximal ideal"
-                )
-            expand = dmat.expand()
-            comp = field.matmul(expand, prev_expand)
-            if not field.is_zero(comp):
-                raise AssertionError(f"differential {i} does not compose to zero")
-            ker = kernel(field, expand.T)
-            rank = b_i * d - ker.dim
+            else:
+                if b_i * d * blocks * d > self.max_expand_entries:
+                    raise ResourceLimitError(
+                        f"differential {i} would expand to a {b_i * d} x "
+                        f"{blocks * d} matrix, over the cap of "
+                        f"{self.max_expand_entries} entries"
+                    )
+                dmat = AlgebraMatrix(self.algebra, reps.reshape(b_i, blocks, d))
+                if not dmat.is_minimal():
+                    raise AssertionError(
+                        f"differential {i} has an entry outside the maximal ideal"
+                    )
+                expand = dmat.expand()
+                if not field.is_zero(field.matmul(expand, prev_expand)):
+                    raise AssertionError(
+                        f"differential {i} does not compose to zero"
+                    )
+                self.diff.append(dmat)
+            nxt = None
+            if i < self.horizon:
+                nxt = kernel(field, expand.T)
+                rank = b_i * d - nxt.dim
+            else:
+                # rank only: the column-reversed elimination `kernel`
+                # runs, without building the basis nothing reads
+                rank = field.rank(expand.T[:, ::-1])
             if rank != w.dim:
+                if i == 0:
+                    raise AssertionError(
+                        "augmentation is not surjective: generators do not span M"
+                    )
                 raise AssertionError(
                     f"resolution not exact at stage {i - 1}: image rank {rank}"
                     f" != syzygy dimension {w.dim}"
                 )
             self.betti.append(b_i)
-            self.diff.append(dmat)
-            self.kernels.append(ker)
+            w, blocks, ops = nxt, b_i, self.algebra.generator_ops
             prev_expand = expand
 
     # -- accessors -----------------------------------------------------
 
     def syzygy(self, index: int) -> RModule:
-        """Syzygy module at the given stage (index 0 returns M itself)."""
+        """Syzygy module ker d_index (index 0 returns M itself)."""
         if index == 0:
             return self.module
         if index > self.horizon:
@@ -195,16 +197,13 @@ class MinimalResolution:
             )
         field = self.algebra.field
         d = self.algebra.dim
-        w = self.kernels[index]
+        w = kernel(field, self.diff[index].expand().T)
         b = self.betti[index]
         z = w.dim
         act = field.zeros((d, z, z))
         for j in range(d):
             act[j] = w.coords(block_apply(field, w.basis, b, self.algebra.table[j]))
-        return RModule(
-            self.algebra, z, act,
-            embedding=(b, w), validate=False,
-        )
+        return RModule(self.algebra, z, act, validate=False)
 
 
 def resolve(module: RModule, horizon: int, **kw) -> MinimalResolution:

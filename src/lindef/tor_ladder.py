@@ -22,7 +22,7 @@ from .linalg import (
     induced_map_on_quotients,
     kernel,
 )
-from .linear_part import CLASSIFICATION_CLEAN
+from .linear_part import defect_classification
 from .resolution import MinimalResolution
 
 __all__ = [
@@ -83,6 +83,10 @@ class UpsilonLadder:
     ranks[(n, i)] is the rank of v^n_i; tor_dims[(n, i)] the dimension
     of Tor_i(M, R/m^n) for 0 <= n <= index + 1. Rows with free source
     (m^{n+1} = 0) are forced: rank 0 for i >= 1 and full rank on Tor_0.
+
+    Built in one pass over n: v^n_i reads only F (x) R/m^{n+1} and
+    F (x) R/m^n, so at most these two Tor complexes are alive at once
+    and none is kept.
     """
 
     def __init__(self, res: MinimalResolution, horizon: int):
@@ -99,39 +103,34 @@ class UpsilonLadder:
         self.horizon = horizon
         self.index = self.algebra.nilpotency_index
         t = self.index
-        self._complexes = {}
-        for n in range(1, t):
-            self._complexes[n] = _TorComplex(res, n, horizon)
         self.tor_dims = {}
-        for n in range(0, t + 2):
-            for i in range(0, horizon + 1):
-                self.tor_dims[(n, i)] = self._tor_dim(n, i)
         self.ranks = {}
         self.forced = {}
-        for n in range(1, t + 1):
-            src_free = n + 1 >= t
+        field = self.algebra.field
+        lower = None  # F (x) R/m^(n-1), the target of v^(n-1)
+        for n in range(0, t + 2):
+            # R/m^0 is the zero module and R/m^n = R is free for n >= t:
+            # neither needs a complex
+            upper = _TorComplex(res, n, horizon) if 0 < n < t else None
             for i in range(0, horizon + 1):
-                if src_free:
-                    self.forced[(n, i)] = True
-                    self.ranks[(n, i)] = self.tor_dims[(n, 0)] if i == 0 else 0
+                if upper is not None:
+                    self.tor_dims[(n, i)] = upper.dim(i)
+                else:
+                    self.tor_dims[(n, i)] = self.module.dim if n and i == 0 else 0
+                if n < 2:
                     continue
-                self.forced[(n, i)] = False
-                apply_rows = _pi_applier(self.algebra, n, res.betti[i])
-                _, rank = induced_map_on_quotients(
-                    self.algebra.field,
-                    apply_rows,
-                    self._complexes[n + 1].cells[i],
-                    self._complexes[n].cells[i],
-                    check=False,
-                )
-                self.ranks[(n, i)] = rank
-
-    def _tor_dim(self, n: int, i: int) -> int:
-        if n <= 0:
-            return 0
-        if n >= self.index:
-            return self.module.dim if i == 0 else 0
-        return self._complexes[n].dim(i)
+                # v^(n-1)_i: Tor_i(M, R/m^n) -> Tor_i(M, R/m^(n-1))
+                self.forced[(n - 1, i)] = upper is None
+                if upper is None:
+                    rank = self.tor_dims[(n - 1, 0)] if i == 0 else 0
+                else:
+                    apply_rows = _pi_applier(self.algebra, n - 1, res.betti[i])
+                    _, rank = induced_map_on_quotients(
+                        field, apply_rows, upper.cells[i], lower.cells[i],
+                        check=False,
+                    )
+                self.ranks[(n - 1, i)] = rank
+            lower = upper
 
     # -- public surface -------------------------------------------------
 
@@ -226,16 +225,10 @@ def upsilon_defect_profile(ladder: UpsilonLadder) -> dict:
         sum(ladder.ranks[(n, i)] for n in range(1, ladder.index + 1))
         for i in range(1, horizon + 1)
     ]
-    nonzero = [i for i, v in zip(range(1, horizon + 1), h) if v]
-    dmax = max(nonzero) if nonzero else 0
-    classification = CLASSIFICATION_CLEAN if dmax == 0 else f"defect >= {dmax}"
     return {
         "horizon": horizon,
         "h": h,
-        "nonzero_indices": nonzero,
-        "dmax": dmax,
-        "classification": classification,
-        "silence_tail": dmax >= 1 and horizon - dmax >= 2,
+        **defect_classification(h),
         "table": ladder.rank_table(),
     }
 

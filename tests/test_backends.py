@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,27 @@ class TestMatmulMod:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             matmul_mod(np.zeros((2, 3), np.int64), np.zeros((2, 3), np.int64), 7)
+
+    @pytest.mark.parametrize("xshape, yshape", [
+        ((177147, 8), (8, 64)),  # the stage-6 expansion of a dim-8 ring
+        ((4000, 8), (8, 4000)),
+    ])
+    def test_temporaries_within_budget(self, xshape, yshape):
+        # a small inner dimension must not let one chunk be the whole
+        # output: temporaries stay within a few _CHUNK_ELEMS budgets
+        p = 101
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, p, size=xshape, dtype=np.int64)
+        y = rng.integers(0, p, size=yshape, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = matmul_mod(x, y, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 3 * 8 * _kernels._CHUNK_ELEMS
+        assert (out == (x @ y) % p).all()
 
 
 BACKEND_PROBE = (

@@ -372,7 +372,9 @@ class TestQuotientAndInducedMaps:
         z = Subspace.from_rows(GF3, GF3.asarray([[1, 0, 0], [0, 1, 0]]))
         b = Subspace.from_rows(GF3, GF3.asarray([[0, 1, 0]]))
         m = GF3.eye(3)
-        mat, rank = induced_map_on_quotients(GF3, m, (z, b), (z, b))
+        mat, rank = induced_map_on_quotients(
+            GF3, lambda rows: GF3.matmul(rows, m.T), (z, b), (z, b)
+        )
         assert mat.tolist() == [[1]] and rank == 1
 
     def test_induced_map_enumerated_gf3(self):
@@ -382,7 +384,9 @@ class TestQuotientAndInducedMaps:
         b_src = Subspace.from_rows(GF3, GF3.asarray([[0, 1, 0]]))
         z_dst = Subspace.from_rows(GF3, GF3.asarray([[0, 1, 0], [0, 0, 1]]))
         b_dst = Subspace.from_rows(GF3, GF3.asarray([[0, 1, 0]]))
-        mat, rank = induced_map_on_quotients(GF3, m, (z_src, b_src), (z_dst, b_dst))
+        mat, rank = induced_map_on_quotients(
+            GF3, lambda rows: GF3.matmul(rows, m.T), (z_src, b_src), (z_dst, b_dst)
+        )
         # induced map sends class of e3 to class of 2 e3, classes of e1, e2 to 0
         assert rank == 1
         q_src = QuotientCoords(GF3, z_src, b_src)
@@ -399,7 +403,9 @@ class TestQuotientAndInducedMaps:
         b = Subspace.zero(GF3, 3)
         dst = (Subspace.from_rows(GF3, GF3.asarray([[0, 0, 1]])), b)
         with pytest.raises(LindefError):
-            induced_map_on_quotients(GF3, m, (z, b), dst)
+            induced_map_on_quotients(
+                GF3, lambda rows: GF3.matmul(rows, m.T), (z, b), dst
+            )
 
 
 class TestImage:

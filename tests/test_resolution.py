@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from lindef import _kernels
+from lindef import _kernels, resolution
 from lindef.errors import LindefError, ResourceLimitError
 from lindef.fields import Field
+from lindef.linalg import kernel
 from lindef.presentation import algebra_from_text
 from lindef.resolution import AlgebraMatrix, MinimalResolution, resolve
 
@@ -93,6 +94,38 @@ class TestStructure:
             resolve(X2.residue_field(), -1)
 
 
+class TestChecksRaise:
+    """Each structural check fires when a stage's generators are corrupted.
+
+    The check runs on the stage's own matrices, whether that stage
+    builds the next syzygy basis or only checks its rank (the last).
+    """
+
+    @pytest.mark.parametrize("algebra, horizon, stage, edit, message", [
+        (X3, 0, 0, lambda r: r[:0], "augmentation is not surjective"),
+        (X3, 2, 0, lambda r: r[:0], "augmentation is not surjective"),
+        (X3, 2, 1, lambda r: X3.field.asarray([[1, 0, 0]]),
+         "differential 1 has an entry outside the maximal ideal"),
+        (X3, 3, 2, lambda r: X3.field.asarray([[0, 1, 0]]),
+         "differential 2 does not compose to zero"),
+        (KOSZUL3, 2, 2, lambda r: r[:-1], "not exact at stage 1"),
+        (KOSZUL3, 3, 2, lambda r: r[:-1], "not exact at stage 1"),
+    ])
+    def test_corrupted_stage(self, monkeypatch, algebra, horizon, stage,
+                             edit, message):
+        real = resolution.minimal_generators
+        calls = []
+
+        def corrupting(space, blocks, ops):
+            reps = real(space, blocks, ops)
+            calls.append(reps.shape)
+            return edit(reps) if len(calls) - 1 == stage else reps
+
+        monkeypatch.setattr(resolution, "minimal_generators", corrupting)
+        with pytest.raises(AssertionError, match=message):
+            resolve(algebra.residue_field(), horizon)
+
+
 class TestAlgebraMatrix:
     def test_expand_of_unit_is_identity(self):
         f = X2.field
@@ -139,8 +172,9 @@ def test_one_elimination_per_kernel(monkeypatch):
     k[x,y]/(x^2,y^2) has b_i = i + 1, so every syzygy module is nonzero.
     Each of the h + 1 stages 0..h runs nvars rrefs of the products
     W*x_g (M*x_g at stage 0), nvars - 1 to sum them into mW, and one for
-    the kernel of its differential: (h + 1) * 2 * nvars = 5 * 4 = 20 at
-    h = 4. Row-reducing each kernel basis a second time would make 25.
+    the kernel of its differential (only its rank at stage h):
+    (h + 1) * 2 * nvars = 5 * 4 = 20 at h = 4. Row-reducing each kernel
+    basis a second time would make 25.
     """
     k = ring("vars x y\nideal x^2, y^2").residue_field()
     calls = []
@@ -154,3 +188,61 @@ def test_one_elimination_per_kernel(monkeypatch):
     res = resolve(k, 4)
     assert res.betti == [1, 2, 3, 4, 5]
     assert len(calls) == 20
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 4])
+def test_last_stage_builds_no_kernel(monkeypatch, horizon):
+    """Stages 0..h-1 each build one syzygy basis; stage h checks a rank."""
+    k = ring("vars x y\nideal x^2, y^2").residue_field()
+    calls = []
+    real = resolution.kernel
+
+    def counting(field, a):
+        calls.append(a.shape)
+        return real(field, a)
+
+    monkeypatch.setattr(resolution, "kernel", counting)
+    res = resolve(k, horizon)
+    assert res.betti == list(range(1, horizon + 2))
+    assert len(calls) == horizon
+
+
+def reference_syzygy(res, i):
+    """(dim, act) of ker d_i built from the expanded differential."""
+    alg = res.algebra
+    field, d, b = alg.field, alg.dim, res.betti[i]
+    w = kernel(field, res.diff[i].expand().T)
+    act = field.zeros((d, w.dim, w.dim))
+    for j in range(d):
+        for r in range(w.dim):
+            image = field.zeros((1, b * d))
+            for c in range(b):
+                image[0, c * d:(c + 1) * d] = field.matmul(
+                    w.basis[r:r + 1, c * d:(c + 1) * d], alg.table[j]
+                )
+            act[j, r] = w.coords(image)[0]
+    return w.dim, act
+
+
+@pytest.mark.parametrize("text", [
+    "vars x\nideal x^3",
+    "vars x y\nideal x^2, y^2",
+    "vars x y z\nideal x^2, x*y, y^2, x*z, y*z, z^2",
+    "char 0\nvars x y\nideal x^2, x*y, y^3",
+])
+def test_syzygy_recomputed_from_differential(text):
+    k = ring(text).residue_field()
+    h = 3
+    res = resolve(k, h)
+    assert res.syzygy(0) is k
+    for i in range(1, h + 1):
+        module = res.syzygy(i)
+        dim, act = reference_syzygy(res, i)
+        assert module.dim == dim
+        assert module.act.shape == act.shape
+        if k.field.p:
+            assert module.act.tobytes() == act.tobytes()
+        else:
+            assert module.act.tolist() == act.tolist()
+    with pytest.raises(LindefError):
+        res.syzygy(h + 1)

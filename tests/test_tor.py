@@ -1,12 +1,23 @@
 """Upsilon ladders: Tor maps along the power filtration."""
 
+import weakref
+
 import pytest
 
+from lindef import tor_ladder as tor_ladder_module
 from lindef.errors import AlgebraError, LindefError
-from lindef.linalg import QuotientCoords, Subspace, block_expand, kernel
+from lindef.linalg import (
+    QuotientCoords,
+    Subspace,
+    block_expand,
+    induced_map_on_quotients,
+    kernel,
+)
 from lindef.presentation import algebra_from_text
 from lindef.resolution import resolve
 from lindef.tor_ladder import (
+    _pi_applier,
+    _TorComplex,
     msquared_preimage_condition,
     tor_ladder,
     upsilon,
@@ -170,6 +181,69 @@ class TestPreimageCondition:
         res = resolve(X3.residue_field(), 2)
         with pytest.raises(LindefError):
             msquared_preimage_condition(res, 3)
+
+
+X2 = ring("vars x\nideal x^2")
+
+
+def reference_ladder(res, horizon):
+    """tor_dims, ranks and forced with every Tor complex built first."""
+    alg = res.algebra
+    t = alg.nilpotency_index
+    complexes = {n: _TorComplex(res, n, horizon) for n in range(1, t)}
+    tor_dims = {}
+    for n in range(0, t + 2):
+        for i in range(0, horizon + 1):
+            if n == 0:
+                tor_dims[(n, i)] = 0
+            elif n >= t:
+                tor_dims[(n, i)] = res.module.dim if i == 0 else 0
+            else:
+                tor_dims[(n, i)] = complexes[n].dim(i)
+    ranks, forced = {}, {}
+    for n in range(1, t + 1):
+        for i in range(0, horizon + 1):
+            forced[(n, i)] = n + 1 >= t
+            if forced[(n, i)]:
+                ranks[(n, i)] = tor_dims[(n, 0)] if i == 0 else 0
+            else:
+                _, ranks[(n, i)] = induced_map_on_quotients(
+                    alg.field, _pi_applier(alg, n, res.betti[i]),
+                    complexes[n + 1].cells[i], complexes[n].cells[i],
+                )
+    return tor_dims, ranks, forced
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "algebra", [X2, X3, X4, KOSZUL3, GF101_RING, QQ_RING],
+        ids=["X2", "X3", "X4", "KOSZUL3", "GF101", "QQ"],
+    )
+    @pytest.mark.parametrize("horizon", [0, 4])
+    def test_matches_all_complexes_reference(self, algebra, horizon):
+        res = resolve(algebra.residue_field(), horizon + 1)
+        lad = tor_ladder(res, horizon)
+        tor_dims, ranks, forced = reference_ladder(res, horizon)
+        assert list(lad.tor_dims.items()) == list(tor_dims.items())
+        assert list(lad.ranks.items()) == list(ranks.items())
+        assert list(lad.forced.items()) == list(forced.items())
+
+    def test_at_most_two_complexes_alive(self, monkeypatch):
+        live = weakref.WeakSet()
+        most = []
+
+        class Counted(tor_ladder_module._TorComplex):
+            def __init__(self, *args):
+                super().__init__(*args)
+                live.add(self)
+                most.append(len(live))
+
+        monkeypatch.setattr(tor_ladder_module, "_TorComplex", Counted)
+        lad = ladder_of(X5, 3)
+        assert len(most) == 4  # n = 1..t-1 for t = 5
+        assert max(most) == 2
+        assert len(live) == 0
+        assert lad.rank_table()[1] == [1, 0, 1, 0]
 
 
 class TestGuards:
