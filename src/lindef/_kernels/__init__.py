@@ -1,11 +1,33 @@
 """Exact GF(p) matrix kernels.
 
-Layout: a backend supplies `panel_jordan` (dense Gauss-Jordan on a column
-panel); this module orchestrates panel-blocked reduced row echelon form
-where trailing updates run as BLAS matmuls on float64, which is exact as
-long as panel_width * (p-1)^2 < 2^53. The compiled backend `_speedups`
-is preferred; `pure` (numpy) is the fallback. Force one with
-LINDEF_KERNELS={auto,fast,pure}.
+Layout: a backend supplies `panel_jordan` (dense Gauss-Jordan on an int64
+column panel); this module orchestrates the panel-blocked reduced row
+echelon form around it, so the backends differ only in the panel. The
+compiled backend `_speedups` is preferred; `pure` (numpy) is the
+fallback. Force one with LINDEF_KERNELS={auto,fast,pure}.
+
+`rref` keeps one working copy of its input. A matrix that fits in one
+panel (n <= panel_width(p)) is eliminated by `panel_jordan` in place, on
+int64. Wider matrices are eliminated left to right one panel at a time,
+and the working copy holds residues, nonnegative integers congruent to
+the true entries mod p, that are reduced only when needed (delayed
+reduction, as in FFLAS/FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3),
+2008):
+
+- the panel and the new pivot rows are reduced into small int64 copies
+  just before they are read; the pivot rows are written back reduced;
+- each trailing update `seg += (-L mod p) @ U` adds at most
+  k*(p-1)^2 to an entry, for k pivots in the panel; a tracked bound on
+  the entries of the unfinished columns triggers a reduction of all of
+  them only when the next update could pass the exact-integer budget;
+- everything is reduced once at the end.
+
+The residues are float64, reinterpreting the int64 copy in place one row
+chunk at a time, whenever a reduced entry plus one full panel's update
+stays within 2^53, where doubles hold integers exactly; then every
+trailing update is one BLAS matmul. That holds for every prime up to
+94,906,249, the last with (p-1)^2 < 2^53. Larger primes run the same loop
+on int64 with a 2^62 budget and panels one column wide.
 """
 
 import os
@@ -43,13 +65,32 @@ def panel_width(p: int) -> int:
     return max(1, min(256, _FLOAT_BUDGET // max(1, (p - 1) ** 2)))
 
 
+def _residue_type(p):
+    """(dtype, budget) of rref's residues: float64 when a reduced entry
+    plus one full panel's update stays within 2^53, int64 otherwise."""
+    if (p - 1) * (panel_width(p) * (p - 1) + 1) <= _FLOAT_BUDGET:
+        return np.float64, _FLOAT_BUDGET
+    return np.int64, _INT_BUDGET
+
+
+def _reduce(dst, src, p):
+    """dst[...] = src % p for nonnegative integer src, a row chunk at a
+    time; dst may be src itself or share its memory under another dtype."""
+    step = max(1, _CHUNK_ELEMS // max(1, src.shape[1]))
+    for i0 in range(0, src.shape[0], step):
+        t = src[i0 : i0 + step].astype(np.int64)
+        np.remainder(t, p, out=t)
+        dst[i0 : i0 + step] = t
+        del t  # before the next chunk's copy is made
+
+
 def matmul_mod(x, y, p):
     """Exact (x @ y) % p for int64 matrices with entries in [0, p).
 
-    Runs on float64 BLAS when the inner dimension permits exact sums,
-    on int64 otherwise, chunking the inner dimension as a last resort.
-    Operands and the output are chunked so each temporary stays within
-    _CHUNK_ELEMS entries.
+    Runs on float64 BLAS when the inner dimension permits exact sums, on
+    int64 otherwise, summing the inner dimension in slabs small enough for
+    int64 when it does not. Operands and the output are chunked so each
+    temporary stays within _CHUNK_ELEMS entries.
     """
     x = np.ascontiguousarray(x, dtype=np.int64)
     y = np.ascontiguousarray(y, dtype=np.int64)
@@ -64,31 +105,25 @@ def matmul_mod(x, y, p):
         out[:] = 0
         return out
     sq = (p - 1) ** 2
+    if k * sq < _FLOAT_BUDGET:
+        dtype, step = np.float64, k
+    else:
+        # each slab's products plus a reduced partial sum stay below 2^62
+        dtype, step = np.int64, max(1, (_INT_BUDGET - p) // sq)
     col_step = max(1, _CHUNK_ELEMS // k)
     row_step = max(1, min(_CHUNK_ELEMS // k, _CHUNK_ELEMS // min(n, col_step)))
-    if k * sq < _FLOAT_BUDGET:
-        for j0 in range(0, n, col_step):
-            yb = y[:, j0 : j0 + col_step].astype(np.float64)
-            for i0 in range(0, m, row_step):
-                xb = x[i0 : i0 + row_step].astype(np.float64)
-                out[i0 : i0 + row_step, j0 : j0 + col_step] = (
-                    xb @ yb
-                ).astype(np.int64) % p
-        return out
-    if k * sq < _INT_BUDGET:
-        for j0 in range(0, n, col_step):
-            yb = y[:, j0 : j0 + col_step]
-            for i0 in range(0, m, row_step):
-                out[i0 : i0 + row_step, j0 : j0 + col_step] = (
-                    x[i0 : i0 + row_step] @ yb
-                ) % p
-        return out
-    # Very large p: accumulate in blocks small enough for int64 sums.
-    step = max(1, _INT_BUDGET // (2 * sq))
-    acc = np.zeros((m, n), dtype=np.int64)
-    for t0 in range(0, k, step):
-        acc = (acc + x[:, t0 : t0 + step] @ y[t0 : t0 + step]) % p
-    out[:] = acc
+    for j0 in range(0, n, col_step):
+        yb = y[:, j0 : j0 + col_step].astype(dtype, copy=False)
+        for i0 in range(0, m, row_step):
+            xb = x[i0 : i0 + row_step].astype(dtype, copy=False)
+            blk = out[i0 : i0 + row_step, j0 : j0 + col_step]
+            for t0 in range(0, k, step):
+                prod = xb[:, t0 : t0 + step] @ yb[t0 : t0 + step]
+                if t0:
+                    prod += blk
+                blk[...] = prod
+                del prod  # before the next product is made
+                np.remainder(blk, p, out=blk)
     return out
 
 
@@ -112,55 +147,66 @@ def rref(a, p):
     a = np.array(a, dtype=np.int64, order="C")
     if a.ndim != 2:
         raise ValueError("expected a 2-d array")
-    a %= p
     m, n = a.shape
-    if m == 0 or n == 0:
-        return a, ()
     K = panel_width(p)
+    if n <= K:
+        # one panel covers the matrix: its Jordan form is the RREF
+        a %= p
+        rows, cols = _panel_jordan(a, p)
+        a[: len(rows)] = a[rows]
+        a[len(rows) :] = 0
+        return a, tuple(cols)
+    dtype, budget = _residue_type(p)
+    w = a.view(dtype)
+    _reduce(w, a, p)
+    bound = p - 1  # on the entries of columns c0: of w
     pivots: list[int] = []
     r = 0
     c0 = 0
     while c0 < n and r < m:
         c1 = min(c0 + K, n)
-        E = np.ascontiguousarray(a[r:, c0:c1])
+        # always a copy: the panel is eliminated in place
+        E = w[r:, c0:c1].astype(np.int64)
+        np.remainder(E, p, out=E)
         lrows, lcols = _panel_jordan(E, p)
         if not lrows:
             c0 = c1
             continue
-        if r == 0 and c0 == 0 and c1 == n:
-            # Single panel covered the whole matrix: E is already the RREF.
-            a[: len(lrows)] = E[lrows]
-            a[len(lrows) :] = 0
-            return a, tuple(lcols)
         k = len(lrows)
         S = [r + s for s in lrows]
         for j in range(k):
             dst = r + j
             s = S[j]
             if s != dst:
-                a[[dst, s]] = a[[s, dst]]
+                w[[dst, s]] = w[[s, dst]]
                 for jj in range(j + 1, k):
                     if S[jj] == dst:
                         S[jj] = s
         C = [c0 + c for c in lcols]
-        G = _inv_small(a[r : r + k][:, C], p)
-        U = matmul_mod(G, a[r : r + k, c0:], p)
-        a[r : r + k, c0:] = U
+        P = w[r : r + k, c0:].astype(np.int64)
+        np.remainder(P, p, out=P)
+        G = _inv_small(P[:, lcols], p)
+        U = w[r : r + k, c0:]
+        U[...] = matmul_mod(G, P, p)
+        inc = k * (p - 1) ** 2
+        if bound + inc > budget:
+            _reduce(w[:, c0:], w[:, c0:], p)
+            bound = p - 1
+        bound += inc
         for block in (slice(0, r), slice(r + k, m)):
-            rows_blk = a[block]
+            rows_blk = w[block]
             if rows_blk.shape[0] == 0:
                 continue
-            L = rows_blk[:, C]
+            L = np.remainder(-rows_blk[:, C].astype(np.int64), p)
             if not L.any():
                 continue
-            step = max(1, _CHUNK_ELEMS // max(1, rows_blk.shape[0]))
+            L = L.astype(dtype)
+            step = max(1, _CHUNK_ELEMS // rows_blk.shape[0])
             for j0 in range(c0, n, step):
-                j1 = min(j0 + step, n)
-                prod = matmul_mod(L, U[:, j0 - c0 : j1 - c0], p)
-                seg = rows_blk[:, j0:j1]
-                seg -= prod
-                seg %= p
+                seg = rows_blk[:, j0 : j0 + step]
+                seg += L @ U[:, j0 - c0 : j0 - c0 + step]
         pivots.extend(C)
         r += k
         c0 = c1
+    _reduce(a, w, p)
     return a, tuple(pivots)

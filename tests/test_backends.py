@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from lindef import _kernels
 from lindef._kernels import matmul_mod, pure, rref
+from lindef.fields import _is_prime
 
 try:
     from lindef._kernels import _speedups as speedups
@@ -80,6 +82,21 @@ def reference_rref(a, p):
     return np.array(a, dtype=np.int64), tuple(piv)
 
 
+def sparse_matrix(rng, shape, p, density):
+    mask = rng.random(shape) < density
+    return np.where(mask, rng.integers(1, p, size=shape, dtype=np.int64), 0)
+
+
+def assert_matches_reference(a, p):
+    """rref(a, p) equals the textbook elimination and leaves `a` as it was."""
+    before = a.copy()
+    got, piv = rref(a, p)
+    want, wpiv = reference_rref(a, p)
+    assert piv == wpiv
+    assert got.dtype == np.int64 and (got == want).all()
+    assert (a == before).all()
+
+
 class TestRref:
     @pytest.mark.parametrize("p", [2, 101, 32003])
     def test_matches_reference(self, p):
@@ -123,6 +140,132 @@ class TestRref:
         want, wpiv = reference_rref(a, p)
         assert piv == wpiv and (got == want).all()
 
+    def test_last_row_eliminated_on_a_copy(self):
+        # one row is left for the third panel (width 1 at this prime), so
+        # its panel slice is already contiguous; scaling it in place would
+        # leave the row half-scaled
+        p = 2**31 - 1
+        a = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1]], dtype=np.int64)
+        got, piv = rref(a, p)
+        assert piv == (0, 1, 2)
+        assert got[2].tolist() == [0, 0, 1, 2**30]
+        assert_matches_reference(a, p)
+
+    def test_one_row_left_for_a_later_panel(self):
+        p = 3
+        a = np.zeros((2, 601), dtype=np.int64)
+        a[0, 0], a[1, 260], a[1, 600] = 1, 2, 1
+        got, piv = rref(a, p)
+        assert piv == (0, 260)
+        assert got[1, 600] == 2
+        assert_matches_reference(a, p)
+
+    @pytest.mark.parametrize("p, shape", [
+        (3, (100, 1000)),
+        (101, (100, 1000)),
+        (2**31 - 1, (10, 300)),
+    ])
+    def test_sparse_inputs(self, p, shape):
+        # sparse rows leave single rows for later panels
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            assert_matches_reference(sparse_matrix(rng, shape, p, 0.02), p)
+
+
+# (p, panel width): small primes, the last prime with 256-column panels,
+# a width in between, the last prime held in float64, and the int64 loop
+REGIMES = [
+    (2, 256),
+    (101, 256),
+    (5931641, 256),  # the last prime with 256-column panels
+    (10000019, 90),
+    (94906249, 1),  # the last prime with (p-1)^2 < 2^53
+    (2**31 - 1, 1),
+]
+
+
+class TestResidues:
+    @pytest.mark.parametrize("p, width", REGIMES)
+    def test_against_reference(self, p, width):
+        assert _kernels.panel_width(p) == width
+        rng = np.random.default_rng(width)
+        n = max(2 * width + 7, 40)
+        low_rank = matmul_mod(
+            rng.integers(0, p, size=(24, 5), dtype=np.int64),
+            rng.integers(0, p, size=(5, n), dtype=np.int64), p)
+        staircase = rng.integers(0, p, size=(30, n), dtype=np.int64)
+        staircase[10:, : width + 3] = 0  # rows 10: start past the first panel
+        for a in (
+            rng.integers(0, p, size=(20, n), dtype=np.int64)[:, ::-1],
+            staircase,
+            low_rank,
+            sparse_matrix(rng, (30, n), p, 0.05),
+            np.zeros((6, n), dtype=np.int64),
+        ):
+            assert_matches_reference(a, p)
+
+    def test_float_residues_up_to_94906249(self):
+        # the float64 condition is tightest at the largest prime of each
+        # panel width; holding there, it holds for every smaller prime
+        for width in range(256, 0, -1):
+            p = isqrt(_kernels._FLOAT_BUDGET // width) + 1
+            while not _is_prime(p):
+                p -= 1
+            assert _kernels.panel_width(p) == width
+            assert _kernels._residue_type(p)[0] is np.float64, p
+        assert p == 94906249
+        assert _kernels._residue_type(94906297)[0] is np.int64  # next prime
+        assert _kernels.panel_width(5931649) == 255  # next prime
+
+    def test_tail_reduced_mid_elimination(self, monkeypatch):
+        # a 2^16 budget narrows GF(101) panels to 6 columns and leaves room
+        # for only 6 pivots' updates between reductions
+        monkeypatch.setattr(_kernels, "_FLOAT_BUDGET", 1 << 16)
+        assert _kernels.panel_width(101) == 6
+        assert _kernels._residue_type(101)[0] is np.float64
+        calls = []
+        reduce = _kernels._reduce
+
+        def counting(dst, src, p):
+            calls.append(src.shape)
+            reduce(dst, src, p)
+
+        monkeypatch.setattr(_kernels, "_reduce", counting)
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, 101, size=(30, 80), dtype=np.int64)
+        assert_matches_reference(a, 101)
+        # the first and last passes cover the whole matrix; the rest are
+        # tail reductions, each of the columns after some panel's start
+        assert calls[0] == calls[-1] == (30, 80)
+        tails = calls[1:-1]
+        assert len(tails) >= 3
+        assert all(rows == 30 and cols < 80 for rows, cols in tails)
+
+    def test_peak_memory_one_working_copy(self):
+        # the residues reuse the working copy's memory; every other
+        # temporary stays within a few _CHUNK_ELEMS budgets
+        p, rank = 101, 512
+        rng = np.random.default_rng(11)
+        a = matmul_mod(
+            rng.integers(0, p, size=(2000, rank), dtype=np.int64),
+            rng.integers(0, p, size=(rank, 3000), dtype=np.int64), p)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got, piv = rref(a, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - got.nbytes <= 3 * 8 * _kernels._CHUNK_ELEMS
+        # too large for reference_rref: the random factors make the first
+        # `rank` columns independent, so the RREF is [I X; 0 0] with
+        # a[:, :rank] @ X = a[:, rank:]
+        assert piv == tuple(range(rank))
+        assert (got[:rank, :rank] == np.eye(rank, dtype=np.int64)).all()
+        assert not got[rank:].any()
+        x = got[:rank, rank:]
+        assert (matmul_mod(a[:, :rank], x, p) == a[:, rank:]).all()
+
 
 class TestMatmulMod:
     def exact(self, x, y, p):
@@ -155,14 +298,15 @@ class TestMatmulMod:
         with pytest.raises(ValueError):
             matmul_mod(np.zeros((2, 3), np.int64), np.zeros((2, 3), np.int64), 7)
 
-    @pytest.mark.parametrize("xshape, yshape", [
-        ((177147, 8), (8, 64)),  # the stage-6 expansion of a dim-8 ring
-        ((4000, 8), (8, 4000)),
-    ])
-    def test_temporaries_within_budget(self, xshape, yshape):
+    @pytest.mark.parametrize("xshape, yshape, p", [
+        ((177147, 8), (8, 64), 101),  # the stage-6 expansion of a dim-8 ring
+        ((4000, 8), (8, 4000), 101),
+        # k*(p-1)^2 >= 2^62: the inner dimension is summed in int64 slabs
+        ((2000, 8), (8, 2000), 2**31 - 1),
+    ], ids=["xshape0-yshape0", "xshape1-yshape1", "xshape2-yshape2"])
+    def test_temporaries_within_budget(self, xshape, yshape, p):
         # a small inner dimension must not let one chunk be the whole
         # output: temporaries stay within a few _CHUNK_ELEMS budgets
-        p = 101
         rng = np.random.default_rng(5)
         x = rng.integers(0, p, size=xshape, dtype=np.int64)
         y = rng.integers(0, p, size=yshape, dtype=np.int64)
@@ -174,7 +318,9 @@ class TestMatmulMod:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes <= 3 * 8 * _kernels._CHUNK_ELEMS
-        assert (out == (x @ y) % p).all()
+        # split y into 16-bit halves so every int64 product stays exact
+        hi, lo = y >> 16, y & 0xFFFF
+        assert (out == ((x @ hi) % p * 65536 + x @ lo) % p).all()
 
 
 BACKEND_PROBE = (

@@ -50,6 +50,19 @@ class TestAnalyze:
         assert rec["betti"] == [1, 2, 4, 8]
         assert rec["flags"]["oracle_mismatch"] is False
 
+    def test_prime_near_2_31(self, ring_file, capsys):
+        # panels one column wide; every elimination runs the int64 loop.
+        # Two quadrics cut a complete intersection, so b_i = i + 1 (Tate).
+        ring = ("char 2147483647\nvars x y\n"
+                "ideal x^2 + 3*x*y + 5*y^2, 7*x*y + 2*y^2, x^3, y^3\n")
+        code = main(["analyze", "--ring", ring_file(ring), "--horizon", "4",
+                     "--format", "json"])
+        rec = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert rec["dim"] == 4
+        assert rec["betti"] == [1, 2, 3, 4, 5]
+        assert not any(rec["flags"].values())
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["analyze", "--ring", str(tmp_path / "absent.txt")])
         assert code == 1

@@ -244,6 +244,14 @@ class TestScan:
             assert rec["presentation"]["char"] == self.CFG.char
             assert set(rec["flags"]) == set(FLAG_NAMES)
 
+    def test_prime_near_2_31(self):
+        # panels one column wide; every elimination runs the int64 loop
+        cfg = ScanConfig(nvars=2, nilpotency=4, horizon=5, count=1, seed=1,
+                         char=2**31 - 1)
+        summary, reports = scan(cfg)
+        assert summary["violations"] == 0
+        assert reports[0].betti == [1, 2, 4, 8, 16, 32]
+
     def test_empty_scan(self, tmp_path):
         cfg = ScanConfig(count=0)
         p = tmp_path / "empty.jsonl"
