@@ -28,6 +28,10 @@ stays within 2^53, where doubles hold integers exactly; then every
 trailing update is one BLAS matmul. That holds for every prime up to
 94,906,249, the last with (p-1)^2 < 2^53. Larger primes run the same loop
 on int64 with a 2^62 budget and panels one column wide.
+
+`exact_dtype` is the one test of when float64 sums of products are exact,
+shared by `matmul_mod` and the unreduced products of `matmul_unreduced`,
+whose differences `nonzero_mod` tests for divisibility by p.
 """
 
 import os
@@ -84,6 +88,44 @@ def _reduce(dst, src, p):
         del t  # before the next chunk's copy is made
 
 
+def exact_dtype(k, p):
+    """float64 when every sum of k products of residues mod p is an
+    integer below 2^53, so doubles hold it exactly; int64 otherwise."""
+    if k * (p - 1) ** 2 < _FLOAT_BUDGET:
+        return np.float64
+    return np.int64
+
+
+def matmul_unreduced(x, y, p):
+    """x @ y, np.matmul's stacking, as integers congruent to it mod p.
+
+    Operands are residues in [0, p) of the dtype `exact_dtype` gives for
+    the inner dimension. float64 operands make one BLAS call with no
+    reduction; the sums are exact. int64 operands go through
+    `matmul_mod` (y one matrix or a stack of them) and come back reduced.
+    """
+    if x.dtype == np.float64:
+        return np.matmul(x, y)
+    if y.ndim == 2:
+        return matmul_mod(x, y, p)
+    b, k, n = y.shape
+    cols = y.transpose(1, 0, 2).reshape(k, b * n)
+    return matmul_mod(x, cols, p).reshape(-1, b, n).transpose(1, 0, 2)
+
+
+def nonzero_mod(a, p):
+    """Mask of the entries of `a` not divisible by p. `a` holds exact
+    integers, float64 ones below 2^53 in absolute value: then a / p
+    rounds to the exact quotient when p divides a, and p * rint(a / p)
+    equals a exactly when it does."""
+    if a.dtype != np.float64:
+        return a % p != 0
+    q = np.divide(a, p)
+    np.rint(q, out=q)
+    q *= p
+    return q != a
+
+
 def matmul_mod(x, y, p):
     """Exact (x @ y) % p for int64 matrices with entries in [0, p).
 
@@ -104,12 +146,12 @@ def matmul_mod(x, y, p):
     if k == 0:
         out[:] = 0
         return out
-    sq = (p - 1) ** 2
-    if k * sq < _FLOAT_BUDGET:
-        dtype, step = np.float64, k
+    dtype = exact_dtype(k, p)
+    if dtype is np.float64:
+        step = k
     else:
         # each slab's products plus a reduced partial sum stay below 2^62
-        dtype, step = np.int64, max(1, (_INT_BUDGET - p) // sq)
+        step = max(1, (_INT_BUDGET - p) // (p - 1) ** 2)
     col_step = max(1, _CHUNK_ELEMS // k)
     row_step = max(1, min(_CHUNK_ELEMS // k, _CHUNK_ELEMS // min(n, col_step)))
     for j0 in range(0, n, col_step):

@@ -163,5 +163,33 @@ class Field:
             out = out + Fraction(0)
         return out
 
+    # -- unreduced products -------------------------------------------------
+
+    def exact_operands(self, a, k):
+        """`a` as operands of `exact_matmul` with inner dimension <= k.
+
+        Over GF(p) a float64 copy of the residues when sums of k products
+        stay exact in doubles, k (p-1)^2 < 2^53, else int64 residues;
+        over the rationals `a` itself.
+        """
+        if self.p:
+            return np.asarray(a).astype(_kernels.exact_dtype(k, self.p), copy=False)
+        return a
+
+    def exact_matmul(self, a, b):
+        """a @ b of `exact_operands`, with np.matmul's stacking, as exact
+        representatives of the field product; not reduced mod p."""
+        if self.p:
+            return _kernels.matmul_unreduced(a, b, self.p)
+        return np.matmul(a, b)
+
+    def nonzero(self, a):
+        """Mask of the entries of `a`, exact representatives such as
+        differences of `exact_matmul` products, that are nonzero in the
+        field."""
+        if self.p:
+            return _kernels.nonzero_mod(a, self.p)
+        return a != 0
+
     def rank(self, a) -> int:
         return len(self.rref(a)[1])

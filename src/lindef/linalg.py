@@ -69,25 +69,6 @@ class Subspace:
     def full(cls, field: Field, ambient_dim: int):
         return cls(field, ambient_dim, field.eye(ambient_dim), range(ambient_dim))
 
-    @classmethod
-    def block_sum(cls, sub: "Subspace", blocks: int):
-        """W^(+b) inside (k^n)^b, basis laid out block by block.
-
-        The Kronecker layout of an RREF basis is again an RREF basis, so
-        no elimination is needed.
-        """
-        n = sub.ambient_dim
-        if sub.field.p:
-            basis = np.kron(np.eye(blocks, dtype=np.int64), sub.basis)
-        else:
-            basis = sub.field.zeros((blocks * sub.dim, blocks * n))
-            for b in range(blocks):
-                basis[
-                    b * sub.dim : (b + 1) * sub.dim, b * n : (b + 1) * n
-                ] = sub.basis
-        pivots = [b * n + c for b in range(blocks) for c in sub.pivots]
-        return cls(sub.field, blocks * n, basis, pivots)
-
     # ------------------------------------------------------------------
 
     @property

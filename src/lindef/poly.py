@@ -78,11 +78,6 @@ class Polynomial:
         return cls(field, nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, field: Field, nvars: int, index: int):
-        mon = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(field, nvars, {mon: 1})
-
-    @classmethod
     def from_monomial(cls, field: Field, nvars: int, mon: Monomial, c=1):
         return cls(field, nvars, {tuple(mon): c})
 

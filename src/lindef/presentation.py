@@ -461,6 +461,14 @@ def build_algebra(pres: Presentation, dim_cap: int = 2000, pair_cap: int = 20000
     The basis consists of the standard monomials sorted by degrevlex
     (degree first), so the unit is basis element 0 and the maximal
     ideal is spanned by the non-constant basis monomials.
+
+    The table comes from the multiplication matrices X_v of the
+    variables, row j = NF(x_v * e_j): n * d normal forms (Faugere,
+    Gianni, Lazard and Mora, JSC 16, 1993). The standard monomials form
+    an order ideal, so every e_i other than 1 is e_i' * x_v for some
+    variable v and an earlier basis element e_i', and
+    table[i] = table[i'] @ X_v. Normal forms are unique, so this is the
+    table of the pairwise products NF(e_i * e_j).
     """
     field = pres.field
     n = len(pres.varnames)
@@ -470,29 +478,29 @@ def build_algebra(pres: Presentation, dim_cap: int = 2000, pair_cap: int = 20000
         raise AlgebraError("the ideal contains a unit; the quotient is the zero ring")
     d = len(qb)
     index = {m: i for i, m in enumerate(qb)}
-    table = field.zeros((d, d, d))
-    for i, mi in enumerate(qb):
+    xs = [tuple(int(u == v) for u in range(n)) for v in range(n)]
+    xmats = field.zeros((n, d, d))
+    for v, x in enumerate(xs):
         for j, mj in enumerate(qb):
-            if j < i:
-                table[i, j] = table[j, i]
-                continue
-            prod = Polynomial.from_monomial(field, n, monomial_mul(mi, mj), 1)
-            nf = normal_form(prod, gb)
-            for mon, c in nf.terms.items():
-                table[i, j, index[mon]] = c
+            prod = Polynomial.from_monomial(field, n, monomial_mul(x, mj), 1)
+            for mon, c in normal_form(prod, gb).terms.items():
+                xmats[v, j, index[mon]] = c
+    one = index[(0,) * n]
+    table = field.zeros((d, d, d))
+    table[one] = field.eye(d)
+    for i, mi in enumerate(qb):
+        if i != one:
+            v = next(u for u, e in enumerate(mi) if e)
+            prev = index[monomial_quotient(mi, xs[v])]
+            table[i] = field.matmul(table[prev], xmats[v])
     unit = field.zeros((d,))
-    unit[index[(0,) * n]] = field.scalar(1)
-    mgens = field.zeros((n, d))
-    for v in range(n):
-        nf = normal_form(Polynomial.variable(field, n, v), gb)
-        for mon, c in nf.terms.items():
-            mgens[v, index[mon]] = c
+    unit[one] = field.scalar(1)
     labels = [format_monomial(m, pres.varnames) for m in qb]
     return FiniteLocalAlgebra(
         field,
         table,
         unit,
-        mgens,
+        xmats[:, one],  # row v: NF(x_v * 1)
         labels=labels,
         presentation=pres.describe(),
     )

@@ -12,10 +12,14 @@ import pytest
 import lindef
 from lindef.algebra import FiniteLocalAlgebra, RModule, quotient_module
 from lindef.errors import AlgebraError, LindefError
-from lindef.fields import Field
+from lindef._kernels import exact_dtype
+from lindef.fields import Field, _is_prime
 from lindef.presentation import algebra_from_text
 
 GF101 = Field(101)
+# the law check on float64, on int64 above 2^53 by far, and on int64 for
+# the smallest prime p with 7 (p-1)^2 >= 2^53 (a dim-7 ring)
+LAW_CHECK_PRIMES = [101, 2**31 - 1, 35871217]
 
 
 def ring(text):
@@ -88,14 +92,16 @@ class TestLawValidation:
                 f, table, f.asarray([1, 0, 0]), f.asarray([[0, 1, 0], [0, 0, 1]])
             )
 
-    def test_single_corrupted_entries_against_dense_reference(self):
+    @pytest.mark.parametrize("char", LAW_CHECK_PRIMES)
+    def test_single_corrupted_entries_against_dense_reference(self, char):
         # every symmetric one-entry change of k[x,y]/(x^3, y^3, xy^2) off
         # the unit row: rejected as non-associative exactly when the dense
         # (e_i e_j) e_k = e_i (e_j e_k) comparison over all triples fails
-        A = ring("vars x y\nideal x^3, y^3, x*y^2")
+        A = ring(f"char {char}\nvars x y\nideal x^3, y^3, x*y^2")
         f, d = A.field, A.dim
 
         def associative(t):
+            t = t.astype(object)
             left = np.einsum("iju,ukl->ijkl", t, t) % f.p
             right = np.einsum("jku,iul->ijkl", t, t) % f.p
             return (left == right).all()
@@ -115,6 +121,42 @@ class TestLawValidation:
                     assert rejected == (not associative(t)), (i, j, u)
                     caught += rejected
         assert caught > 100
+
+    def test_law_check_primes_straddle_the_float64_bound(self):
+        # the last prime runs the law check of the dim-7 ring above on
+        # int64, though the prime below it would still be exact in float64
+        d = 7
+        assert [exact_dtype(d, p) for p in LAW_CHECK_PRIMES] == [
+            np.float64, np.int64, np.int64,
+        ]
+        q = LAW_CHECK_PRIMES[-1] - 1
+        while not _is_prime(q):
+            q -= 1
+        assert exact_dtype(d, q) is np.float64
+
+    @pytest.mark.parametrize("char", LAW_CHECK_PRIMES)
+    def test_first_failing_triple_is_reported(self, char):
+        # faults at e1*e2 and e4*e5 break the law in slabs 1, 2, 4 and 5.
+        # Reported: the smallest i, then module vector x, then j; the
+        # smallest (i, j) pair would name e1*e2 with x = 5 instead
+        A = ring(f"char {char}\nvars x y\nideal x^3, y^3, x*y^2")
+        f = A.field
+        t = A.table.copy()
+        for i, j, u in [(1, 2, 4), (4, 5, 1)]:
+            t[i, j, u] = t[j, i, u] = (t[i, j, u] + 1) % f.p
+        o = t.astype(object)
+        left = np.einsum("iju,uxl->ixjl", o, o)
+        right = np.einsum("ixv,jvl->ixjl", o, o)
+        failing = np.argwhere(((left - right) % f.p != 0).any(axis=3))
+        assert {int(i) for i in failing[:, 0]} == {1, 2, 4, 5}
+        i, x, j = failing[0]
+        assert (i, x, j) == (1, 2, 5)
+        with pytest.raises(AlgebraError) as exc:
+            FiniteLocalAlgebra(f, t, A.unit, A.mgens)
+        assert str(exc.value) == (
+            "action is not associative: x*(e1*e5) != (x*e1)*e5 "
+            "for module basis vector x = 2"
+        )
 
     def test_non_nilpotent_generators_rejected(self):
         # k x k with idempotent e: not local

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lindef.errors import AlgebraError, LindefError, ParseError
 from lindef.fields import Field
+from lindef.lab import ScanConfig, random_algebra
 from lindef.poly import Polynomial
 from lindef.presentation import (
     Presentation,
@@ -17,6 +18,8 @@ from lindef.presentation import (
     parse_presentation,
     quotient_basis,
 )
+
+from references import pairwise_table
 
 GF101 = Field(101)
 GF7 = Field(7)
@@ -166,6 +169,34 @@ class TestBuildAlgebra:
         A = algebra_from_text("vars x y\nideal y - x^2, x^3\n")
         assert A.dim == 3
         assert [s.dim for s in A.filtration] == [3, 2, 1, 0]
+
+
+class TestTableParity:
+    """build_algebra's multiplication-matrix table equals the table of
+    pairwise normal forms, entry for entry."""
+
+    @pytest.mark.parametrize("char", [2, 101, 2**31 - 1, 0])
+    @pytest.mark.parametrize("ideal", [
+        "x^2 + 3*x*y + 5*y^2, 7*x*y + 2*y^2, x^3, y^3",
+        "y - x^2, x^3",
+        "x^2 - y*z, y^2, z^3, x*z",
+    ])
+    def test_presentations(self, char, ideal):
+        names = "x y z" if "z" in ideal else "x y"
+        pres = parse_presentation(f"char {char}\nvars {names}\nideal {ideal}\n")
+        table = build_algebra(pres).table
+        assert np.array_equal(table, pairwise_table(pres))
+
+    def test_scan_samples(self):
+        cfg = ScanConfig(nvars=3, nilpotency=4, horizon=2, count=6, seed=4)
+        for index in range(cfg.count):
+            algebra, _ = random_algebra(cfg, index)
+            desc = algebra.presentation
+            pres = parse_presentation(
+                f"char {desc['char']}\nvars {' '.join(desc['vars'])}\n"
+                f"ideal {', '.join(desc['ideal'])}\n"
+            )
+            assert np.array_equal(algebra.table, pairwise_table(pres))
 
 
 class TestStructureConstants:

@@ -25,6 +25,8 @@ from lindef.tor_ladder import (
     upsilon_one_implies_two,
 )
 
+from references import block_sum
+
 
 def ring(text):
     return algebra_from_text(text)
@@ -314,7 +316,7 @@ class TestBlockExpandIdentities:
             qc = QuotientCoords(
                 field,
                 Subspace.full(field, b_prev * d),
-                Subspace.block_sum(algebra.power(2), b_prev),
+                block_sum(algebra.power(2), b_prev),
             )
             want = qc.coords(res.diff[i].expand(), check=False)
             got = block_expand(field, res.diff[i].entries, ops)
@@ -332,10 +334,10 @@ class TestBlockExpandIdentities:
             qc = QuotientCoords(
                 field,
                 Subspace.full(field, b_prev * d),
-                Subspace.block_sum(algebra.power(2), b_prev),
+                block_sum(algebra.power(2), b_prev),
             )
             preimage = kernel(field, qc.coords(res.diff[i].expand(), check=False).T)
-            m_block = Subspace.block_sum(algebra.power(1), res.betti[i])
+            m_block = block_sum(algebra.power(1), res.betti[i])
             outcomes.append(m_block.contains(preimage))
             assert msquared_preimage_condition(res, i) == outcomes[-1]
         assert set(outcomes) == {True, False}
