@@ -12,8 +12,17 @@ slab and term, when max(d, m) (p-1)^2 < 2^53 keeps every sum exact;
 larger primes fall back to int64 `matmul_mod`.
 Construction then computes the power filtration
 R = F_0 ⊇ F_1 ⊇ ... ⊇ F_t = 0 of the maximal ideal, and checks
-locality (codimension-one nilpotent maximal ideal). The associated
-graded algebra and the quotient modules R/F_n are derived here too.
+locality (codimension-one nilpotent maximal ideal).
+
+Adapted basis. After construction every F_n is spanned by the last
+dim F_n basis vectors (its rref pivots are range(d - dim F_n, d)), so
+R/F_n is the leading block: q = d - dim F_n coordinates, e_j acting by
+table[j, :q, :q]. Each graded piece F_q/F_{q+1} is a basis range and
+each product of graded pieces a sub-block of the table. A non-adapted
+input (a non-homogeneous presentation, an arbitrary JSON table) is
+rebased once in `FiniteLocalAlgebra.__init__`, which raises AlgebraError
+if the result is still not adapted; `format_element` prints in the
+input basis and labels.
 
 Row-vector convention throughout: elements are coordinate rows, and an
 operator matrix acts on the right (x -> x @ op).
@@ -25,7 +34,7 @@ import numpy as np
 
 from .errors import AlgebraError
 from .fields import Field
-from .linalg import QuotientCoords, Subspace
+from .linalg import Subspace
 
 __all__ = [
     "FiniteLocalAlgebra",
@@ -112,6 +121,20 @@ def compute_filtration(field: Field, table, mgens):
     return chain
 
 
+def _is_adapted(filtration) -> bool:
+    """Whether every F_n is spanned by the last dim F_n basis vectors."""
+    d = filtration[0].ambient_dim
+    return all(s.pivots == tuple(range(d - s.dim, d)) for s in filtration)
+
+
+def _adapted_basis(filtration):
+    """adapted_reps(F_q, F_{q+1}) stacked for q = 0..t-1: F_n is spanned
+    by the last dim F_n rows."""
+    return np.concatenate(
+        [f.adapted_reps(sub)[0] for f, sub in zip(filtration, filtration[1:])]
+    )
+
+
 class FiniteLocalAlgebra:
     """Commutative local k-algebra of finite dimension.
 
@@ -119,6 +142,9 @@ class FiniteLocalAlgebra:
     verified exhaustively on the basis at construction, then the power
     filtration of the designated maximal ideal is computed and locality
     is enforced: the unit lies outside F_1 and dim F_1 = dim R - 1.
+    A basis not adapted to the filtration is replaced by an adapted
+    one; input_basis then holds the new basis vectors as rows in the
+    input coordinates (None when the input basis was kept).
     """
 
     def __init__(self, field: Field, table, unit, mgens, labels=None,
@@ -150,9 +176,33 @@ class FiniteLocalAlgebra:
                 f"maximal ideal has dimension {m.dim}, expected {d - 1}: "
                 "the quotient by it is not the base field"
             )
+        self.input_basis = None
+        if not _is_adapted(self.filtration):
+            self._rebase()
         self._graded = None
-        self._quotients = {}
         self._gen_ops = None
+
+    def _rebase(self):
+        """Move to the basis `_adapted_basis` reads off the filtration.
+
+        table, unit and mgens are rewritten in the new coordinates
+        (x_input = x_new @ input_basis), and the filtration recomputed.
+        """
+        field, d = self.field, self.dim
+        basis = _adapted_basis(self.filtration)
+        r, _ = field.rref(np.concatenate([basis, field.eye(d)], axis=1))
+        inv = np.ascontiguousarray(r[:, d:])
+        # ops[i] multiplies by basis[i], in input coordinates
+        ops = field.matmul(basis, self.table.reshape(d, d * d)).reshape(d, d, d)
+        self.table = np.stack(
+            [field.matmul(field.matmul(basis, op), inv) for op in ops]
+        )
+        self.unit = field.matmul(self.unit.reshape(1, d), inv)[0]
+        self.mgens = field.matmul(self.mgens, inv)
+        self.input_basis = basis
+        self.filtration = compute_filtration(field, self.table, self.mgens)
+        if not _is_adapted(self.filtration):
+            raise AlgebraError("rebased basis is not adapted to the filtration")
 
     # -- laws ---------------------------------------------------------
 
@@ -188,7 +238,16 @@ class FiniteLocalAlgebra:
             return self.filtration[-1]
         return self.filtration[n]
 
+    def quotient_dim(self, n: int) -> int:
+        """dim R/F_n: R/F_n is spanned by that many leading basis vectors."""
+        return self.dim - self.power(n).dim
+
     def format_element(self, v) -> str:
+        """v in the input basis and labels."""
+        if self.input_basis is not None:
+            v = self.field.matmul(
+                self.field.asarray(v).reshape(1, self.dim), self.input_basis
+            )[0]
         parts = []
         for c, label in zip(v, self.labels):
             if c == self.field.scalar(0):
@@ -211,9 +270,7 @@ class FiniteLocalAlgebra:
         return self._graded
 
     def quotient_module(self, n: int) -> "RModule":
-        if n not in self._quotients:
-            self._quotients[n] = quotient_module(self, n)
-        return self._quotients[n]
+        return quotient_module(self, n)
 
     def residue_field(self) -> "RModule":
         return self.quotient_module(1)
@@ -222,9 +279,9 @@ class FiniteLocalAlgebra:
 class GradedAlgebra:
     """Associated graded algebra of the power filtration.
 
-    Component q is F_q/F_{q+1} with the deterministic adapted basis
-    from rref pivots; products are stored as contraction tensors
-    T[i, j] = coordinates of (rep_a[i] * rep_b[j]) in component a+b.
+    Component q is F_q/F_{q+1}, the basis range offsets[q]..offsets[q+1]
+    with offsets[q] = dim R/F_q (the basis is adapted), and the product
+    gr_a x gr_b -> gr_{a+b} is the table's sub-block on those ranges.
     Always standard graded: F_q is spanned by q-fold products, so
     component 1 generates.
     """
@@ -233,55 +290,35 @@ class GradedAlgebra:
         self.algebra = algebra
         self.field = algebra.field
         t = algebra.nilpotency_index
-        self.qcs = [
-            QuotientCoords(self.field, algebra.filtration[q], algebra.power(q + 1))
-            for q in range(t)
-        ]
-        self.dims = [qc.dim for qc in self.qcs]
-        self._tensors = {}
+        self.offsets = [algebra.quotient_dim(q) for q in range(t + 1)]
+        self.dims = [b - a for a, b in zip(self.offsets, self.offsets[1:])]
+
+    def component_range(self, q: int) -> slice:
+        """Basis range of component q (empty outside 0..t-1)."""
+        if 0 <= q < len(self.dims):
+            return slice(self.offsets[q], self.offsets[q + 1])
+        return slice(0, 0)
 
     def component_dim(self, q: int) -> int:
-        if 0 <= q < len(self.dims):
-            return self.dims[q]
-        return 0
+        r = self.component_range(q)
+        return r.stop - r.start
 
     def component_product(self, a: int, b: int):
-        """Tensor (dims[a], dims[b], dims[a+b]) of the graded product."""
-        key = (a, b)
-        if key in self._tensors:
-            return self._tensors[key]
-        field = self.field
-        d = self.algebra.dim
-        da, db = self.component_dim(a), self.component_dim(b)
-        dc = self.component_dim(a + b)
-        if da == 0 or db == 0 or dc == 0:
-            out = field.zeros((da, db, dc))
-        else:
-            ra = self.qcs[a].reps
-            rb = self.qcs[b].reps
-            # pairwise products: P[i, j] = ra[i] * rb[j] in R coords
-            x = field.matmul(ra, self.algebra.table.reshape(d, d * d))
-            x = np.ascontiguousarray(
-                x.reshape(da, d, d).transpose(1, 0, 2)
-            ).reshape(d, da * d)
-            p = field.matmul(rb, x).reshape(db, da, d)
-            p = np.ascontiguousarray(p.transpose(1, 0, 2)).reshape(da * db, d)
-            out = self.qcs[a + b].coords(p).reshape(da, db, dc)
-        self._tensors[key] = out
-        return out
+        """Tensor (dims[a], dims[b], dims[a+b]) of the graded product,
+        a view of the table."""
+        r = self.component_range
+        return self.algebra.table[r(a), r(b), r(a + b)]
 
 
 class RModule:
     """Finitely generated module over a FiniteLocalAlgebra.
 
     Elements are coordinate rows of length `dim`; act[j] is the matrix
-    of the action of basis element e_j (x -> x @ act[j]). Quotient
-    modules R/F_n carry proj (dim R x dim) and lift (dim x dim R)
-    matrices relating module coordinates to ring coordinates.
+    of the action of basis element e_j (x -> x @ act[j]).
     """
 
     def __init__(self, algebra: FiniteLocalAlgebra, dim: int, act,
-                 proj=None, lift=None, power=None, validate: bool = True):
+                 power=None, validate: bool = True):
         self.algebra = algebra
         self.field = algebra.field
         self.dim = dim
@@ -291,8 +328,6 @@ class RModule:
                 f"action tensor has shape {self.act.shape}, expected "
                 f"{(algebra.dim, dim, dim)}"
             )
-        self.proj = proj
-        self.lift = lift
         self.power = power
         if validate and dim:
             self._validate()
@@ -314,31 +349,8 @@ class RModule:
 
 
 def quotient_module(algebra: FiniteLocalAlgebra, n: int) -> RModule:
-    """R/F_n as an R-module (zero module for n <= 0, R for n >= index)."""
-    field = algebra.field
-    d = algebra.dim
-    if n <= 0:
-        return RModule(
-            algebra, 0, field.zeros((d, 0, 0)),
-            proj=field.zeros((d, 0)), lift=field.zeros((0, d)), power=n,
-        )
-    if n >= algebra.nilpotency_index:
-        return RModule(
-            algebra, d, algebra.table,
-            proj=field.eye(d), lift=field.eye(d), power=n, validate=False,
-        )
-    qc = QuotientCoords(field, algebra.filtration[0], algebra.filtration[n])
-    q = qc.dim
-    proj = qc.coords(field.eye(d))
-    lift = qc.reps
-    # act[j] = lift @ table[j] @ proj, all j at once
-    tmp = field.matmul(
-        lift,
-        np.ascontiguousarray(algebra.table.transpose(1, 0, 2)).reshape(d, d * d),
-    )
-    tmp = np.ascontiguousarray(tmp.reshape(q, d, d).transpose(1, 0, 2))
-    act = field.matmul(tmp.reshape(d * q, d), proj).reshape(d, q, q)
-    mod = RModule(algebra, q, act, proj=proj, lift=lift, power=n, validate=False)
-    if not field.is_zero(field.sub(field.matmul(lift, proj), field.eye(q))):
-        raise AlgebraError("quotient coordinates are inconsistent")
-    return mod
+    """R/F_n as an R-module: the leading q x q block of the table,
+    q = dim R/F_n (zero module for n <= 0, R for n >= index)."""
+    q = algebra.quotient_dim(n)
+    act = np.ascontiguousarray(algebra.table[:, :q, :q])
+    return RModule(algebra, q, act, power=n, validate=False)

@@ -206,11 +206,6 @@ class QuotientCoords:
                 raise LindefError("vector not in the subspace pair")
         return out
 
-    def lift(self, coords):
-        if self.dim == 0:
-            return self.field.zeros((coords.shape[0], self.reps.shape[1]))
-        return self.field.matmul(coords, self.reps)
-
 
 # ----------------------------------------------------------------------
 

@@ -54,23 +54,17 @@ class GradedComplex:
         self.algebra = res.algebra
         self.field = res.algebra.field
         self.gr = res.algebra.graded()
-        d = self.algebra.dim
-        d1 = self.gr.component_dim(1)
+        # classes in F_1/F_2: the entries' gr_1 coordinates
+        gr1 = self.gr.component_range(1)
         self.classes = [None]
         for i in range(1, res.horizon + 1):
             dmat = res.diff[i]
-            b_i, b_prev = dmat.src_rank, dmat.dst_rank
-            if d1 == 0 or b_i == 0 or b_prev == 0:
-                self.classes.append(self.field.zeros((b_i, b_prev, d1)))
-                continue
             if not dmat.is_minimal():
                 raise LindefError(
                     f"linear part undefined: differential {i} has an entry "
                     "outside the maximal ideal"
                 )
-            flat = dmat.entries.reshape(b_i * b_prev, d)
-            cls = self.gr.qcs[1].coords(flat)
-            self.classes.append(cls.reshape(b_i, b_prev, d1))
+            self.classes.append(np.ascontiguousarray(dmat.entries[:, :, gr1]))
         self._slices = {}
         self._homology = {}
 

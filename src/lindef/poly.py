@@ -74,10 +74,6 @@ class Polynomial:
         return cls(field, nvars, {})
 
     @classmethod
-    def constant(cls, field: Field, nvars: int, c):
-        return cls(field, nvars, {(0,) * nvars: c})
-
-    @classmethod
     def from_monomial(cls, field: Field, nvars: int, mon: Monomial, c=1):
         return cls(field, nvars, {tuple(mon): c})
 

@@ -64,12 +64,9 @@ class AlgebraMatrix:
         return block_expand(self.algebra.field, self.entries, self.algebra.table)
 
     def is_minimal(self) -> bool:
-        """True when every entry lies in the maximal ideal."""
-        r, c, d = self.entries.shape
-        if r == 0 or c == 0:
-            return True
-        m = self.algebra.filtration[1]
-        return m.contains_rows(self.entries.reshape(r * c, d))
+        """True when every entry lies in the maximal ideal: F_1 is spanned
+        by e_1..e_{d-1} in the algebra's adapted basis."""
+        return self.algebra.field.is_zero(self.entries[:, :, 0])
 
     def entry_string(self, src: int, dst: int) -> str:
         return self.algebra.format_element(self.entries[src, dst])

@@ -5,7 +5,8 @@ complex F (x) R/m^n has one block of dim R/m^n per generator (the
 block layout of `linalg`), and its differential is the differential's
 entries acting on R/m^n, `block_expand` with the quotient's action
 matrices. The map v^n_i is induced on homology by the coordinate
-surjection R/m^{n+1} -> R/m^n, applied blockwise.
+surjection R/m^{n+1} -> R/m^n, applied blockwise: in the adapted basis
+of `algebra` it keeps the leading coordinates of each block.
 
 Power conventions follow m^0 = R: n = 0 gives the zero module, and
 n >= nilpotency index gives R itself, so those rows of the ladder are
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from .errors import AlgebraError, LindefError
 from .linalg import (
-    block_apply,
     block_expand,
     homology_cell,
     induced_map_on_quotients,
@@ -35,15 +35,22 @@ __all__ = [
 ]
 
 
+def _block_head(rows, blocks: int, width: int, keep: int):
+    """The leading `keep` coordinates of each length-`width` block."""
+    z = rows.shape[0]
+    return rows.reshape(z, blocks, width)[:, :, :keep].reshape(z, blocks * keep)
+
+
 def _pi_applier(algebra, n: int, b: int):
-    """Blockwise application of R/m^{n+1} -> R/m^n to stacks of rows."""
-    field = algebra.field
-    pi = field.matmul(
-        algebra.quotient_module(n + 1).lift, algebra.quotient_module(n).proj
-    )
+    """Blockwise application of R/m^{n+1} -> R/m^n to stacks of rows.
+
+    In the adapted basis R/m^n is the leading block of R/m^{n+1}, so the
+    surjection keeps each block's first dim R/m^n coordinates.
+    """
+    src, dst = algebra.quotient_dim(n + 1), algebra.quotient_dim(n)
 
     def apply_rows(rows):
-        return block_apply(field, rows, b, pi)
+        return _block_head(rows, b, src, dst)
 
     return apply_rows
 
@@ -274,15 +281,11 @@ def msquared_preimage_condition(res: MinimalResolution, i: int) -> bool:
     if b_i == 0:
         return True
     d = algebra.dim
-    # d_i followed by F_{i-1} -> F_{i-1}/m^2 F_{i-1}, blockwise
-    proj = algebra.quotient_module(2).proj
-    ops = field.matmul(algebra.table.reshape(d * d, d), proj)
-    composite = block_expand(
-        field, res.diff[i].entries, ops.reshape(d, d, proj.shape[1])
-    )
+    # d_i followed by F_{i-1} -> F_{i-1}/m^2 F_{i-1}, blockwise: R/m^2 is
+    # the leading block of each operator
+    q = algebra.quotient_dim(2)
+    composite = block_expand(field, res.diff[i].entries, algebra.table[:, :, :q])
     preimage = kernel(field, composite.T)
-    # x lies in m F_i exactly when each of its blocks vanishes in R/m
-    residue = block_apply(
-        field, preimage.basis, b_i, algebra.quotient_module(1).proj
-    )
-    return field.is_zero(residue)
+    # x lies in m F_i exactly when each of its blocks vanishes in R/m,
+    # the blocks' leading coordinate
+    return field.is_zero(_block_head(preimage.basis, b_i, d, 1))

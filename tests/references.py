@@ -7,7 +7,7 @@ checks the shortcut.
 
 import numpy as np
 
-from lindef.linalg import Subspace
+from lindef.linalg import QuotientCoords, Subspace
 from lindef.poly import Polynomial, monomial_mul
 from lindef.presentation import buchberger, normal_form, quotient_basis
 
@@ -48,3 +48,77 @@ def block_sum(sub, blocks):
             basis[b * sub.dim : (b + 1) * sub.dim, b * n : (b + 1) * n] = sub.basis
     pivots = [b * n + c for b in range(blocks) for c in sub.pivots]
     return Subspace(sub.field, blocks * n, basis, pivots)
+
+
+def inverse(field, a):
+    """Inverse of an invertible square matrix, from rref([a | I])."""
+    d = a.shape[0]
+    r, piv = field.rref(np.concatenate([a, field.eye(d)], axis=1))
+    assert list(piv) == list(range(d)), "matrix is singular"
+    return np.ascontiguousarray(r[:, d:])
+
+
+def change_basis(field, table, basis, inv):
+    """Structure table in the basis whose rows are `basis` (inv its
+    inverse): entry (i, j) is basis[i] * basis[j] in the new coordinates."""
+    d = table.shape[0]
+    ops = field.matmul(basis, table.reshape(d, d * d)).reshape(d, d, d)
+    return np.stack([field.matmul(field.matmul(basis, op), inv) for op in ops])
+
+
+def input_table(algebra):
+    """The structure table in the algebra's input basis.
+
+    A rebased algebra stores its table in an adapted basis whose rows,
+    in input coordinates, are algebra.input_basis.
+    """
+    basis = algebra.input_basis
+    if basis is None:
+        return algebra.table
+    return change_basis(algebra.field, algebra.table,
+                        inverse(algebra.field, basis), basis)
+
+
+def quotient_reference(algebra, n):
+    """(act, proj, lift) of R/F_n by quotient coordinates: proj (d x q)
+    reduces against F_n and reads the representative pivots, lift
+    (q x d) holds the representatives, act[j] = lift @ table[j] @ proj."""
+    field = algebra.field
+    d = algebra.dim
+    if n <= 0:
+        return field.zeros((d, 0, 0)), field.zeros((d, 0)), field.zeros((0, d))
+    if n >= algebra.nilpotency_index:
+        return algebra.table, field.eye(d), field.eye(d)
+    qc = QuotientCoords(field, algebra.filtration[0], algebra.filtration[n])
+    q = qc.dim
+    proj = qc.coords(field.eye(d))
+    lift = qc.reps
+    tmp = field.matmul(
+        lift,
+        np.ascontiguousarray(algebra.table.transpose(1, 0, 2)).reshape(d, d * d),
+    )
+    tmp = np.ascontiguousarray(tmp.reshape(q, d, d).transpose(1, 0, 2))
+    act = field.matmul(tmp.reshape(d * q, d), proj).reshape(d, q, q)
+    assert field.is_zero(field.sub(field.matmul(lift, proj), field.eye(q)))
+    return act, proj, lift
+
+
+def graded_coords(algebra, q):
+    """Quotient coordinates on gr_q = F_q/F_{q+1}."""
+    return QuotientCoords(algebra.field, algebra.power(q), algebra.power(q + 1))
+
+
+def component_product_reference(algebra, a, b):
+    """gr_a x gr_b -> gr_{a+b} from the pairwise products of the
+    representatives, read in gr_{a+b} coordinates."""
+    field = algebra.field
+    d = algebra.dim
+    qa, qb, qc = (graded_coords(algebra, q) for q in (a, b, a + b))
+    da, db, dc = qa.dim, qb.dim, qc.dim
+    if 0 in (da, db, dc):
+        return field.zeros((da, db, dc))
+    x = field.matmul(qa.reps, algebra.table.reshape(d, d * d))
+    x = np.ascontiguousarray(x.reshape(da, d, d).transpose(1, 0, 2)).reshape(d, da * d)
+    p = field.matmul(qb.reps, x).reshape(db, da, d)
+    p = np.ascontiguousarray(p.transpose(1, 0, 2)).reshape(da * db, d)
+    return qc.coords(p).reshape(da, db, dc)

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from lindef.cli import main
+from lindef.presentation import algebra_from_text, parse_presentation
+
+from references import pairwise_table
 
 
 X2 = "vars x\nideal x^2\n"
@@ -205,3 +208,67 @@ class TestScan:
         code = main(["scan", "--extra-degrees", "nope"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestNonAdaptedRing:
+    """x^2 = y^5 puts a degree-2 standard monomial into m^5, so the
+    monomial basis is not adapted to the m-adic filtration and the ring
+    is rebased at load."""
+
+    TEXT = "char 101\nvars x y\nideal x^2 - y^5, x*y, y^6\n"
+    # captured before rebasing existed; entries stay in the monomial labels
+    RESOLVE_GOLDEN = """\
+betti: 1,2,3,4,5
+differential 1: 2 -> 1
+  [y]
+  [x]
+differential 2: 3 -> 2
+  [x, 0]
+  [y^4, 100*x]
+  [0, y]
+differential 3: 4 -> 3
+  [y, 0, 0]
+  [x, 100*y, 0]
+  [0, x, y^4]
+  [0, 0, x]
+differential 4: 5 -> 4
+  [x, 0, 0, 0]
+  [y^4, 100*x, 0, 0]
+  [0, y^4, x, 0]
+  [0, 0, y, 100*x]
+  [0, 0, 0, y]
+"""
+
+    def test_table_export_analyzes_like_the_ring(self, ring_file, tmp_path,
+                                                  capsys):
+        pres = parse_presentation(self.TEXT)
+        labels = algebra_from_text(self.TEXT).labels
+        table = pairwise_table(pres)
+        d = len(labels)
+        data = {
+            "char": 101,
+            "dim": d,
+            "basis": labels,
+            "unit": labels.index("1"),
+            "m_generators": [labels.index("x"), labels.index("y")],
+            "table": [[[int(c) for c in table[i, j]] for j in range(d)]
+                      for i in range(d)],
+        }
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(data))
+        records = []
+        for source in (["--table", str(p)], ["--ring", ring_file(self.TEXT)]):
+            code = main(["analyze", *source, "--horizon", "4",
+                         "--format", "json"])
+            assert code in (0, 2)
+            records.append(json.loads(capsys.readouterr().out))
+        from_table, from_ring = records
+        assert from_table.pop("presentation") is None
+        assert from_ring.pop("presentation") is not None
+        assert from_table == from_ring
+
+    def test_verbose_resolve_prints_input_labels(self, ring_file, capsys):
+        code = main(["resolve", "--ring", ring_file(self.TEXT), "--horizon",
+                     "4", "--verbose"])
+        assert code == 0
+        assert capsys.readouterr().out == self.RESOLVE_GOLDEN

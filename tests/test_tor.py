@@ -25,7 +25,7 @@ from lindef.tor_ladder import (
     upsilon_one_implies_two,
 )
 
-from references import block_sum
+from references import block_sum, quotient_reference
 
 
 def ring(text):
@@ -272,16 +272,16 @@ class TestGuards:
             upsilon(res, 1, -1)
 
 
-def conjugate_by_quotient(field, expand, b_src, b_dst, quotient):
+def conjugate_by_quotient(field, expand, b_src, b_dst, lift, proj):
     """Reference for F (x) R/m^n: lift each block of the scalar matrix of
     the differential, apply it, project back."""
-    q, d = quotient.lift.shape
+    q, d = lift.shape
     out = field.zeros((b_src * q, b_dst * q))
     for g in range(b_src):
         for h in range(b_dst):
             block = expand[g * d : (g + 1) * d, h * d : (h + 1) * d]
             out[g * q : (g + 1) * q, h * q : (h + 1) * q] = field.matmul(
-                field.matmul(quotient.lift, block), quotient.proj
+                field.matmul(lift, block), proj
             )
     return out
 
@@ -294,11 +294,12 @@ class TestBlockExpandIdentities:
         t = algebra.nilpotency_index
         for n in range(1, t + 2):
             quotient = algebra.quotient_module(n)
+            _, proj, lift = quotient_reference(algebra, n)
             for i in range(1, 4):
                 dmat = res.diff[i]
                 got = block_expand(field, dmat.entries, quotient.act)
                 want = conjugate_by_quotient(
-                    field, dmat.expand(), dmat.src_rank, dmat.dst_rank, quotient
+                    field, dmat.expand(), dmat.src_rank, dmat.dst_rank, lift, proj
                 )
                 assert got.shape == want.shape and (got == want).all()
                 if n >= t:
@@ -308,7 +309,7 @@ class TestBlockExpandIdentities:
         field = algebra.field
         d = algebra.dim
         res = resolve(algebra.residue_field(), 3)
-        proj = algebra.quotient_module(2).proj
+        _, proj, _ = quotient_reference(algebra, 2)
         ops = field.matmul(algebra.table.reshape(d * d, d), proj)
         ops = ops.reshape(d, d, proj.shape[1])
         for i in range(1, 4):
