@@ -18,7 +18,9 @@ Adapted basis. After construction every F_n is spanned by the last
 dim F_n basis vectors (its rref pivots are range(d - dim F_n, d)), so
 R/F_n is the leading block: q = d - dim F_n coordinates, e_j acting by
 table[j, :q, :q]. Each graded piece F_q/F_{q+1} is a basis range and
-each product of graded pieces a sub-block of the table. A non-adapted
+each product of graded pieces a sub-block of the table; the complexes
+derived from a resolution are the truncations listed in
+`resolution.AlgebraMatrix.expand`. A non-adapted
 input (a non-homogeneous presentation, an arbitrary JSON table) is
 rebased once in `FiniteLocalAlgebra.__init__`, which raises AlgebraError
 if the result is still not adapted; `format_element` prints in the
@@ -318,7 +320,7 @@ class RModule:
     """
 
     def __init__(self, algebra: FiniteLocalAlgebra, dim: int, act,
-                 power=None, validate: bool = True):
+                 validate: bool = True):
         self.algebra = algebra
         self.field = algebra.field
         self.dim = dim
@@ -328,7 +330,6 @@ class RModule:
                 f"action tensor has shape {self.act.shape}, expected "
                 f"{(algebra.dim, dim, dim)}"
             )
-        self.power = power
         if validate and dim:
             self._validate()
 
@@ -344,8 +345,7 @@ class RModule:
         return [self.action_of(g) for g in self.algebra.mgens]
 
     def __repr__(self):
-        tag = f", power={self.power}" if self.power is not None else ""
-        return f"RModule(dim={self.dim}{tag})"
+        return f"RModule(dim={self.dim})"
 
 
 def quotient_module(algebra: FiniteLocalAlgebra, n: int) -> RModule:
@@ -353,4 +353,4 @@ def quotient_module(algebra: FiniteLocalAlgebra, n: int) -> RModule:
     q = dim R/F_n (zero module for n <= 0, R for n >= index)."""
     q = algebra.quotient_dim(n)
     act = np.ascontiguousarray(algebra.table[:, :q, :q])
-    return RModule(algebra, q, act, power=n, validate=False)
+    return RModule(algebra, q, act, validate=False)

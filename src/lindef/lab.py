@@ -68,9 +68,6 @@ FLAG_NAMES = (
 # a violation of anything proved.
 VIOLATION_FLAGS = tuple(f for f in FLAG_NAMES if f != "silence_tail")
 
-_MAX_RESAMPLES = 50
-
-
 @dataclass(frozen=True)
 class ScanConfig:
     """Parameters of one scan; same config and seed => same samples."""
@@ -144,44 +141,30 @@ def _monomials_of_degree(nvars: int, deg: int):
 
 
 def random_algebra(cfg: ScanConfig, index: int):
-    """Sample `index` of the scan: (algebra, resample count).
+    """Sample `index` of the scan.
 
     The ideal is all degree-c monomials plus cfg.extra_gens random
     forms with degree drawn from cfg.degree_range. Zero forms are
     dropped (harmless; the draw is still consumed, keeping the stream
-    aligned). Degenerate draws where a variable collapses at degree 1
-    (embedding dimension below nvars) are resampled with a counter;
-    unreachable while the extra forms have degree >= 2, kept as
-    insurance for future form grammars.
+    aligned). ScanConfig keeps every generator in degree >= 2, so the
+    ideal lies in m^2 and the embedding dimension is always nvars.
     """
     rs = stream_for_sample(cfg.seed, index)
     field = Field(cfg.char)
-    names = list(_VARNAMES[: cfg.nvars])
-    cap_monomials = _monomials_of_degree(cfg.nvars, cfg.nilpotency)
+    gens = [
+        Polynomial.from_monomial(field, cfg.nvars, m, 1)
+        for m in _monomials_of_degree(cfg.nvars, cfg.nilpotency)
+    ]
     lo, hi = cfg.degree_range
-    resamples = 0
-    while True:
-        gens = [
-            Polynomial.from_monomial(field, cfg.nvars, m, 1) for m in cap_monomials
-        ]
-        for _ in range(cfg.extra_gens):
-            deg = lo + rs.below(hi - lo + 1)
-            coeffs = {
-                m: rs.below(cfg.char) for m in _monomials_of_degree(cfg.nvars, deg)
-            }
-            form = Polynomial(field, cfg.nvars, coeffs)
-            if not form.is_zero:
-                gens.append(form)
-        pres = Presentation(field, names, gens)
-        algebra = build_algebra(pres)
-        dims = algebra.graded().dims
-        if len(dims) > 1 and dims[1] == cfg.nvars:
-            return algebra, resamples
-        resamples += 1
-        if resamples > _MAX_RESAMPLES:
-            raise LindefError(
-                f"sample {index}: {_MAX_RESAMPLES} degenerate draws in a row"
-            )
+    for _ in range(cfg.extra_gens):
+        deg = lo + rs.below(hi - lo + 1)
+        coeffs = {
+            m: rs.below(cfg.char) for m in _monomials_of_degree(cfg.nvars, deg)
+        }
+        form = Polynomial(field, cfg.nvars, coeffs)
+        if not form.is_zero:
+            gens.append(form)
+    return build_algebra(Presentation(field, list(_VARNAMES[: cfg.nvars]), gens))
 
 
 @dataclass
@@ -200,7 +183,6 @@ class AlgebraReport:
     flags: dict
     certificate: dict | None = None
     index: int | None = None
-    resamples: int = 0
 
     @property
     def has_violation(self) -> bool:
@@ -225,7 +207,8 @@ class AlgebraReport:
                 "checks": self.checks,
                 "flags": self.flags,
                 "certificate": self.certificate,
-                "resamples": self.resamples,
+                # scan samples are never redrawn; the field keeps the schema
+                "resamples": 0,
             }
         )
         return out
@@ -347,10 +330,8 @@ def scan(cfg: ScanConfig, out_path=None):
     """
     reports = []
     for index in range(cfg.count):
-        algebra, resamples = random_algebra(cfg, index)
-        report = full_check(algebra, cfg.horizon)
+        report = full_check(random_algebra(cfg, index), cfg.horizon)
         report.index = index
-        report.resamples = resamples
         reports.append(report)
 
     classifications = {}
@@ -371,7 +352,7 @@ def scan(cfg: ScanConfig, out_path=None):
         "classifications": dict(sorted(classifications.items())),
         "flags": flag_counts,
         "violations": violations,
-        "resamples": sum(r.resamples for r in reports),
+        "resamples": 0,
     }
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:

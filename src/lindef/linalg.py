@@ -25,11 +25,14 @@ element acts on one block by an operator matrix on the right
 ring elements entries[g, g', e] (coordinates e in some basis, ops[e]
 the operator of that basis element) is the scalar matrix
 sum_e entries[:, :, e] (x) ops[e] on these rows, built by
-`block_expand`. The resolution, the linear part and the Tor ladder build
-their matrices with these two.
+`block_expand`. Its one caller for differentials is
+`resolution.AlgebraMatrix.expand`, whose docstring lists the table
+truncations behind the Tor complexes, the m^2 composite and lin(F).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -257,19 +260,30 @@ def image(field: Field, a) -> Subspace:
     return Subspace.from_rows(field, a.T, a.shape[0])
 
 
-def homology_cell(field: Field, outgoing, incoming, where: str):
+class HomologyCell(NamedTuple):
+    """Cycles Z and boundaries B ⊆ Z at one spot of a complex."""
+
+    cycles: Subspace
+    boundaries: Subspace
+
+    @property
+    def dim(self) -> int:
+        return self.cycles.dim - self.boundaries.dim
+
+
+def homology_cell(field: Field, outgoing, incoming, where: str) -> HomologyCell:
     """Cycles and boundaries at one spot of a complex of row vectors.
 
     outgoing is the matrix of the map leaving the spot (a zero-column
     matrix at the end of the complex), incoming that of the map into
-    it. Returns (cycles, boundaries); raises AssertionError, named by
-    `where`, when the boundaries are not cycles.
+    it. Raises AssertionError, named by `where`, when the boundaries
+    are not cycles.
     """
     cycles = kernel(field, outgoing.T)
     boundaries = row_space(field, incoming)
     if not cycles.contains(boundaries):
         raise AssertionError(f"boundaries escape cycles at {where}")
-    return cycles, boundaries
+    return HomologyCell(cycles, boundaries)
 
 
 def block_apply(field: Field, rows, blocks: int, op):
@@ -307,7 +321,7 @@ def induced_map_on_quotients(field: Field, apply_rows, src, dst,
 
     apply_rows takes a stack of row vectors and returns their images as
     rows (block-structured maps are never materialized). src and dst
-    are (Z, B) pairs of Subspaces with B ⊆ Z. Returns (matrix, rank)
+    are HomologyCells, (Z, B) pairs with B ⊆ Z. Returns (matrix, rank)
     with matrix columns indexed by source quotient coordinates. Raises
     LindefError when the map fails to send src_Z into dst_Z or src_B
     into dst_B: callers are expected to pass filtered maps.

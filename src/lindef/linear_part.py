@@ -8,7 +8,9 @@ internal degree this yields honest scalar matrices (slices), whose
 kernels and images give the graded homology and the defect profile.
 
 Slice coordinates: stage n, internal degree j is laid out in the block
-layout of `linalg`, one block of length dim gr_{j-n} per generator.
+layout of `linalg`, one block of length dim gr_{j-n} per generator. In
+the algebra's adapted basis a slice is a truncation of the expanded
+differential (`AlgebraMatrix.expand`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LindefError
-from .linalg import Subspace, block_apply, block_expand, homology_cell
+from .linalg import Subspace, block_apply, homology_cell
 from .resolution import MinimalResolution, resolve
 
 __all__ = [
@@ -32,20 +34,6 @@ __all__ = [
 CLASSIFICATION_CLEAN = "ld=0 up to horizon"
 
 
-class HomologySlice:
-    """Cycle and boundary data of the linear part at one bidegree."""
-
-    __slots__ = ("cycles", "boundaries")
-
-    def __init__(self, cycles: Subspace, boundaries: Subspace):
-        self.cycles = cycles
-        self.boundaries = boundaries
-
-    @property
-    def dim(self) -> int:
-        return self.cycles.dim - self.boundaries.dim
-
-
 class GradedComplex:
     """lin(F) for a minimal resolution F, with per-degree slices."""
 
@@ -54,17 +42,14 @@ class GradedComplex:
         self.algebra = res.algebra
         self.field = res.algebra.field
         self.gr = res.algebra.graded()
-        # classes in F_1/F_2: the entries' gr_1 coordinates
-        gr1 = self.gr.component_range(1)
-        self.classes = [None]
+        # the slices truncate the whole entries, which equals keeping
+        # their classes in F_1/F_2 only for minimal differentials
         for i in range(1, res.horizon + 1):
-            dmat = res.diff[i]
-            if not dmat.is_minimal():
+            if not res.diff[i].is_minimal():
                 raise LindefError(
                     f"linear part undefined: differential {i} has an entry "
                     "outside the maximal ideal"
                 )
-            self.classes.append(np.ascontiguousarray(dmat.entries[:, :, gr1]))
         self._slices = {}
         self._homology = {}
 
@@ -98,9 +83,8 @@ class GradedComplex:
         if key in self._slices:
             return self._slices[key]
         if 1 <= i <= self.res.horizon:
-            out = block_expand(
-                self.field, self.classes[i], self.gr.component_product(1, j - i)
-            )
+            gr = self.gr.component_range
+            out = self.res.diff[i].expand(gr(j - i), gr(j - i + 1))
         else:
             out = self.field.zeros(
                 (self.component_dim(i, j), self.component_dim(i - 1, j))
@@ -111,7 +95,7 @@ class GradedComplex:
     # -- homology ---------------------------------------------------------
 
     def homology(self, i: int) -> dict:
-        """HomologySlice per internal degree (needs stage i+1 incoming)."""
+        """HomologyCell per internal degree (needs stage i+1 incoming)."""
         if i < 0 or i + 1 > self.res.horizon:
             raise LindefError(
                 f"homology at {i} needs the resolution through {i + 1}, "
@@ -121,10 +105,10 @@ class GradedComplex:
             return self._homology[i]
         out = {}
         for j in self.degree_range(i):
-            out[j] = HomologySlice(*homology_cell(
+            out[j] = homology_cell(
                 self.field, self.slice_matrix(i, j), self.slice_matrix(i + 1, j),
                 f"stage {i}, degree {j}",
-            ))
+            )
         self._homology[i] = out
         return out
 

@@ -510,31 +510,43 @@ def algebra_from_text(text: str, dim_cap: int = 2000, pair_cap: int = 20000):
     return build_algebra(parse_presentation(text), dim_cap=dim_cap, pair_cap=pair_cap)
 
 
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise AlgebraError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise AlgebraError(f"{key} must be a list, got {type(value).__name__}")
+    return value
+
+
 def load_structure_constants(data: dict):
     """Algebra from an explicit structure-constant table.
 
     Expected keys: char, dim, basis (labels), unit (basis index),
     m_generators (list of basis indices), table (dim x dim nested lists,
-    table[i][j] = coefficient vector of e_i * e_j). All ring laws and
+    table[i][j] = coefficient vector of e_i * e_j). A value of the wrong
+    shape or type raises AlgebraError naming its key. All ring laws and
     locality are verified by the FiniteLocalAlgebra constructor.
     """
+    if not isinstance(data, dict):
+        raise AlgebraError("structure constants must be a JSON object")
     required = ("char", "dim", "basis", "unit", "m_generators", "table")
     for key in required:
         if key not in data:
             raise AlgebraError(f"structure constants missing key {key!r}")
-    try:
-        field = Field(int(data["char"]))
-    except (TypeError, ValueError) as exc:
-        raise AlgebraError(f"bad characteristic: {exc}") from exc
-    d = int(data["dim"])
+    field = Field(_integer(data["char"], "char"))
+    d = _integer(data["dim"], "dim")
     if d < 1:
         raise AlgebraError("dim must be at least 1")
-    labels = [str(s) for s in data["basis"]]
+    labels = [str(s) for s in _list(data["basis"], "basis")]
     if len(labels) != d:
         raise AlgebraError(f"expected {d} basis labels, got {len(labels)}")
 
     def basis_vector(idx, what):
-        idx = int(idx)
+        idx = _integer(idx, what)
         if not 0 <= idx < d:
             raise AlgebraError(f"{what} index {idx} out of range 0..{d - 1}")
         v = field.zeros((d,))
@@ -542,17 +554,20 @@ def load_structure_constants(data: dict):
         return v
 
     def coeff_vector(v, what):
-        if len(v) != d:
+        if len(_list(v, what)) != d:
             raise AlgebraError(f"{what} must have length {d}")
-        return field.asarray([field.parse_scalar(str(c)) for c in v])
+        try:
+            return field.asarray([field.parse_scalar(str(c)) for c in v])
+        except (ValueError, ZeroDivisionError):
+            raise AlgebraError(f"{what} is not a {field!r} vector: {v!r}") from None
 
     unit = basis_vector(data["unit"], "unit")
-    mg = data["m_generators"]
+    mg = _list(data["m_generators"], "m_generators")
     if not mg:
         raise AlgebraError("m_generators must be nonempty")
     mgens = np.stack([basis_vector(i, "m_generator") for i in mg])
-    table_data = data["table"]
-    if len(table_data) != d or any(len(row) != d for row in table_data):
+    table_data = _list(data["table"], "table")
+    if len(table_data) != d or any(len(_list(r, "table row")) != d for r in table_data):
         raise AlgebraError(f"table must be {d}x{d} vectors of length {d}")
     table = field.zeros((d, d, d))
     for i in range(d):

@@ -56,12 +56,28 @@ class AlgebraMatrix:
     def dst_rank(self) -> int:
         return self.entries.shape[1]
 
-    def expand(self):
-        """Scalar matrix of the map on row vectors k^(src*d) -> k^(dst*d).
+    def expand(self, rows=slice(None), cols=slice(None)):
+        """Scalar matrix of the map, each entry e acting on a block by
+        table[e, rows, cols] (table[e] row j holds e * e_j).
 
-        table[e] is the operator of basis element e: row j holds e * e_j.
+        The defaults give the map k^(src*d) -> k^(dst*d). In the
+        algebra's adapted basis m^n is spanned by the last basis vectors,
+        so R/m^n is the range :q_n (q_n = dim R/m^n), gr_q = F_q/F_{q+1}
+        is the range gr(q) (`GradedAlgebra.component_range`), and every
+        complex derived from a minimal resolution F is a truncation:
+
+            d_i (x) R/m^n, the Tor complex      rows :q_n      cols :q_n
+            F_i -> F_{i-1}/m^2 F_{i-1}          rows all       cols :q_2
+            lin(F)_i in internal degree j       rows gr(j-i)   cols gr(j-i+1)
+
+        lin(F) keeps only the entries' gr_1 coordinates, yet the last
+        row sums over every e. That is the same matrix: coordinate 0 of
+        every entry is zero since d_i is minimal (which the resolution
+        checks), and an e in F_2 maps F_q into F_{q+2}, whose
+        coordinates in the gr(q+1) range are zero.
         """
-        return block_expand(self.algebra.field, self.entries, self.algebra.table)
+        table = self.algebra.table[:, rows, cols]
+        return block_expand(self.algebra.field, self.entries, table)
 
     def is_minimal(self) -> bool:
         """True when every entry lies in the maximal ideal: F_1 is spanned

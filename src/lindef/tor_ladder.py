@@ -2,11 +2,11 @@
 
 Tor is computed from the already-built minimal resolution F of M: the
 complex F (x) R/m^n has one block of dim R/m^n per generator (the
-block layout of `linalg`), and its differential is the differential's
-entries acting on R/m^n, `block_expand` with the quotient's action
-matrices. The map v^n_i is induced on homology by the coordinate
-surjection R/m^{n+1} -> R/m^n, applied blockwise: in the adapted basis
-of `algebra` it keeps the leading coordinates of each block.
+block layout of `linalg`); in the adapted basis of `algebra` its
+differential is F's, truncated to the leading dim R/m^n coordinates of
+each block (`AlgebraMatrix.expand`). The map v^n_i is induced on
+homology by the surjection R/m^{n+1} -> R/m^n, which keeps those
+leading coordinates blockwise.
 
 Power conventions follow m^0 = R: n = 0 gives the zero module, and
 n >= nilpotency index gives R itself, so those rows of the ladder are
@@ -16,12 +16,7 @@ forced (free source) and are recorded without homology computations.
 from __future__ import annotations
 
 from .errors import AlgebraError, LindefError
-from .linalg import (
-    block_expand,
-    homology_cell,
-    induced_map_on_quotients,
-    kernel,
-)
+from .linalg import homology_cell, induced_map_on_quotients, kernel
 from .linear_part import defect_classification
 from .resolution import MinimalResolution
 
@@ -48,11 +43,7 @@ def _pi_applier(algebra, n: int, b: int):
     surjection keeps each block's first dim R/m^n coordinates.
     """
     src, dst = algebra.quotient_dim(n + 1), algebra.quotient_dim(n)
-
-    def apply_rows(rows):
-        return _block_head(rows, b, src, dst)
-
-    return apply_rows
+    return lambda rows: _block_head(rows, b, src, dst)
 
 
 class _TorComplex:
@@ -65,11 +56,11 @@ class _TorComplex:
                 f"have horizon {res.horizon}"
             )
         field = res.algebra.field
-        act = res.algebra.quotient_module(n).act
+        q = res.algebra.quotient_dim(n)
         # maps[i]: F_i (x) R/m^n -> F_{i-1} (x) R/m^n; nothing leaves F_0
-        maps = [field.zeros((res.betti[0] * act.shape[1], 0))]
+        maps = [field.zeros((res.betti[0] * q, 0))]
         for i in range(1, top + 2):
-            maps.append(block_expand(field, res.diff[i].entries, act))
+            maps.append(res.diff[i].expand(slice(0, q), slice(0, q)))
             if n == 1 and not field.is_zero(maps[i]):
                 raise AssertionError(
                     "differential survives reduction mod m: resolution not minimal"
@@ -78,10 +69,6 @@ class _TorComplex:
             homology_cell(field, maps[i], maps[i + 1], f"Tor complex (n={n}, i={i})")
             for i in range(top + 1)
         ]
-
-    def dim(self, i: int) -> int:
-        z, b = self.cells[i]
-        return z.dim - b.dim
 
 
 class UpsilonLadder:
@@ -121,7 +108,7 @@ class UpsilonLadder:
             upper = _TorComplex(res, n, horizon) if 0 < n < t else None
             for i in range(0, horizon + 1):
                 if upper is not None:
-                    self.tor_dims[(n, i)] = upper.dim(i)
+                    self.tor_dims[(n, i)] = upper.cells[i].dim
                 else:
                     self.tor_dims[(n, i)] = self.module.dim if n and i == 0 else 0
                 if n < 2:
@@ -141,9 +128,12 @@ class UpsilonLadder:
 
     # -- public surface -------------------------------------------------
 
-    def rank(self, n: int, i: int) -> int:
+    def _check_index(self, i: int):
         if not 0 <= i <= self.horizon:
             raise LindefError(f"index {i} outside ladder horizon {self.horizon}")
+
+    def rank(self, n: int, i: int) -> int:
+        self._check_index(i)
         if n <= 0:
             return 0
         if n > self.index:
@@ -157,6 +147,7 @@ class UpsilonLadder:
         }
 
     def tor_dim(self, n: int, i: int) -> int:
+        self._check_index(i)
         if n <= 0:
             return 0
         return self.tor_dims[(min(n, self.index + 1), i)]
@@ -186,7 +177,7 @@ def upsilon(res: MinimalResolution, n: int, i: int) -> dict:
     field = algebra.field
     t = algebra.nilpotency_index
     if n == 0:
-        src_dim = _TorComplex(res, 1, i).dim(i)
+        src_dim = _TorComplex(res, 1, i).cells[i].dim
         return {
             "n": n,
             "i": i,
@@ -213,8 +204,8 @@ def upsilon(res: MinimalResolution, n: int, i: int) -> dict:
         "i": i,
         "matrix": mat,
         "rank": rank,
-        "src_dim": src.dim(i),
-        "dst_dim": dst.dim(i),
+        "src_dim": src.cells[i].dim,
+        "dst_dim": dst.cells[i].dim,
         "note": note,
     }
 
@@ -280,12 +271,10 @@ def msquared_preimage_condition(res: MinimalResolution, i: int) -> bool:
     b_i = res.betti[i]
     if b_i == 0:
         return True
-    d = algebra.dim
     # d_i followed by F_{i-1} -> F_{i-1}/m^2 F_{i-1}, blockwise: R/m^2 is
-    # the leading block of each operator
-    q = algebra.quotient_dim(2)
-    composite = block_expand(field, res.diff[i].entries, algebra.table[:, :, :q])
+    # the leading block of each target block
+    composite = res.diff[i].expand(cols=slice(0, algebra.quotient_dim(2)))
     preimage = kernel(field, composite.T)
     # x lies in m F_i exactly when each of its blocks vanishes in R/m,
     # the blocks' leading coordinate
-    return field.is_zero(_block_head(preimage.basis, b_i, d, 1))
+    return field.is_zero(_block_head(preimage.basis, b_i, algebra.dim, 1))

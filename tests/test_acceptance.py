@@ -164,7 +164,7 @@ def test_criterion_6_no_silence_tail(capsys):
     total = 0
     for cfg in SUITE_M4:
         for index in range(cfg.count):
-            algebra, _ = random_algebra(cfg, index)
+            algebra = random_algebra(cfg, index)
             res = resolve(algebra.residue_field(), 9)
             prof = defect_profile(linear_part(res), 8)
             total += 1
@@ -193,7 +193,7 @@ def test_criterion_7_structural_invariants(capsys, suites):
         ring("vars x y\nideal x^2, x*y, y^2"),
     ]
     for cfg in (*SUITE_M3, *SUITE_M4):
-        targets.append(random_algebra(cfg, 0)[0])
+        targets.append(random_algebra(cfg, 0))
     checked = 0
     ok = True
     for algebra in targets:

@@ -105,6 +105,43 @@ class TestAnalyze:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, key", [
+        ({"dim": "x"}, "dim"),
+        ({"dim": 2.5}, "dim"),
+        ({"char": "101"}, "char"),
+        ({"unit": None}, "unit"),
+        ({"basis": 2}, "basis"),
+        ({"m_generators": 1}, "m_generators"),
+        ({"m_generators": [1.0]}, "m_generator"),
+        ({"table": 7}, "table"),
+        ({"table": [[1, [0, 1]], [[0, 1], [0, 0]]]}, "table[0][0]"),
+        ({"table": [[["1.5", 0], [0, 1]], [[0, 1], [0, 0]]]}, "table[0][0]"),
+        ({"table": [[[1, None], [0, 1]], [[0, 1], [0, 0]]]}, "table[0][0]"),
+        ({"char": 0, "table": [[[1, 0], [0, "1/0"]], [[0, 1], [0, 0]]]},
+         "table[0][1]"),
+    ])
+    def test_malformed_table_is_an_error(self, tmp_path, capsys, change, key):
+        table = {
+            "char": 101,
+            "dim": 2,
+            "basis": ["1", "x"],
+            "unit": 0,
+            "m_generators": [1],
+            "table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+        }
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({**table, **change}))
+        code = main(["analyze", "--table", str(p)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and key in err
+
+    def test_table_must_be_an_object(self, tmp_path, capsys):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps("char dim basis unit m_generators table"))
+        assert main(["analyze", "--table", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestResolve:
     def test_x2_betti_row(self, ring_file, capsys):

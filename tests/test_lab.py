@@ -68,34 +68,36 @@ class TestScanConfig:
 class TestSampling:
     def test_same_index_same_algebra(self):
         cfg = ScanConfig(count=1, seed=5)
-        a1, _ = random_algebra(cfg, 3)
-        a2, _ = random_algebra(cfg, 3)
+        a1 = random_algebra(cfg, 3)
+        a2 = random_algebra(cfg, 3)
         assert a1.presentation == a2.presentation
         assert (a1.table == a2.table).all()
 
     def test_different_indices_differ(self):
         cfg = ScanConfig(count=1, seed=5)
-        a1, _ = random_algebra(cfg, 0)
-        a2, _ = random_algebra(cfg, 1)
+        a1 = random_algebra(cfg, 0)
+        a2 = random_algebra(cfg, 1)
         assert a1.presentation != a2.presentation
 
     def test_seed_changes_stream(self):
-        a1, _ = random_algebra(ScanConfig(seed=1), 0)
-        a2, _ = random_algebra(ScanConfig(seed=2), 0)
+        a1 = random_algebra(ScanConfig(seed=1), 0)
+        a2 = random_algebra(ScanConfig(seed=2), 0)
         assert a1.presentation != a2.presentation
 
     def test_no_resamples_with_quadratic_forms(self):
-        # degree >= 2 forms cannot collapse the degree-1 part
-        cfg = ScanConfig(nvars=2, nilpotency=3, extra_gens=2, seed=9)
-        for index in range(6):
-            algebra, resamples = random_algebra(cfg, index)
-            assert resamples == 0
-            assert algebra.graded().dims[1] == 2
+        # degree >= 2 forms cannot collapse the degree-1 part, so no
+        # sample needs a redraw and every record says "resamples": 0
+        cfg = ScanConfig(nvars=2, nilpotency=3, extra_gens=2, horizon=2, count=6, seed=9)
+        for index in range(cfg.count):
+            assert random_algebra(cfg, index).graded().dims[1] == 2
+        summary, reports = scan(cfg)
+        assert summary["resamples"] == 0
+        assert all(r.to_json_dict()["resamples"] == 0 for r in reports)
 
     def test_nilpotency_bounded_by_cap(self):
         cfg = ScanConfig(nvars=2, nilpotency=4, extra_gens=1, seed=2)
         for index in range(4):
-            algebra, _ = random_algebra(cfg, index)
+            algebra = random_algebra(cfg, index)
             assert algebra.nilpotency_index <= 4
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from lindef.errors import LindefError
+from lindef.linalg import block_expand
 from lindef.linear_part import (
     CLASSIFICATION_CLEAN,
     defect_profile,
@@ -14,6 +15,8 @@ from lindef.linear_part import (
 )
 from lindef.presentation import algebra_from_text
 from lindef.resolution import resolve
+
+from references import component_product_reference
 
 
 def ring(text):
@@ -139,11 +142,21 @@ class TestConstruction:
             linear_part(res)
 
     def test_linear_entries_survive_quadratic_die(self):
+        # d_1 = (x) and d_2 = (x^2): lin(F) keeps the linear entry and
+        # drops the quadratic one, though both differentials are nonzero
         res = resolve(X3.residue_field(), 4)
         c = linear_part(res)
         f = X3.field
-        assert not f.is_zero(c.classes[1])  # entry x
-        assert f.is_zero(c.classes[2])      # entry x^2
+        gr1 = c.gr.component_range(1)
+        for i in (1, 2):
+            assert not f.is_zero(res.diff[i].expand())
+            for j in c.degree_range(i):
+                want = block_expand(f, res.diff[i].entries[:, :, gr1],
+                                    component_product_reference(X3, 1, j - i))
+                got = c.slice_matrix(i, j)
+                assert got.shape == want.shape and (got == want).all()
+        assert not all(f.is_zero(c.slice_matrix(1, j)) for j in c.degree_range(1))
+        assert all(f.is_zero(c.slice_matrix(2, j)) for j in c.degree_range(2))
 
 
 class _StubComplex:

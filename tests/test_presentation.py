@@ -191,7 +191,7 @@ class TestTableParity:
     def test_scan_samples(self):
         cfg = ScanConfig(nvars=3, nilpotency=4, horizon=2, count=6, seed=4)
         for index in range(cfg.count):
-            algebra, _ = random_algebra(cfg, index)
+            algebra = random_algebra(cfg, index)
             desc = algebra.presentation
             pres = parse_presentation(
                 f"char {desc['char']}\nvars {' '.join(desc['vars'])}\n"

@@ -13,7 +13,7 @@ from lindef import algebra as algebra_module
 from lindef.algebra import FiniteLocalAlgebra, quotient_module
 from lindef.errors import AlgebraError
 from lindef.lab import ScanConfig, full_check, random_algebra
-from lindef.linalg import block_apply
+from lindef.linalg import block_apply, block_expand
 from lindef.linear_part import linear_part
 from lindef.presentation import algebra_from_text
 from lindef.resolution import resolve
@@ -31,6 +31,7 @@ from references import (
 NON_ADAPTED = "ideal x^2 - y^5, x*y, y^6"
 
 RINGS = {
+    "X3": algebra_from_text("vars x\nideal x^3"),
     "X4": algebra_from_text("vars x\nideal x^4"),
     "KOSZUL3": algebra_from_text(
         "vars x y z\nideal x^2, x*y, y^2, x*z, y*z, z^2"),
@@ -72,18 +73,23 @@ class TestTruncationParity:
                      component_product_reference(algebra, a, b))
 
     def test_linear_part_classes(self, algebra):
+        # lin(F) by definition: the entries' classes in F_1/F_2 times the
+        # graded product gr_1 x gr_q -> gr_{q+1}, both from references
         res = resolve(algebra.residue_field(), 4)
-        classes = linear_part(res).classes
+        lin = linear_part(res)
         qc = graded_coords(algebra, 1)
         for i in range(1, 5):
             entries = res.diff[i].entries
             b_i, b_prev, d = entries.shape
             if b_i * b_prev:
                 flat = entries.reshape(b_i * b_prev, d)
-                want = qc.coords(flat).reshape(b_i, b_prev, qc.dim)
+                classes = qc.coords(flat).reshape(b_i, b_prev, qc.dim)
             else:
-                want = algebra.field.zeros((b_i, b_prev, qc.dim))
-            same(classes[i], want)
+                classes = algebra.field.zeros((b_i, b_prev, qc.dim))
+            for j in lin.degree_range(i):
+                tensor = component_product_reference(algebra, 1, j - i)
+                same(lin.slice_matrix(i, j),
+                     block_expand(algebra.field, classes, tensor))
 
     def test_filtration_is_a_suffix(self, algebra):
         d = algebra.dim
@@ -93,7 +99,7 @@ class TestTruncationParity:
 
 class TestRebase:
     def test_adapted_input_keeps_its_basis(self):
-        for key in ("X4", "KOSZUL3", "QQ"):
+        for key in ("X3", "X4", "KOSZUL3", "QQ"):
             assert RINGS[key].input_basis is None
 
     @pytest.mark.parametrize("key", ["rebased-GF101", "rebased-QQ"])
@@ -159,7 +165,7 @@ SCAN = ScanConfig(nvars=2, nilpotency=4, count=6, horizon=4, seed=4)
 
 @pytest.mark.parametrize("index", range(SCAN.count))
 def test_dense_change_of_basis_keeps_every_record_scan(index):
-    algebra, _ = random_algebra(SCAN, index)
+    algebra = random_algebra(SCAN, index)
     changed = dense_change(algebra, index)
     assert changed.input_basis is not None
     assert invariants(changed, SCAN.horizon) == invariants(algebra, SCAN.horizon)

@@ -9,7 +9,6 @@ from lindef.errors import AlgebraError, LindefError
 from lindef.linalg import (
     QuotientCoords,
     Subspace,
-    block_expand,
     induced_map_on_quotients,
     kernel,
 )
@@ -201,7 +200,7 @@ def reference_ladder(res, horizon):
             elif n >= t:
                 tor_dims[(n, i)] = res.module.dim if i == 0 else 0
             else:
-                tor_dims[(n, i)] = complexes[n].dim(i)
+                tor_dims[(n, i)] = complexes[n].cells[i].dim
     ranks, forced = {}, {}
     for n in range(1, t + 1):
         for i in range(0, horizon + 1):
@@ -259,6 +258,15 @@ class TestGuards:
         with pytest.raises(LindefError):
             lad.rank(1, 3)
 
+    @pytest.mark.parametrize("i", [-1, 3, 5])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_tor_dim_outside_horizon(self, n, i):
+        lad = ladder_of(ring("vars x y\nideal x^2, y^2"), 2)
+        with pytest.raises(LindefError, match="outside ladder horizon 2"):
+            lad.tor_dim(n, i)
+        with pytest.raises(LindefError, match="outside ladder horizon 2"):
+            lad.rank(n, i)
+
     def test_single_cell_beyond_horizon(self):
         res = resolve(X3.residue_field(), 2)
         with pytest.raises(LindefError, match="horizon"):
@@ -293,11 +301,11 @@ class TestBlockExpandIdentities:
         res = resolve(algebra.residue_field(), 3)
         t = algebra.nilpotency_index
         for n in range(1, t + 2):
-            quotient = algebra.quotient_module(n)
+            lead = slice(0, algebra.quotient_dim(n))
             _, proj, lift = quotient_reference(algebra, n)
             for i in range(1, 4):
                 dmat = res.diff[i]
-                got = block_expand(field, dmat.entries, quotient.act)
+                got = dmat.expand(lead, lead)
                 want = conjugate_by_quotient(
                     field, dmat.expand(), dmat.src_rank, dmat.dst_rank, lift, proj
                 )
@@ -309,9 +317,6 @@ class TestBlockExpandIdentities:
         field = algebra.field
         d = algebra.dim
         res = resolve(algebra.residue_field(), 3)
-        _, proj, _ = quotient_reference(algebra, 2)
-        ops = field.matmul(algebra.table.reshape(d * d, d), proj)
-        ops = ops.reshape(d, d, proj.shape[1])
         for i in range(1, 4):
             b_prev = res.betti[i - 1]
             qc = QuotientCoords(
@@ -320,7 +325,7 @@ class TestBlockExpandIdentities:
                 block_sum(algebra.power(2), b_prev),
             )
             want = qc.coords(res.diff[i].expand(), check=False)
-            got = block_expand(field, res.diff[i].entries, ops)
+            got = res.diff[i].expand(cols=slice(0, algebra.quotient_dim(2)))
             assert got.shape == want.shape and (got == want).all()
 
     def test_msquared_preimage_against_block_sum(self, algebra):
