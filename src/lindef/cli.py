@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import LindefError
+from .errors import AlgebraError, LindefError
 from .lab import ScanConfig, full_check, scan
 from .presentation import algebra_from_text, load_structure_constants
 from .resolution import resolve
@@ -30,7 +30,15 @@ def _load_ring(path: str):
 
 def _load_table(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return load_structure_constants(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as err:
+            # valid JSON that Python cannot load, such as an integer over
+            # the int-string conversion digit limit
+            raise AlgebraError(f"{path}: {err}") from None
+    return load_structure_constants(data)
 
 
 def _algebra_from_args(args):

@@ -315,8 +315,7 @@ def block_expand(field: Field, entries, ops):
     return np.ascontiguousarray(out).reshape(r * J, c * F)
 
 
-def induced_map_on_quotients(field: Field, apply_rows, src, dst,
-                             check: bool = True):
+def induced_map_on_quotients(field: Field, apply_rows, src, dst):
     """Matrix of the map src_Z/src_B -> dst_Z/dst_B induced by a linear map.
 
     apply_rows takes a stack of row vectors and returns their images as
@@ -328,15 +327,14 @@ def induced_map_on_quotients(field: Field, apply_rows, src, dst,
     """
     z_src, b_src = src
     z_dst, b_dst = dst
-    q_src = QuotientCoords(field, z_src, b_src, check=check)
-    q_dst = QuotientCoords(field, z_dst, b_dst, check=check)
-    if check:
-        if z_src.dim and not z_dst.contains_rows(apply_rows(z_src.basis)):
-            raise LindefError("map does not send source cycles into target cycles")
-        if b_src.dim and not b_dst.contains_rows(apply_rows(b_src.basis)):
-            raise LindefError("map does not send source boundaries into target")
+    q_src = QuotientCoords(field, z_src, b_src)
+    q_dst = QuotientCoords(field, z_dst, b_dst)
+    if z_src.dim and not z_dst.contains_rows(apply_rows(z_src.basis)):
+        raise LindefError("map does not send source cycles into target cycles")
+    if b_src.dim and not b_dst.contains_rows(apply_rows(b_src.basis)):
+        raise LindefError("map does not send source boundaries into target")
     if q_src.dim == 0 or q_dst.dim == 0:
         return field.zeros((q_dst.dim, q_src.dim)), 0
     images = apply_rows(q_src.reps)
-    mat = q_dst.coords(images, check=check).T.copy()
+    mat = q_dst.coords(images).T.copy()
     return mat, field.rank(mat)

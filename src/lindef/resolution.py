@@ -67,8 +67,15 @@ class AlgebraMatrix:
         complex derived from a minimal resolution F is a truncation:
 
             d_i (x) R/m^n, the Tor complex      rows :q_n      cols :q_n
+            the Tor ladder's ranks, all n       rows :q_{t-2}  cols :q_{t-1}
             F_i -> F_{i-1}/m^2 F_{i-1}          rows all       cols :q_2
             lin(F)_i in internal degree j       rows gr(j-i)   cols gr(j-i+1)
+
+        (t the nilpotency index). A row of degree a meets only columns
+        of degree >= a + 1, so the second truncation holds every
+        r(n, i) = rank(d_i (x) R/m^n): with its columns in degree order,
+        r(n, i) is the rank of the first b_{i-1} q_n of them
+        (`tor_ladder._rank_profile`).
 
         lin(F) keeps only the entries' gr_1 coordinates, yet the last
         row sums over every e. That is the same matrix: coordinate 0 of

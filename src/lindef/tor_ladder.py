@@ -3,10 +3,31 @@
 Tor is computed from the already-built minimal resolution F of M: the
 complex F (x) R/m^n has one block of dim R/m^n per generator (the
 block layout of `linalg`); in the adapted basis of `algebra` its
-differential is F's, truncated to the leading dim R/m^n coordinates of
-each block (`AlgebraMatrix.expand`). The map v^n_i is induced on
-homology by the surjection R/m^{n+1} -> R/m^n, which keeps those
-leading coordinates blockwise.
+differential is F's, truncated to the leading q_n = dim R/m^n
+coordinates of each block (`AlgebraMatrix.expand`). The map v^n_i is
+induced on homology by the surjection R/m^{n+1} -> R/m^n, which keeps
+those leading coordinates blockwise.
+
+The ladder reports only dimensions and ranks, and reads all of them off
+the ranks r(n, i) = rank(d_i (x) R/m^n), with r(n, 0) = 0. As F is
+minimal, F (x) m^n/m^{n+1} is a subcomplex of F (x) R/m^{n+1} with zero
+differential, and the long exact sequence of
+
+    0 -> F (x) m^n/m^{n+1} -> F (x) R/m^{n+1} -> F (x) R/m^n -> 0
+
+has connecting maps Tor_i(M, R/m^n) -> F_{i-1} (x) m^n/m^{n+1} of rank
+r(n+1, i) - r(n, i) (their image is im(d_i (x) R/m^{n+1}) meeting
+F_{i-1} (x) m^n/m^{n+1}). Hence
+
+    dim Tor_i(M, R/m^n) = b_i q_n - r(n, i) - r(n, i+1)
+    rank v^n_i          = dim Tor_i(M, R/m^n) - r(n+1, i) + r(n, i).
+
+Every entry of d_i lies in m, so a row of degree a meets only columns
+of degree >= a + 1. With the columns of d_i in degree order, the
+columns of degree < n carry all of d_i (x) R/m^n and nothing else, so
+r(n, i) is the number of pivots among the first b_{i-1} q_n columns of
+one elimination (`_rank_profile`). `upsilon` still builds the two Tor
+complexes (`_TorComplex`) of one map and its explicit matrix.
 
 Power conventions follow m^0 = R: n = 0 gives the zero module, and
 n >= nilpotency index gives R itself, so those rows of the ladder are
@@ -14,6 +35,8 @@ forced (free source) and are recorded without homology computations.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .errors import AlgebraError, LindefError
 from .linalg import homology_cell, induced_map_on_quotients, kernel
@@ -71,6 +94,33 @@ class _TorComplex:
         ]
 
 
+def _rank_profile(res: MinimalResolution, i: int) -> list:
+    """[r(n, i) for 0 <= n < t]: ranks of d_i (x) R/m^n, one elimination.
+
+    A row of degree a meets only columns of degree >= a + 1, so rows of
+    degree >= t - 2 vanish on the columns of degree < t - 1 that
+    d_i (x) R/m^{t-1} keeps; the rows :q_{t-2} and columns :q_{t-1}
+    hold every r(n, i). Columns taken coordinate-major (coordinate,
+    then block) are in degree order, because the adapted basis lists
+    its coordinates by degree; r(n, i) counts the pivots among the
+    first b_{i-1} q_n of them. A pivot among the degree-0 columns
+    means d_i (x) k != 0: F is not minimal.
+    """
+    algebra = res.algebra
+    t = algebra.nilpotency_index
+    b = res.betti[i - 1]
+    q = algebra.quotient_dim(t - 1)
+    dense = res.diff[i].expand(slice(0, algebra.quotient_dim(t - 2)), slice(0, q))
+    rows = dense.shape[0]
+    ordered = dense.reshape(rows, b, q).transpose(0, 2, 1).reshape(rows, q * b)
+    _, pivots = algebra.field.rref(ordered)
+    if pivots and pivots[0] < b:
+        raise AssertionError(
+            f"differential {i} survives reduction mod m: resolution not minimal"
+        )
+    return [bisect_left(pivots, b * algebra.quotient_dim(n)) for n in range(t)]
+
+
 class UpsilonLadder:
     """All maps v^n_i for 1 <= n <= nilpotency index, 0 <= i <= horizon.
 
@@ -78,9 +128,20 @@ class UpsilonLadder:
     of Tor_i(M, R/m^n) for 0 <= n <= index + 1. Rows with free source
     (m^{n+1} = 0) are forced: rank 0 for i >= 1 and full rank on Tor_0.
 
-    Built in one pass over n: v^n_i reads only F (x) R/m^{n+1} and
-    F (x) R/m^n, so at most these two Tor complexes are alive at once
-    and none is kept.
+    Built from the ranks r(n, i) = rank(d_i (x) R/m^n) alone, with no
+    Tor complex: the short exact sequence
+
+        0 -> F (x) m^n/m^{n+1} -> F (x) R/m^{n+1} -> F (x) R/m^n -> 0
+
+    (zero differential on the left, as F is minimal) gives
+
+        dim Tor_i(M, R/m^n) = b_i q_n - r(n, i) - r(n, i+1)
+        rank v^n_i          = dim Tor_i(M, R/m^n) - r(n+1, i) + r(n, i)
+
+    with q_n = dim R/m^n and r(n, 0) = 0. Each d_i, 1 <= i <= horizon
+    + 1, is eliminated once with its columns in degree order, and
+    r(n, i) is the number of its pivots among the first b_{i-1} q_n
+    columns (the degree-ordered rank profile, `_rank_profile`).
     """
 
     def __init__(self, res: MinimalResolution, horizon: int):
@@ -97,34 +158,28 @@ class UpsilonLadder:
         self.horizon = horizon
         self.index = self.algebra.nilpotency_index
         t = self.index
+        # r[i][n] = rank(d_i (x) R/m^n) for n < t; nothing leaves F_0
+        r = [[0] * t] + [_rank_profile(res, i) for i in range(1, horizon + 2)]
         self.tor_dims = {}
+        for n in range(0, t + 2):
+            for i in range(0, horizon + 1):
+                # R/m^0 is the zero module and R/m^n = R is free for n >= t
+                if 0 < n < t:
+                    q_n = self.algebra.quotient_dim(n)
+                    dim = res.betti[i] * q_n - r[i][n] - r[i + 1][n]
+                else:
+                    dim = self.module.dim if n and i == 0 else 0
+                self.tor_dims[(n, i)] = dim
         self.ranks = {}
         self.forced = {}
-        field = self.algebra.field
-        lower = None  # F (x) R/m^(n-1), the target of v^(n-1)
-        for n in range(0, t + 2):
-            # R/m^0 is the zero module and R/m^n = R is free for n >= t:
-            # neither needs a complex
-            upper = _TorComplex(res, n, horizon) if 0 < n < t else None
+        for n in range(1, t + 1):
             for i in range(0, horizon + 1):
-                if upper is not None:
-                    self.tor_dims[(n, i)] = upper.cells[i].dim
+                self.forced[(n, i)] = n + 1 >= t
+                if n + 1 >= t:
+                    rank = self.tor_dims[(n, 0)] if i == 0 else 0
                 else:
-                    self.tor_dims[(n, i)] = self.module.dim if n and i == 0 else 0
-                if n < 2:
-                    continue
-                # v^(n-1)_i: Tor_i(M, R/m^n) -> Tor_i(M, R/m^(n-1))
-                self.forced[(n - 1, i)] = upper is None
-                if upper is None:
-                    rank = self.tor_dims[(n - 1, 0)] if i == 0 else 0
-                else:
-                    apply_rows = _pi_applier(self.algebra, n - 1, res.betti[i])
-                    _, rank = induced_map_on_quotients(
-                        field, apply_rows, upper.cells[i], lower.cells[i],
-                        check=False,
-                    )
-                self.ranks[(n - 1, i)] = rank
-            lower = upper
+                    rank = self.tor_dims[(n, i)] - r[i][n + 1] + r[i][n]
+                self.ranks[(n, i)] = rank
 
     # -- public surface -------------------------------------------------
 
@@ -191,7 +246,7 @@ def upsilon(res: MinimalResolution, n: int, i: int) -> dict:
     dst = _TorComplex(res, n, i)
     apply_rows = _pi_applier(algebra, n, res.betti[i])
     mat, rank = induced_map_on_quotients(
-        field, apply_rows, src.cells[i], dst.cells[i], check=True
+        field, apply_rows, src.cells[i], dst.cells[i]
     )
     note = None
     if n + 1 >= t:

@@ -136,6 +136,21 @@ class TestAnalyze:
         assert code == 1
         assert err.startswith("error: ") and key in err
 
+    def test_integer_over_digit_limit_is_an_error(self, tmp_path, capsys):
+        # json.load raises a plain ValueError past Python's 4300-digit
+        # int-string limit
+        p = tmp_path / "t.json"
+        p.write_text(
+            '{"char": 101, "dim": 2, "basis": ["1", "x"], "unit": 0, '
+            '"m_generators": [1], "table": [[[1' + "0" * 5000
+            + ', 0], [0, 1]], [[0, 1], [0, 0]]]}'
+        )
+        code = main(["analyze", "--table", str(p)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_table_must_be_an_object(self, tmp_path, capsys):
         p = tmp_path / "t.json"
         p.write_text(json.dumps("char dim basis unit m_generators table"))

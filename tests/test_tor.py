@@ -1,11 +1,18 @@
 """Upsilon ladders: Tor maps along the power filtration."""
 
-import weakref
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import lindef
 from lindef import tor_ladder as tor_ladder_module
 from lindef.errors import AlgebraError, LindefError
+from lindef.fields import Field
+from lindef.lab import ScanConfig, random_algebra
 from lindef.linalg import (
     QuotientCoords,
     Subspace,
@@ -13,7 +20,7 @@ from lindef.linalg import (
     kernel,
 )
 from lindef.presentation import algebra_from_text
-from lindef.resolution import resolve
+from lindef.resolution import AlgebraMatrix, resolve
 from lindef.tor_ladder import (
     _pi_applier,
     _TorComplex,
@@ -39,6 +46,27 @@ KOSZUL3 = ring("vars x y z\nideal x^2, x*y, y^2, x*z, y*z, z^2")
 
 GF101_RING = ring("vars x y\nideal x^3, y^3, x*y^2")
 QQ_RING = ring("char 0\nvars x y\nideal x^2, x*y, y^3")
+# non-homogeneous presentations: both rings are rebased to an adapted basis
+REBASED_GF101 = ring("vars x y\nideal x^2 - y^5, x*y, y^6")
+REBASED_QQ = ring("char 0\nvars x y\nideal x^2 - y^5, x*y, y^6")
+GF2_RING = ring("char 2\nvars x y\nideal x^3, y^3, x^2*y + x*y^2")
+GF_BIG_RING = ring(
+    "char 2147483647\nvars x y\nideal x^3 + 2147483646*y^3, x*y^2, y^4"
+)
+# dense degree-4 complete intersection: dim 16, nilpotency index 7
+CI4 = ring(
+    "vars x y\nideal x^4 + 3*x^3*y + 5*x^2*y^2 + 7*x*y^3 + 2*y^4, "
+    "2*x^4 + 9*x^3*y + 4*x^2*y^2 + x*y^3 + 8*y^4"
+)
+# first samples of the benchmark's scan configs (scan-wide; scan-many's
+# light and heavy parts)
+SCAN_WIDE = random_algebra(
+    ScanConfig(nvars=3, nilpotency=3, horizon=5, count=1, seed=1), 0
+)
+SCAN_LIGHT = random_algebra(ScanConfig(
+    nvars=2, nilpotency=4, horizon=6, count=1, degree_range=(2, 2), seed=1), 0)
+SCAN_HEAVY = random_algebra(ScanConfig(
+    nvars=2, nilpotency=4, horizon=6, count=1, degree_range=(3, 3), seed=1), 0)
 
 
 def ladder_of(algebra, horizon):
@@ -104,14 +132,15 @@ class TestTorDims:
 
 class TestSingleCell:
     def test_agrees_with_ladder(self):
-        res = resolve(X4.residue_field(), 5)
-        lad = tor_ladder(res, 4)
-        for n in (1, 2, 3):
-            for i in range(5):
-                cell = upsilon(res, n, i)
-                assert cell["rank"] == lad.rank(n, i)
-                assert cell["src_dim"] == lad.tor_dim(n + 1, i)
-                assert cell["dst_dim"] == lad.tor_dim(n, i)
+        for algebra in (X4, REBASED_GF101, CI4):
+            res = resolve(algebra.residue_field(), 5)
+            lad = tor_ladder(res, 4)
+            for n in range(1, algebra.nilpotency_index):
+                for i in range(5):
+                    cell = upsilon(res, n, i)
+                    assert cell["rank"] == lad.rank(n, i)
+                    assert cell["src_dim"] == lad.tor_dim(n + 1, i)
+                    assert cell["dst_dim"] == lad.tor_dim(n, i)
 
     def test_forced_cell_carries_note(self):
         res = resolve(X3.residue_field(), 3)
@@ -215,10 +244,17 @@ def reference_ladder(res, horizon):
     return tor_dims, ranks, forced
 
 
+REFERENCE_RINGS = {
+    "X2": X2, "X3": X3, "X4": X4, "KOSZUL3": KOSZUL3, "GF101": GF101_RING,
+    "QQ": QQ_RING, "REBASED_GF101": REBASED_GF101, "REBASED_QQ": REBASED_QQ,
+    "GF2": GF2_RING, "GF_BIG": GF_BIG_RING, "CI4": CI4,
+    "SCAN_WIDE": SCAN_WIDE, "SCAN_LIGHT": SCAN_LIGHT, "SCAN_HEAVY": SCAN_HEAVY,
+}
+
+
 class TestOnePass:
     @pytest.mark.parametrize(
-        "algebra", [X2, X3, X4, KOSZUL3, GF101_RING, QQ_RING],
-        ids=["X2", "X3", "X4", "KOSZUL3", "GF101", "QQ"],
+        "algebra", list(REFERENCE_RINGS.values()), ids=list(REFERENCE_RINGS)
     )
     @pytest.mark.parametrize("horizon", [0, 4])
     def test_matches_all_complexes_reference(self, algebra, horizon):
@@ -229,22 +265,80 @@ class TestOnePass:
         assert list(lad.ranks.items()) == list(ranks.items())
         assert list(lad.forced.items()) == list(forced.items())
 
-    def test_at_most_two_complexes_alive(self, monkeypatch):
-        live = weakref.WeakSet()
-        most = []
+    def test_matches_reference_for_other_modules(self):
+        # the rank formulas hold for a minimal resolution of any module
+        for algebra in (GF101_RING, REBASED_QQ, CI4):
+            res = resolve(algebra.quotient_module(2), 4)
+            lad = tor_ladder(res, 3)
+            tor_dims, ranks, forced = reference_ladder(res, 3)
+            assert (lad.tor_dims, lad.ranks, lad.forced) == (tor_dims, ranks, forced)
+
+    def test_one_elimination_per_differential(self, monkeypatch):
+        rings = (X5, GF101_RING, QQ_RING)
+        resolutions = [resolve(algebra.residue_field(), 4) for algebra in rings]
+        built, eliminated = [], []
 
         class Counted(tor_ladder_module._TorComplex):
             def __init__(self, *args):
+                built.append(args)
                 super().__init__(*args)
-                live.add(self)
-                most.append(len(live))
+
+        real_rref = Field.rref
+
+        def counted_rref(field, a):
+            eliminated.append(a.shape)
+            return real_rref(field, a)
 
         monkeypatch.setattr(tor_ladder_module, "_TorComplex", Counted)
-        lad = ladder_of(X5, 3)
-        assert len(most) == 4  # n = 1..t-1 for t = 5
-        assert max(most) == 2
-        assert len(live) == 0
-        assert lad.rank_table()[1] == [1, 0, 1, 0]
+        monkeypatch.setattr(Field, "rref", counted_rref)
+        for res in resolutions:
+            eliminated.clear()
+            tor_ladder(res, 3)
+            assert built == []
+            assert len(eliminated) == 3 + 1  # d_1 .. d_{horizon+1}
+
+
+def non_minimal(res, i):
+    """d_i with a unit added to its first entry."""
+    entries = res.diff[i].entries.copy()
+    entries[0, 0, 0] = res.algebra.field.add(entries[0, 0, 0], 1)
+    return AlgebraMatrix(res.algebra, entries)
+
+
+class TestNonMinimal:
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_ladder_raises(self, i):
+        res = resolve(X4.residue_field(), 3)
+        res.diff[i] = non_minimal(res, i)
+        with pytest.raises(AssertionError, match=f"differential {i} .*not minimal"):
+            tor_ladder(res, 2)
+
+    def test_ladder_raises_under_python_O(self):
+        script = textwrap.dedent("""
+            import sys
+            if __debug__:
+                sys.exit("not running under -O")
+            sys.path.insert(0, sys.argv[1])
+            from test_tor import X4, non_minimal
+            from lindef.resolution import resolve
+            from lindef.tor_ladder import tor_ladder
+            res = resolve(X4.residue_field(), 3)
+            res.diff[2] = non_minimal(res, 2)
+            try:
+                tor_ladder(res, 2)
+            except AssertionError as exc:
+                print("raised:", exc)
+            else:
+                sys.exit("the ladder accepted a non-minimal differential")
+        """)
+        src = str(Path(lindef.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(Path(__file__).parent)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert proc.stdout.startswith("raised:")
 
 
 class TestGuards:
