@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import AlgebraError
 from .fields import Field
-from .linalg import Subspace
+from .linalg import Subspace, block_apply
 
 __all__ = [
     "FiniteLocalAlgebra",
@@ -47,16 +47,15 @@ __all__ = [
 ]
 
 
-def _action(field: Field, act, v):
-    """Operator sum_u v[u] act[u] of the ring element v on a module.
+def _action(field: Field, act, vs):
+    """Operators sum_u v[u] act[u] of a stack of ring elements vs (k, d).
 
-    act[u] is the operator of basis element e_u; with act = table this
-    is multiplication by v (row j holds the coordinates of v * e_j).
+    act[u] is the operator of basis element e_u; with act = table,
+    operator s is multiplication by vs[s] (row j holds the coordinates
+    of vs[s] * e_j). Returns the (k, m, n) stack from one product.
     """
     d, m, n = act.shape
-    return field.matmul(
-        field.asarray(v).reshape(1, d), act.reshape(d, m * n)
-    ).reshape(m, n)
+    return field.matmul(vs, act.reshape(d, m * n)).reshape(len(vs), m, n)
 
 
 def _check_action(field: Field, table, act, unit):
@@ -78,7 +77,8 @@ def _check_action(field: Field, table, act, unit):
     reported has the smallest i, then x, then j.
     """
     d, m, _ = act.shape
-    if not field.is_zero(field.sub(_action(field, act, unit), field.eye(m))):
+    unit_op = _action(field, act, unit[None])[0]
+    if not field.is_zero(field.sub(unit_op, field.eye(m))):
         raise AlgebraError("designated unit does not act as identity")
     af = field.exact_operands(act, max(d, m))
     tf = af if act is table else field.exact_operands(table, max(d, m))
@@ -102,16 +102,18 @@ def compute_filtration(field: Field, table, mgens):
     dimensions. F_1 is the span of all products generator * basis
     element (an ideal since R is unital); each later term multiplies
     the previous term's basis by the generators again, which spans the
-    ideal product because F_n is closed under the R-action.
+    ideal product because F_n is closed under the R-action. Each term
+    is one `block_apply` product and one elimination.
     """
     d = table.shape[0]
-    gen_ops = [_action(field, table, g) for g in mgens]
+    gen_ops = _action(field, table, mgens)
     chain = [Subspace.full(field, d)]
-    current = Subspace.from_rows(field, np.vstack([op for op in gen_ops]), d)
+    current = Subspace.from_rows(field, gen_ops.reshape(-1, d), d)
     chain.append(current)
     while current.dim > 0:
-        rows = np.vstack([field.matmul(current.basis, op) for op in gen_ops])
-        nxt = Subspace.from_rows(field, rows, d)
+        nxt = Subspace.from_rows(
+            field, block_apply(field, current.basis, 1, gen_ops), d
+        )
         if nxt.dim >= current.dim:
             raise AlgebraError(
                 "generated ideal is not nilpotent: dimension stalled at "
@@ -194,11 +196,9 @@ class FiniteLocalAlgebra:
         basis = _adapted_basis(self.filtration)
         r, _ = field.rref(np.concatenate([basis, field.eye(d)], axis=1))
         inv = np.ascontiguousarray(r[:, d:])
-        # ops[i] multiplies by basis[i], in input coordinates
-        ops = field.matmul(basis, self.table.reshape(d, d * d)).reshape(d, d, d)
-        self.table = np.stack(
-            [field.matmul(field.matmul(basis, op), inv) for op in ops]
-        )
+        # row i*d + j is basis[j] * basis[i], in input coordinates
+        prods = block_apply(field, basis, 1, _action(field, self.table, basis))
+        self.table = field.matmul(prods, inv).reshape(d, d, d)
         self.unit = field.matmul(self.unit.reshape(1, d), inv)[0]
         self.mgens = field.matmul(self.mgens, inv)
         self.input_basis = basis
@@ -218,18 +218,11 @@ class FiniteLocalAlgebra:
 
     # -- arithmetic ---------------------------------------------------
 
-    def mult_op(self, v):
-        return _action(self.field, self.table, v)
-
-    def mult(self, u, v):
-        return self.field.matmul(
-            self.field.asarray(v).reshape(1, self.dim), self.mult_op(u)
-        )[0]
-
     @property
     def generator_ops(self):
+        """(n, d, d) stack of the multiplication operators of mgens."""
         if self._gen_ops is None:
-            self._gen_ops = [self.mult_op(g) for g in self.mgens]
+            self._gen_ops = _action(self.field, self.table, self.mgens)
         return self._gen_ops
 
     def power(self, n: int) -> Subspace:
@@ -336,13 +329,10 @@ class RModule:
     def _validate(self):
         _check_action(self.field, self.algebra.table, self.act, self.algebra.unit)
 
-    def action_of(self, r):
-        """Action matrix of a ring element given by coordinates."""
-        return _action(self.field, self.act, r)
-
     @property
     def generator_actions(self):
-        return [self.action_of(g) for g in self.algebra.mgens]
+        """(n, dim, dim) stack of the actions of the algebra's mgens."""
+        return _action(self.field, self.act, self.algebra.mgens)
 
     def __repr__(self):
         return f"RModule(dim={self.dim})"

@@ -20,8 +20,10 @@ Block layout. A direct sum of b copies of a module with a basis of
 length J (R itself, R/m^n, a graded piece of gr(R)) is stored as row
 vectors of length b*J: coordinate j of copy c is entry c*J + j. A ring
 element acts on one block by an operator matrix on the right
-(x -> x @ op), so a stack of such rows is mapped blockwise by
-`block_apply`. A matrix of
+(x -> x @ op). `block_apply` maps a stack of z such rows blockwise by
+a stack of operators in one product, operator-major (row s*z + r is
+row r under ops[s]), so a span of products such as mW is one product
+and one elimination. A matrix of
 ring elements entries[g, g', e] (coordinates e in some basis, ops[e]
 the operator of that basis element) is the scalar matrix
 sum_e entries[:, :, e] (x) ops[e] on these rows, built by
@@ -286,17 +288,24 @@ def homology_cell(field: Field, outgoing, incoming, where: str) -> HomologyCell:
     return HomologyCell(cycles, boundaries)
 
 
-def block_apply(field: Field, rows, blocks: int, op):
-    """Apply op (a x b) to each of the `blocks` blocks of every row.
+def block_apply(field: Field, rows, blocks: int, ops):
+    """Images of rows under each operator of a stack, in one product.
 
-    rows has shape (z, blocks * a); the result has shape (z, blocks * b).
+    rows has shape (z, blocks * a) and ops shape (e, a, b); each
+    operator acts on every block. The result has shape
+    (e * z, blocks * b), operator-major: row s * z + r is rows[r] under
+    ops[s].
     """
     z = rows.shape[0]
-    a, b = op.shape
-    if z == 0 or blocks == 0:
-        return field.zeros((z, blocks * b))
-    out = field.matmul(np.ascontiguousarray(rows).reshape(z * blocks, a), op)
-    return out.reshape(z, blocks * b)
+    e, a, b = ops.shape
+    if 0 in (z, blocks, e):
+        return field.zeros((e * z, blocks * b))
+    out = field.matmul(
+        np.ascontiguousarray(rows).reshape(z * blocks, a),
+        np.ascontiguousarray(ops.transpose(1, 0, 2)).reshape(a, e * b),
+    )
+    out = out.reshape(z, blocks, e, b).transpose(2, 0, 1, 3)
+    return np.ascontiguousarray(out).reshape(e * z, blocks * b)
 
 
 def block_expand(field: Field, entries, ops):

@@ -24,7 +24,6 @@ from .resolution import MinimalResolution, resolve
 __all__ = [
     "GradedComplex",
     "linear_part",
-    "graded_homology",
     "defect_profile",
     "linearity_defect_profile",
     "mstar_annihilation_check",
@@ -124,11 +123,6 @@ def linear_part(res: MinimalResolution) -> GradedComplex:
     return GradedComplex(res)
 
 
-def graded_homology(complex_: GradedComplex, i: int) -> dict:
-    """Per-internal-degree homology dimensions at stage i."""
-    return complex_.homology_dims(i)
-
-
 def defect_profile(complex_: GradedComplex, horizon: int) -> dict:
     """Homology totals h_1..h_horizon with their defect classification.
 
@@ -184,8 +178,11 @@ def mstar_annihilation_check(complex_: GradedComplex, n: int):
     """Check that every degree-1 element annihilates H_n of the linear part.
 
     Degreewise sufficient: gr is standard graded and cycles/boundaries
-    are graded submodules, so (m* Z)_{j+1} equals gr_1 * Z_j. Returns
-    (True, None) or (False, certificate) with the violating cycle.
+    are graded submodules, so (m* Z)_{j+1} equals gr_1 * Z_j: per degree
+    one `block_apply` stack of every gr_1 element s times every cycle
+    basis row r, reduced against the boundaries at once. Returns
+    (True, None) or (False, certificate) with the violating cycle: the
+    smallest failing j, then s, then r.
     """
     field = complex_.field
     gr = complex_.gr
@@ -200,21 +197,18 @@ def mstar_annihilation_check(complex_: GradedComplex, n: int):
         target = nxt.boundaries if nxt else (
             Subspace.zero(field, b_n * gr.component_dim(q + 1))
         )
-        tensor = gr.component_product(1, q)
         z = sl.cycles.basis
-        for s, op in enumerate(tensor):
-            imgs = block_apply(field, z, b_n, op)
-            if target.contains_rows(imgs):
-                continue
-            for r in range(z.shape[0]):
-                if not target.contains_rows(imgs[r : r + 1]):
-                    return False, {
-                        "stage": n,
-                        "internal_degree": j,
-                        "gr1_index": s,
-                        "cycle": z[r].tolist(),
-                        "image": imgs[r].tolist(),
-                    }
+        imgs = block_apply(field, z, b_n, gr.component_product(1, q))
+        bad = np.flatnonzero((target.reduce(imgs) != 0).any(axis=1))
+        if len(bad):
+            s, r = divmod(int(bad[0]), z.shape[0])
+            return False, {
+                "stage": n,
+                "internal_degree": j,
+                "gr1_index": s,
+                "cycle": z[r].tolist(),
+                "image": imgs[bad[0]].tolist(),
+            }
     return True, None
 
 
@@ -235,14 +229,11 @@ def mstar_cycle_boundary_equality(complex_: GradedComplex, d: int) -> bool:
         ambient = b_d * gr.component_dim(j - d + 1)
         if ambient == 0:
             continue
-        # gr is standard graded, so ambient > 0 gives gr_1 != 0 and
-        # tensor has at least one slice to stack
         tensor = gr.component_product(1, j - d)
-
-        def span_of_products(basis_rows):
-            stacked = [block_apply(field, basis_rows, b_d, op) for op in tensor]
-            return Subspace.from_rows(field, np.vstack(stacked), ambient)
-
-        if span_of_products(sl.cycles.basis) != span_of_products(sl.boundaries.basis):
+        m_cycles, m_boundaries = (
+            Subspace.from_rows(field, block_apply(field, v.basis, b_d, tensor), ambient)
+            for v in sl
+        )
+        if m_cycles != m_boundaries:
             return False
     return True

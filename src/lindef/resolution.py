@@ -101,20 +101,19 @@ class AlgebraMatrix:
 def minimal_generators(space: Subspace, blocks: int, ops):
     """Adapted representatives of a basis of W/mW for W = space.
 
-    W lies in a module of `blocks` blocks, and ops are the operators of
-    the generators of m on one block. W must be closed under the
-    R-action (callers pass kernels of R-linear maps, which are).
+    W lies in a module of `blocks` blocks, and ops (n, a, a) stacks the
+    operators of the generators of m on one block. W must be closed
+    under the R-action (callers pass kernels of R-linear maps, which
+    are). mW is spanned by the products of W's basis with every
+    generator: one `block_apply` product and one elimination.
     Representatives are the rref basis rows of W whose pivots survive
     in W/mW; they generate W over R by Nakayama.
     """
     field = space.field
     if space.dim == 0:
         return field.zeros((0, space.ambient_dim))
-    mw = None
-    for op in ops:
-        rows = block_apply(field, space.basis, blocks, op)
-        part = Subspace.from_rows(field, rows, space.ambient_dim)
-        mw = part if mw is None else mw.sum(part)
+    rows = block_apply(field, space.basis, blocks, ops)
+    mw = Subspace.from_rows(field, rows, space.ambient_dim)
     return space.adapted_reps(mw)[0]
 
 
@@ -218,12 +217,10 @@ class MinimalResolution:
         field = self.algebra.field
         d = self.algebra.dim
         w = kernel(field, self.diff[index].expand().T)
-        b = self.betti[index]
-        z = w.dim
-        act = field.zeros((d, z, z))
-        for j in range(d):
-            act[j] = w.coords(block_apply(field, w.basis, b, self.algebra.table[j]))
-        return RModule(self.algebra, z, act, validate=False)
+        # row j*z + r of the products is w.basis[r] * e_j
+        images = block_apply(field, w.basis, self.betti[index], self.algebra.table)
+        act = w.coords(images).reshape(d, w.dim, w.dim)
+        return RModule(self.algebra, w.dim, act, validate=False)
 
 
 def resolve(module: RModule, horizon: int, **kw) -> MinimalResolution:

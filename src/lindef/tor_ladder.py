@@ -26,8 +26,9 @@ Every entry of d_i lies in m, so a row of degree a meets only columns
 of degree >= a + 1. With the columns of d_i in degree order, the
 columns of degree < n carry all of d_i (x) R/m^n and nothing else, so
 r(n, i) is the number of pivots among the first b_{i-1} q_n columns of
-one elimination (`_rank_profile`). `upsilon` still builds the two Tor
-complexes (`_TorComplex`) of one map and its explicit matrix.
+one elimination (`_rank_profile`). `upsilon` builds the explicit matrix
+of one map from one homology cell of each of its two Tor complexes
+(`_TorComplex`).
 
 Power conventions follow m^0 = R: n = 0 gives the zero module, and
 n >= nilpotency index gives R itself, so those rows of the ladder are
@@ -70,28 +71,28 @@ def _pi_applier(algebra, n: int, b: int):
 
 
 class _TorComplex:
-    """Homology cells of F (x) R/m^n for one fixed n >= 1."""
+    """The homology cell at i of F (x) R/m^n, n >= 1, built from d_i and
+    d_{i+1} truncated to the leading q_n = dim R/m^n coordinates."""
 
-    def __init__(self, res: MinimalResolution, n: int, top: int):
-        if top + 1 > res.horizon:
+    def __init__(self, res: MinimalResolution, n: int, i: int):
+        if i + 1 > res.horizon:
             raise LindefError(
-                f"Tor through {top} needs the resolution through {top + 1}, "
+                f"Tor at {i} needs the resolution through {i + 1}, "
                 f"have horizon {res.horizon}"
             )
         field = res.algebra.field
         q = res.algebra.quotient_dim(n)
-        # maps[i]: F_i (x) R/m^n -> F_{i-1} (x) R/m^n; nothing leaves F_0
-        maps = [field.zeros((res.betti[0] * q, 0))]
-        for i in range(1, top + 2):
-            maps.append(res.diff[i].expand(slice(0, q), slice(0, q)))
-            if n == 1 and not field.is_zero(maps[i]):
-                raise AssertionError(
-                    "differential survives reduction mod m: resolution not minimal"
-                )
-        self.cells = [
-            homology_cell(field, maps[i], maps[i + 1], f"Tor complex (n={n}, i={i})")
-            for i in range(top + 1)
+        # the maps leaving and entering F_i (x) R/m^n; nothing leaves F_0
+        maps = [
+            res.diff[k].expand(slice(0, q), slice(0, q)) if k
+            else field.zeros((res.betti[0] * q, 0))
+            for k in (i, i + 1)
         ]
+        if n == 1 and not all(field.is_zero(m) for m in maps):
+            raise AssertionError(
+                "differential survives reduction mod m: resolution not minimal"
+            )
+        self.cell = homology_cell(field, *maps, f"Tor complex (n={n}, i={i})")
 
 
 def _rank_profile(res: MinimalResolution, i: int) -> list:
@@ -232,7 +233,7 @@ def upsilon(res: MinimalResolution, n: int, i: int) -> dict:
     field = algebra.field
     t = algebra.nilpotency_index
     if n == 0:
-        src_dim = _TorComplex(res, 1, i).cells[i].dim
+        src_dim = _TorComplex(res, 1, i).cell.dim
         return {
             "n": n,
             "i": i,
@@ -242,12 +243,10 @@ def upsilon(res: MinimalResolution, n: int, i: int) -> dict:
             "dst_dim": 0,
             "note": "m^0 = R, so the target is Tor against the zero module",
         }
-    src = _TorComplex(res, n + 1, i)
-    dst = _TorComplex(res, n, i)
+    src = _TorComplex(res, n + 1, i).cell
+    dst = _TorComplex(res, n, i).cell
     apply_rows = _pi_applier(algebra, n, res.betti[i])
-    mat, rank = induced_map_on_quotients(
-        field, apply_rows, src.cells[i], dst.cells[i]
-    )
+    mat, rank = induced_map_on_quotients(field, apply_rows, src, dst)
     note = None
     if n + 1 >= t:
         note = (
@@ -259,8 +258,8 @@ def upsilon(res: MinimalResolution, n: int, i: int) -> dict:
         "i": i,
         "matrix": mat,
         "rank": rank,
-        "src_dim": src.cells[i].dim,
-        "dst_dim": dst.cells[i].dim,
+        "src_dim": src.dim,
+        "dst_dim": dst.dim,
         "note": note,
     }
 

@@ -50,6 +50,21 @@ def block_sum(sub, blocks):
     return Subspace(sub.field, blocks * n, basis, pivots)
 
 
+def operator(field, act, v):
+    """Operator sum_u v[u] act[u] of the one ring element v (act = table:
+    multiplication by v)."""
+    d, m, n = act.shape
+    v = field.asarray(v).reshape(1, d)
+    return field.matmul(v, act.reshape(d, m * n)).reshape(m, n)
+
+
+def mult(algebra, u, v):
+    """The product u * v, as v under the multiplication operator of u."""
+    field = algebra.field
+    op = operator(field, algebra.table, u)
+    return field.matmul(field.asarray(v).reshape(1, algebra.dim), op)[0]
+
+
 def inverse(field, a):
     """Inverse of an invertible square matrix, from rref([a | I])."""
     d = a.shape[0]
@@ -122,3 +137,40 @@ def component_product_reference(algebra, a, b):
     p = field.matmul(qb.reps, x).reshape(db, da, d)
     p = np.ascontiguousarray(p.transpose(1, 0, 2)).reshape(da * db, d)
     return qc.coords(p).reshape(da, db, dc)
+
+
+def mstar_annihilation_reference(complex_, n):
+    """`mstar_annihilation_check` operator by operator, then row by row.
+
+    For each degree j with cycles, each gr_1 basis element s in turn
+    maps the cycle basis blockwise; the first image row r outside the
+    boundaries in degree j + 1 is the certificate.
+    """
+    field = complex_.field
+    gr = complex_.gr
+    hom = complex_.homology(n)
+    b_n = complex_.stage_rank(n)
+    for j in sorted(hom):
+        cell = hom[j]
+        if cell.cycles.dim == 0:
+            continue
+        q = j - n
+        nxt = hom.get(j + 1)
+        target = nxt.boundaries if nxt else (
+            Subspace.zero(field, b_n * gr.component_dim(q + 1))
+        )
+        z = cell.cycles.basis
+        for s, op in enumerate(gr.component_product(1, q)):
+            a, b = op.shape
+            imgs = field.matmul(z.reshape(-1, a), np.ascontiguousarray(op))
+            imgs = imgs.reshape(z.shape[0], b_n * b)
+            for r in range(z.shape[0]):
+                if not target.contains_rows(imgs[r : r + 1]):
+                    return False, {
+                        "stage": n,
+                        "internal_degree": j,
+                        "gr1_index": s,
+                        "cycle": z[r].tolist(),
+                        "image": imgs[r].tolist(),
+                    }
+    return True, None

@@ -453,12 +453,14 @@ def _random(field, rng, shape):
     return field.asarray(x) / field.asarray(rng.integers(1, 4, shape))
 
 
-def _loop_block_apply(field, rows, blocks, op):
-    a, b = op.shape
-    out = field.zeros((rows.shape[0], blocks * b))
-    for z, g, f in itertools.product(range(rows.shape[0]), range(blocks), range(b)):
-        out[z, g * b + f] = field.scalar(
-            sum(rows[z, g * a + u] * op[u, f] for u in range(a))
+def _loop_block_apply(field, rows, blocks, ops):
+    """Operator-major: row s*z + r holds rows[r] under ops[s]."""
+    e, a, b = ops.shape
+    z = rows.shape[0]
+    out = field.zeros((e * z, blocks * b))
+    for s, r, g, f in itertools.product(range(e), range(z), range(blocks), range(b)):
+        out[s * z + r, g * b + f] = field.scalar(
+            sum(rows[r, g * a + u] * ops[s, u, f] for u in range(a))
         )
     return out
 
@@ -483,11 +485,27 @@ class TestBlockLayout:
     def test_block_apply(self, field, z, blocks, a, b):
         rng = np.random.default_rng(z + 7 * blocks + 31 * a + 97 * b)
         rows = _random(field, rng, (z, blocks * a))
-        op = _random(field, rng, (a, b))
-        got = block_apply(field, rows, blocks, op)
-        want = _loop_block_apply(field, rows, blocks, op)
-        assert got.shape == (z, blocks * b)
-        assert got.dtype == want.dtype and (got == want).all()
+        for e in (0, 1, 3):
+            ops = _random(field, rng, (e, a, b))
+            got = block_apply(field, rows, blocks, ops)
+            want = _loop_block_apply(field, rows, blocks, ops)
+            assert got.shape == (e * z, blocks * b)
+            assert got.dtype == want.dtype and (got == want).all()
+
+    @pytest.mark.parametrize("field", [Field(101), QQ], ids=["GF101", "QQ"])
+    def test_block_apply_one_product_per_stack(self, field, monkeypatch):
+        calls = []
+        real = Field.matmul
+
+        def counted(self, x, y):
+            calls.append(x.shape)
+            return real(self, x, y)
+
+        monkeypatch.setattr(Field, "matmul", counted)
+        rng = np.random.default_rng(5)
+        rows = _random(field, rng, (3, 2 * 4))
+        block_apply(field, rows, 2, _random(field, rng, (3, 4, 5)))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("field", [Field(101), QQ], ids=["GF101", "QQ"])
     @pytest.mark.parametrize("r,c,e,J,F", [

@@ -3,11 +3,10 @@
 import pytest
 
 from lindef.errors import LindefError
-from lindef.linalg import block_expand
+from lindef.linalg import HomologyCell, Subspace, block_apply, block_expand
 from lindef.linear_part import (
     CLASSIFICATION_CLEAN,
     defect_profile,
-    graded_homology,
     linear_part,
     linearity_defect_profile,
     mstar_annihilation_check,
@@ -16,7 +15,7 @@ from lindef.linear_part import (
 from lindef.presentation import algebra_from_text
 from lindef.resolution import resolve
 
-from references import component_product_reference
+from references import component_product_reference, mstar_annihilation_reference
 
 
 def ring(text):
@@ -27,6 +26,13 @@ X2 = ring("vars x\nideal x^2")
 X3 = ring("vars x\nideal x^3")
 X4 = ring("vars x\nideal x^4")
 KOSZUL3 = ring("vars x y z\nideal x^2, x*y, y^2, x*z, y*z, z^2")
+CERTIFICATE_RINGS = {
+    "X3": X3,
+    "KOSZUL3": KOSZUL3,
+    "GF101": ring("char 101\nvars x y\nideal x^3, y^3, x*y^2"),
+    "QQ": ring("char 0\nvars x y\nideal x^2, x*y, y^3"),
+    "rebased-QQ": ring("char 0\nvars x y\nideal x^2 - y^5, x*y, y^6"),
+}
 
 
 def lin_of(algebra, horizon):
@@ -84,7 +90,7 @@ class TestProfiles:
 class TestHomologySlices:
     def test_h0_concentrated_in_degree_zero(self):
         c = lin_of(X3, 3)
-        dims = {j: v for j, v in graded_homology(c, 0).items() if v}
+        dims = {j: v for j, v in c.homology_dims(0).items() if v}
         assert dims == {0: 1}
 
     def test_component_dims_sum_to_free_rank_times_dim(self):
@@ -118,6 +124,37 @@ class TestMStarChecks:
         for n in range(3):
             ok, cert = mstar_annihilation_check(c, n)
             assert ok is True and cert is None
+
+    @pytest.mark.parametrize(
+        "algebra", CERTIFICATE_RINGS.values(), ids=CERTIFICATE_RINGS.keys()
+    )
+    def test_certificate_matches_loop_reference(self, algebra):
+        # the boundaries in degree j + 1 of one cell replaced by the zero
+        # subspace, then by the products of the first gr_1 element only,
+        # then by those of the first cycle only: failures wherever
+        # gr_1 * Z_j leaves them, at gr_1 index 0, above 0, and past the
+        # first cycle
+        res = resolve(algebra.residue_field(), 4)
+        failures = 0
+        for n in range(4):
+            for j in linear_part(res).degree_range(n):
+                for kept in ("none", "first gr_1", "first cycle"):
+                    c = linear_part(res)
+                    hom = c.homology(n)
+                    assert mstar_annihilation_check(c, n) == (True, None)
+                    if j + 1 not in hom or hom[j].cycles.dim == 0:
+                        continue
+                    z = hom[j].cycles.basis
+                    ops = c.gr.component_product(1, j - n)
+                    imgs = block_apply(c.field, z, c.stage_rank(n), ops)
+                    rows = {"none": imgs[:0], "first gr_1": imgs[: len(z)],
+                            "first cycle": imgs[:: len(z)]}[kept]
+                    boundaries = Subspace.from_rows(c.field, rows, imgs.shape[1])
+                    hom[j + 1] = HomologyCell(hom[j + 1].cycles, boundaries)
+                    got = mstar_annihilation_check(c, n)
+                    assert got == mstar_annihilation_reference(c, n)
+                    failures += not got[0]
+        assert failures
 
     def test_equality_x3_degree_one_holds(self):
         c = lin_of(X3, 5)

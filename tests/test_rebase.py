@@ -25,6 +25,7 @@ from references import (
     graded_coords,
     input_table,
     inverse,
+    mult,
     quotient_reference,
 )
 
@@ -62,7 +63,8 @@ class TestTruncationParity:
             _, proj, _ = quotient_reference(algebra, n)
             pi = field.matmul(lift, proj)
             rows = field.asarray(rng.integers(0, 5, (4, 3 * pi.shape[0])))
-            same(_pi_applier(algebra, n, 3)(rows), block_apply(field, rows, 3, pi))
+            same(_pi_applier(algebra, n, 3)(rows),
+                 block_apply(field, rows, 3, pi[None]))
 
     def test_component_product(self, algebra):
         gr = algebra.graded()
@@ -110,10 +112,10 @@ class TestRebase:
         x, y = A.mgens
         # x^2 = y^5 is a standard monomial of degree 2 lying in m^5
         assert A.format_element(x) == "x"
-        assert A.format_element(A.mult(x, x)) == "x^2"
-        y5 = A.mult(y, A.mult(A.mult(y, y), A.mult(y, y)))
+        assert A.format_element(mult(A, x, x)) == "x^2"
+        y5 = mult(A, y, mult(A, mult(A, y, y), mult(A, y, y)))
         assert A.format_element(y5) == "x^2"
-        assert A.format_element(A.mult(y, y)) == "y^2"
+        assert A.format_element(mult(A, y, y)) == "y^2"
 
     def test_table_input_is_rebased(self):
         A = RINGS["rebased-GF101"]

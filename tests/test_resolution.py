@@ -10,6 +10,8 @@ from lindef.linalg import kernel
 from lindef.presentation import algebra_from_text
 from lindef.resolution import AlgebraMatrix, MinimalResolution, resolve
 
+from references import mult
+
 
 def ring(text):
     return algebra_from_text(text)
@@ -151,7 +153,7 @@ class TestAlgebraMatrix:
         b[0, 0, 2] = 1  # y
         ma, mb = AlgebraMatrix(KOSZUL3, a), AlgebraMatrix(KOSZUL3, b)
         prod = f.matmul(ma.expand(), mb.expand())
-        xy = KOSZUL3.mult(KOSZUL3.mgens[0], KOSZUL3.mgens[1])
+        xy = mult(KOSZUL3, KOSZUL3.mgens[0], KOSZUL3.mgens[1])
         assert xy.tolist() == [0, 0, 0, 0]
         assert f.is_zero(prod)
 
@@ -170,11 +172,11 @@ def test_one_elimination_per_kernel(monkeypatch):
     """Pin the rref count of a whole resolution.
 
     k[x,y]/(x^2,y^2) has b_i = i + 1, so every syzygy module is nonzero.
-    Each of the h + 1 stages 0..h runs nvars rrefs of the products
-    W*x_g (M*x_g at stage 0), nvars - 1 to sum them into mW, and one for
-    the kernel of its differential (only its rank at stage h):
-    (h + 1) * 2 * nvars = 5 * 4 = 20 at h = 4. Row-reducing each kernel
-    basis a second time would make 25.
+    Each of the h + 1 stages 0..h runs one rref of the stacked products
+    W*x_g for every generator x_g (M*x_g at stage 0), which spans mW, and
+    one for the kernel of its differential (only its rank at stage h):
+    (h + 1) * 2 = 10 at h = 4. One rref per generator plus the sums into
+    mW would make 20; row-reducing each kernel basis a second time, 25.
     """
     k = ring("vars x y\nideal x^2, y^2").residue_field()
     calls = []
@@ -187,7 +189,7 @@ def test_one_elimination_per_kernel(monkeypatch):
     monkeypatch.setattr(_kernels, "rref", counting)
     res = resolve(k, 4)
     assert res.betti == [1, 2, 3, 4, 5]
-    assert len(calls) == 20
+    assert len(calls) == 10
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 4])

@@ -159,6 +159,21 @@ class TestSingleCell:
         assert cell["dst_dim"] == 0
         assert "m^0" in cell["note"]
 
+    def test_one_cell_per_complex(self, monkeypatch):
+        # cycles and boundaries of one cell in each of the two Tor
+        # complexes, and the rank of the induced map: no other cell
+        res = resolve(GF101_RING.residue_field(), 7)
+        eliminated = []
+        real_rref = Field.rref
+
+        def counted_rref(field, a):
+            eliminated.append(a.shape)
+            return real_rref(field, a)
+
+        monkeypatch.setattr(Field, "rref", counted_rref)
+        upsilon(res, 2, 6)
+        assert len(eliminated) == 5
+
     def test_matrix_shape_matches_dims(self):
         res = resolve(X4.residue_field(), 4)
         cell = upsilon(res, 1, 2)
@@ -217,10 +232,13 @@ X2 = ring("vars x\nideal x^2")
 
 
 def reference_ladder(res, horizon):
-    """tor_dims, ranks and forced with every Tor complex built first."""
+    """tor_dims, ranks and forced with every Tor homology cell built first."""
     alg = res.algebra
     t = alg.nilpotency_index
-    complexes = {n: _TorComplex(res, n, horizon) for n in range(1, t)}
+    cells = {
+        (n, i): _TorComplex(res, n, i).cell
+        for n in range(1, t) for i in range(horizon + 1)
+    }
     tor_dims = {}
     for n in range(0, t + 2):
         for i in range(0, horizon + 1):
@@ -229,7 +247,7 @@ def reference_ladder(res, horizon):
             elif n >= t:
                 tor_dims[(n, i)] = res.module.dim if i == 0 else 0
             else:
-                tor_dims[(n, i)] = complexes[n].cells[i].dim
+                tor_dims[(n, i)] = cells[(n, i)].dim
     ranks, forced = {}, {}
     for n in range(1, t + 1):
         for i in range(0, horizon + 1):
@@ -239,7 +257,7 @@ def reference_ladder(res, horizon):
             else:
                 _, ranks[(n, i)] = induced_map_on_quotients(
                     alg.field, _pi_applier(alg, n, res.betti[i]),
-                    complexes[n + 1].cells[i], complexes[n].cells[i],
+                    cells[(n + 1, i)], cells[(n, i)],
                 )
     return tor_dims, ranks, forced
 
