@@ -27,9 +27,10 @@ and one elimination. A matrix of
 ring elements entries[g, g', e] (coordinates e in some basis, ops[e]
 the operator of that basis element) is the scalar matrix
 sum_e entries[:, :, e] (x) ops[e] on these rows, built by
-`block_expand`. Its one caller for differentials is
+`block_expand`. Its callers for differentials are
 `resolution.AlgebraMatrix.expand`, whose docstring lists the table
-truncations behind the Tor complexes, the m^2 composite and lin(F).
+truncations behind the Tor complexes, the m^2 composite and lin(F), and
+the resolution's strand blocks, one call per pair of generator degrees.
 """
 
 from __future__ import annotations

@@ -10,14 +10,43 @@ are recomputed and enforced, not assumed.
 
 A free module R^b is the row space k^(b*d) in the block layout of
 `linalg` (one block of length d = dim R per generator).
+
+Graded strands. Let deg e be the filtration degree of basis vector e in
+the adapted basis. The table is graded when every nonzero
+table[a, b, c] has deg c = deg a + deg b, as for every homogeneous
+presentation; it is checked once per resolution. Over a graded table,
+give generator g of F_i a degree deg g, so that coordinate (g, e) has
+internal degree deg g + deg e, and split R^b into strands, one per
+internal degree. F_0's generators sit in degree 0, and a generator of
+F_i (i >= 1) has the degree of its row in F_{i-1}. When every
+generator row lies in one strand, every expanded d_i is block-diagonal
+by strand, so each stage runs one strand at a time:
+
+* (mW)_D = gr_1 W_{D-1}, so mW is eliminated strand by strand from
+  those products, and the lowest strand of W needs no elimination;
+* each strand block of d_i is built from the entries and table
+  truncations by `block_expand`, never the whole expanded matrix;
+* d o d = 0, the kernel and the last stage's rank are computed per
+  block, and a strand of F_i with no coordinates in F_{i-1} is all
+  kernel and makes no elimination.
+
+The RREF basis of a direct sum with disjoint coordinate supports is the
+union of the summands' RREF bases, so kernels and W/mW representatives
+sorted by global pivot are those of the one-block computation: the
+generators, the entries and every record are the same bytes. When the
+table is not graded (a rebased non-homogeneous ring), or some row of
+the first syzygy space or of a stage's generators touches two strands,
+that stage and every later one run as one block.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import FiniteLocalAlgebra, RModule
 from .errors import LindefError, ResourceLimitError
 # kernel_structured stays bound here: perfbench/tracer.py rebinds it at
-# every lindef import site, and `kernel` runs it for each stage.
+# every lindef import site, and `kernel` runs it for each block.
 from .linalg import (  # noqa: F401
     Subspace,
     block_apply,
@@ -70,12 +99,17 @@ class AlgebraMatrix:
             the Tor ladder's ranks, all n       rows :q_{t-2}  cols :q_{t-1}
             F_i -> F_{i-1}/m^2 F_{i-1}          rows all       cols :q_2
             lin(F)_i in internal degree j       rows gr(j-i)   cols gr(j-i+1)
+            strand D of d_i, generators of      rows gr(D-a)   cols gr(D-a')
+              degrees a -> a', entries in gr(a-a')
 
         (t the nilpotency index). A row of degree a meets only columns
         of degree >= a + 1, so the second truncation holds every
         r(n, i) = rank(d_i (x) R/m^n): with its columns in degree order,
         r(n, i) is the rank of the first b_{i-1} q_n of them
-        (`tor_ladder._rank_profile`).
+        (`tor_ladder._rank_profile`). The strand blocks, one per pair of
+        generator degrees, are what the resolution builds over a graded
+        table (see the module docstring); it calls `block_expand` on them
+        directly, with only the entries in gr(a - a').
 
         lin(F) keeps only the entries' gr_1 coordinates, yet the last
         row sums over every e. That is the same matrix: coordinate 0 of
@@ -98,23 +132,173 @@ class AlgebraMatrix:
         return f"AlgebraMatrix({self.src_rank}x{self.dst_rank} over dim {self.algebra.dim})"
 
 
-def minimal_generators(space: Subspace, blocks: int, ops):
+def _basis_degrees(algebra: FiniteLocalAlgebra):
+    """Filtration degree of each adapted basis vector, or None when the
+    table is not graded (some nonzero table[a, b, c] has
+    deg c != deg a + deg b)."""
+    gr = algebra.graded()
+    deg = np.repeat(np.arange(len(gr.dims)), gr.dims)
+    a, b, c = np.nonzero(np.asarray(algebra.table != 0))
+    return deg if np.array_equal(deg[c], deg[a] + deg[b]) else None
+
+
+def _row_degrees(rows, cdeg):
+    """Internal degree of each row, or None when a row is zero or has
+    nonzero coordinates in two strands (cdeg the coordinate degrees)."""
+    if not len(rows):
+        return np.zeros(0, dtype=np.intp)
+    nz = np.asarray(rows != 0)
+    first = nz.argmax(axis=1)
+    deg = cdeg[first]
+    if not nz[np.arange(len(first)), first].all() or (
+        nz & (cdeg != deg[:, None])
+    ).any():
+        return None
+    return deg
+
+
+class _Strands:
+    """The internal-degree strands of R^b, generator g of degree gdeg[g].
+
+    index[D] holds the coordinates of strand D in increasing order, which
+    is the strand's own coordinate order; groups[a] the generators of
+    degree a. positions(D, a) lists where the coordinates of the degree-a
+    generators sit in strand D, generator-major: they form a block layout
+    with blocks gr(D - a), so `block_apply` and `block_expand` act on
+    them directly.
+    """
+
+    __slots__ = ("gr", "d", "cdeg", "index", "local", "groups", "_pos")
+
+    def __init__(self, gdeg, edeg, gr):
+        self.gr = gr
+        self.d = d = len(edeg)
+        self.cdeg = cdeg = (gdeg[:, None] + edeg).ravel()
+        order = np.argsort(cdeg, kind="stable")
+        counts = np.bincount(cdeg)
+        starts = np.cumsum(counts) - counts
+        self.index = {
+            D: order[s:s + n]
+            for D, (s, n) in enumerate(zip(starts.tolist(), counts.tolist())) if n
+        }
+        self.local = np.empty(len(cdeg), dtype=np.intp)
+        self.local[order] = np.arange(len(cdeg)) - np.repeat(starts, counts)
+        self.groups = {a: np.flatnonzero(gdeg == a) for a in sorted(set(gdeg.tolist()))}
+        self._pos = {}
+
+    def positions(self, D: int, a: int):
+        pos = self._pos.get((D, a))
+        if pos is None:
+            r = self.gr(D - a)
+            coords = self.groups[a][:, None] * self.d + np.arange(r.start, r.stop)
+            pos = self._pos[D, a] = self.local[coords.ravel()]
+        return pos
+
+    def split(self, space: Subspace):
+        """space's parts by strand, or None when a basis row touches two
+        strands (then space is not a sum of its parts)."""
+        deg = _row_degrees(space.basis, self.cdeg)
+        if deg is None:
+            return None
+        piv = np.asarray(space.pivots, dtype=np.intp)
+        parts = {}
+        for D, idx in self.index.items():
+            rows = np.flatnonzero(deg == D)
+            parts[D] = Subspace(
+                space.field, len(idx),
+                np.ascontiguousarray(space.basis[np.ix_(rows, idx)]),
+                self.local[piv[rows]].tolist(),
+            )
+        return StrandSpace(space.field, self, parts)
+
+
+class StrandSpace:
+    """A subspace of R^b that is the direct sum of its strand parts:
+    parts[D] is a Subspace in the coordinates of strand D of `strands`."""
+
+    __slots__ = ("field", "strands", "parts")
+
+    def __init__(self, field, strands: _Strands, parts: dict):
+        self.field = field
+        self.strands = strands
+        self.parts = parts
+
+    @property
+    def dim(self) -> int:
+        return sum(p.dim for p in self.parts.values())
+
+
+def minimal_generators(space, blocks: int, ops):
     """Adapted representatives of a basis of W/mW for W = space.
 
     W lies in a module of `blocks` blocks, and ops (n, a, a) stacks the
-    operators of the generators of m on one block. W must be closed
-    under the R-action (callers pass kernels of R-linear maps, which
-    are). mW is spanned by the products of W's basis with every
-    generator: one `block_apply` product and one elimination.
-    Representatives are the rref basis rows of W whose pivots survive
-    in W/mW; they generate W over R by Nakayama.
+    operators of generators of m on one block. W must be closed under
+    the R-action (callers pass kernels of R-linear maps, which are).
+    Representatives are the rref basis rows of W whose pivots survive in
+    W/mW; they generate W over R by Nakayama.
+
+    For a Subspace, mW is spanned by the products of W's basis with
+    every generator: one `block_apply` product and one elimination. For
+    a StrandSpace over a graded table, ops stacks the operators of gr_1's
+    basis and (mW)_D = gr_1 W_{D-1}: one product per generator degree and
+    one elimination per strand whose strand below is nonzero. The
+    strands' representatives, as rows of R^blocks, are returned in
+    order of their pivots, which is the one-block order.
     """
-    field = space.field
-    if space.dim == 0:
-        return field.zeros((0, space.ambient_dim))
-    rows = block_apply(field, space.basis, blocks, ops)
-    mw = Subspace.from_rows(field, rows, space.ambient_dim)
-    return space.adapted_reps(mw)[0]
+    if isinstance(space, Subspace):
+        field = space.field
+        if space.dim == 0:
+            return field.zeros((0, space.ambient_dim))
+        rows = block_apply(field, space.basis, blocks, ops)
+        mw = Subspace.from_rows(field, rows, space.ambient_dim)
+        return space.adapted_reps(mw)[0]
+    field, st = space.field, space.strands
+    found = []
+    for D, w in space.parts.items():
+        if w.dim == 0:
+            continue
+        below = space.parts.get(D - 1)
+        if below is None or below.dim == 0:
+            found.append((D, w.basis, w.pivots))
+            continue
+        prods = field.zeros((len(ops) * below.dim, w.ambient_dim))
+        for a, gens in st.groups.items():
+            src, dst = st.positions(D - 1, a), st.positions(D, a)
+            if len(src) and len(dst):
+                sub = below.basis if len(src) == below.ambient_dim else (
+                    below.basis[:, src]
+                )
+                images = block_apply(
+                    field, sub, len(gens), ops[:, st.gr(D - 1 - a), st.gr(D - a)]
+                )
+                if len(dst) == w.ambient_dim:
+                    prods = images
+                else:
+                    prods[:, dst] = images
+        mw = Subspace.from_rows(field, prods, w.ambient_dim)
+        # a whole strand contains mW_D without a check
+        reps, cols = w.adapted_reps(mw, check=w.dim < w.ambient_dim)
+        found.append((D, reps, cols))
+    out = field.zeros((sum(len(f[1]) for f in found), blocks * st.d))
+    if found:
+        pivots = np.concatenate([st.index[D][list(cols)] for D, _, cols in found])
+        rank = np.empty(len(pivots), dtype=np.intp)
+        rank[np.argsort(pivots)] = np.arange(len(pivots))
+        start = 0
+        for D, reps, _ in found:
+            out[np.ix_(rank[start:start + len(reps)], st.index[D])] = reps
+            start += len(reps)
+    return out
+
+
+def _kernel_or_rank(field, expand, last: bool):
+    """(ker, rank) of the row-vector map `expand`; ker is None at the
+    last stage, whose rank comes from the column-reversed elimination
+    `kernel` runs, without building the basis nothing reads."""
+    if last:
+        return None, field.rank(expand.T[:, ::-1])
+    nxt = kernel(field, expand.T)
+    return nxt, expand.shape[0] - nxt.dim
 
 
 class MinimalResolution:
@@ -126,13 +310,18 @@ class MinimalResolution:
     (ker of the augmentation F_0 -> M at i = 1, all of M at i = 0), so
     construction carries one syzygy space at a time and keeps none;
     syzygy(i) recomputes ker d_i from diff[i]. Every stage enforces
-    minimality, d o d = 0 and exactness; the last checks its rank from
-    one elimination without building a kernel basis.
+    minimality, d o d = 0 and exactness; the last checks its rank
+    without building a kernel basis.
 
-    max_expand_entries caps the size of any single expanded
-    differential; Betti numbers of Artinian algebras grow
-    exponentially, and the cap turns a would-be out-of-memory kill
-    into a ResourceLimitError naming the stage.
+    Over a graded table each stage runs one internal-degree strand at a
+    time, and falls back to one block when the table is not graded or a
+    generator row touches two strands (see the module docstring); both
+    give the same bytes. max_expand_entries caps the largest block that
+    a stage allocates: a strand block, or the whole expanded
+    differential on the one-block path. Betti numbers of Artinian
+    algebras grow exponentially, and the cap turns a would-be
+    out-of-memory kill into a ResourceLimitError naming the stage (and
+    the internal degree of a strand block) and the shape.
     """
 
     def __init__(self, module: RModule, horizon: int,
@@ -150,59 +339,131 @@ class MinimalResolution:
     # -- construction --------------------------------------------------
 
     def _build(self):
-        field = self.algebra.field
-        d = self.algebra.dim
+        alg = self.algebra
+        field, d = alg.field, alg.dim
         mod = self.module
-        # stage 0 resolves M itself: the whole of M, one block, acted on
-        # by the module's own generator actions
-        w = Subspace.full(field, mod.dim)
-        blocks, ops = 1, mod.generator_actions
-        for i in range(self.horizon + 1):
-            reps = minimal_generators(w, blocks, ops)
-            b_i = reps.shape[0]
-            if i == 0:
-                # the augmentation F_0 -> M sends generator g to reps[g]
-                expand = block_expand(
-                    field, reps[:, None, :], mod.act.transpose(1, 0, 2)
+        edeg = _basis_degrees(alg)
+        gr = alg.graded().component_range
+        # stage 0 resolves M itself, as one block: the whole of M, acted
+        # on by the module's own generator actions
+        reps = minimal_generators(Subspace.full(field, mod.dim), 1,
+                                  mod.generator_actions)
+        b = reps.shape[0]
+        # the augmentation F_0 -> M sends generator g to reps[g]
+        aug = block_expand(field, reps[:, None, :], mod.act.transpose(1, 0, 2))
+        w, rank = _kernel_or_rank(field, aug, self.horizon == 0)
+        if rank != mod.dim:
+            raise AssertionError(
+                "augmentation is not surjective: generators do not span M"
+            )
+        self.betti.append(b)
+        # `strands` is the strand split of F_{i-1}, None on the one-block
+        # path; prev maps each strand D to its block of d_{i-1} (None to
+        # the whole matrix)
+        strands, prev = None, {None: aug}
+        if edeg is not None and w is not None:
+            strands = _Strands(np.zeros(b, dtype=np.intp), edeg, gr)
+            split = strands.split(w)
+            if split is None:
+                strands = None
+            else:
+                w = split
+                prev = {D: aug[idx] for D, idx in strands.index.items()}
+        for i in range(1, self.horizon + 1):
+            ops = alg.generator_ops if strands is None else alg.table[gr(1)]
+            reps = minimal_generators(w, b, ops)
+            dmat = AlgebraMatrix(alg, reps.reshape(len(reps), b, d))
+            if not dmat.is_minimal():
+                raise AssertionError(
+                    f"differential {i} has an entry outside the maximal ideal"
                 )
+            self.diff.append(dmat)
+            gdeg = None if strands is None else _row_degrees(reps, strands.cdeg)
+            del reps
+            last = i == self.horizon
+            if gdeg is None:
+                stage, nxt, rank = self._one_block(i, dmat, strands, prev, last)
+                strands = None
             else:
-                if b_i * d * blocks * d > self.max_expand_entries:
-                    raise ResourceLimitError(
-                        f"differential {i} would expand to a {b_i * d} x "
-                        f"{blocks * d} matrix, over the cap of "
-                        f"{self.max_expand_entries} entries"
-                    )
-                dmat = AlgebraMatrix(self.algebra, reps.reshape(b_i, blocks, d))
-                if not dmat.is_minimal():
-                    raise AssertionError(
-                        f"differential {i} has an entry outside the maximal ideal"
-                    )
-                expand = dmat.expand()
-                if not field.is_zero(field.matmul(expand, prev_expand)):
-                    raise AssertionError(
-                        f"differential {i} does not compose to zero"
-                    )
-                self.diff.append(dmat)
-            nxt = None
-            if i < self.horizon:
-                nxt = kernel(field, expand.T)
-                rank = b_i * d - nxt.dim
-            else:
-                # rank only: the column-reversed elimination `kernel`
-                # runs, without building the basis nothing reads
-                rank = field.rank(expand.T[:, ::-1])
+                new = _Strands(gdeg, edeg, gr)
+                stage, nxt, rank = self._by_strand(i, dmat, new, strands, prev, last)
+                strands = new
             if rank != w.dim:
-                if i == 0:
-                    raise AssertionError(
-                        "augmentation is not surjective: generators do not span M"
-                    )
                 raise AssertionError(
                     f"resolution not exact at stage {i - 1}: image rank {rank}"
                     f" != syzygy dimension {w.dim}"
                 )
-            self.betti.append(b_i)
-            w, blocks, ops = nxt, b_i, self.algebra.generator_ops
-            prev_expand = expand
+            b = dmat.src_rank
+            self.betti.append(b)
+            w, prev = nxt, stage
+
+    def _check_cap(self, i, rows, cols, degree=None):
+        if rows * cols > self.max_expand_entries:
+            where = "" if degree is None else f" in internal degree {degree}"
+            what = "matrix" if degree is None else "block"
+            raise ResourceLimitError(
+                f"differential {i}{where} would expand to a {rows} x {cols} "
+                f"{what}, over the cap of {self.max_expand_entries} entries"
+            )
+
+    def _one_block(self, i, dmat, strands, prev, last):
+        """Stage i as one block: the whole expanded d_i, checked against
+        every block of d_{i-1} (`strands` splits F_{i-1} when those are
+        strand blocks)."""
+        field = self.algebra.field
+        d = self.algebra.dim
+        self._check_cap(i, dmat.src_rank * d, dmat.dst_rank * d)
+        expand = dmat.expand()
+        for D, pm in prev.items():
+            cols = slice(None) if D is None else strands.index[D]
+            if not field.is_zero(field.matmul(expand[:, cols], pm)):
+                raise AssertionError(f"differential {i} does not compose to zero")
+        nxt, rank = _kernel_or_rank(field, expand, last)
+        return {None: expand}, nxt, rank
+
+    def _by_strand(self, i, dmat, new, old, prev, last):
+        """Stage i strand by strand: new and old split F_i and F_{i-1},
+        and prev holds d_{i-1}'s block of each strand of F_{i-1}."""
+        alg = self.algebra
+        field, gr = alg.field, old.gr
+        shapes = {D: (len(idx), len(old.index.get(D, ())))
+                  for D, idx in new.index.items()}
+        for D, (r, c) in shapes.items():
+            if c:
+                self._check_cap(i, r, c, D)
+        # a generator of degree a meets one of degree a' through entries
+        # in gr(a - a') only
+        pairs = []
+        for a, gens in new.groups.items():
+            for a2, gens2 in old.groups.items():
+                q = gr(a - a2)
+                if a > a2 and q.stop > q.start:
+                    pairs.append((a, a2, q, dmat.entries[
+                        np.ix_(gens, gens2, np.arange(q.start, q.stop))]))
+        stage, parts, rank = {}, {}, 0
+        for D, (r, c) in shapes.items():
+            if c == 0:
+                if not last:
+                    parts[D] = Subspace.full(field, r)
+                continue
+            block = field.zeros((r, c))
+            for a, a2, q, ent in pairs:
+                rows, cols = new.positions(D, a), old.positions(D, a2)
+                if len(rows) and len(cols):
+                    sub = block_expand(field, ent, alg.table[q, gr(D - a), gr(D - a2)])
+                    if len(rows) == r and len(cols) == c:
+                        # one pair of degrees fills the block, in order
+                        block = sub
+                    else:
+                        block[np.ix_(rows, cols)] = sub
+            pm = prev.get(D)
+            if pm is not None and not field.is_zero(field.matmul(block, pm)):
+                raise AssertionError(f"differential {i} does not compose to zero")
+            part, r_D = _kernel_or_rank(field, block, last)
+            rank += r_D
+            if not last:
+                parts[D], stage[D] = part, block
+        return stage, None if last else StrandSpace(field, new, parts), rank
 
     # -- accessors -----------------------------------------------------
 

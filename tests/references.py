@@ -7,9 +7,11 @@ checks the shortcut.
 
 import numpy as np
 
-from lindef.linalg import QuotientCoords, Subspace
+from lindef.algebra import FiniteLocalAlgebra
+from lindef.linalg import QuotientCoords, Subspace, block_apply, block_expand, kernel
 from lindef.poly import Polynomial, monomial_mul
 from lindef.presentation import buchberger, normal_form, quotient_basis
+from lindef.resolution import AlgebraMatrix
 
 
 def pairwise_table(pres):
@@ -79,6 +81,25 @@ def change_basis(field, table, basis, inv):
     d = table.shape[0]
     ops = field.matmul(basis, table.reshape(d, d * d)).reshape(d, d, d)
     return np.stack([field.matmul(field.matmul(basis, op), inv) for op in ops])
+
+
+def dense_change(algebra, seed):
+    """The algebra rebuilt on a random dense basis of its table."""
+    field, d = algebra.field, algebra.dim
+    rng = np.random.default_rng(seed)
+    while True:
+        if field.p:
+            basis = field.asarray(rng.integers(0, field.p, (d, d)))
+        else:
+            basis = field.asarray(rng.integers(-2, 3, (d, d)))
+        if field.rank(basis) == d:
+            break
+    inv = inverse(field, basis)
+    return FiniteLocalAlgebra(
+        field, change_basis(field, algebra.table, basis, inv),
+        field.matmul(algebra.unit.reshape(1, d), inv)[0],
+        field.matmul(algebra.mgens, inv),
+    )
 
 
 def input_table(algebra):
@@ -174,3 +195,45 @@ def mstar_annihilation_reference(complex_, n):
                         "image": imgs[r].tolist(),
                     }
     return True, None
+
+
+def reference_resolution(module, horizon):
+    """(betti, entries) of the minimal resolution of `module`, every stage
+    as one block: mW from the products of W's basis with the generators
+    of m, the whole expanded differential, its kernel and, at the last
+    stage, its rank. entries[i - 1] is the entry array of d_i.
+    """
+    algebra = module.algebra
+    field, d = algebra.field, algebra.dim
+    w = Subspace.full(field, module.dim)
+    blocks, ops = 1, module.generator_actions
+    betti, entries = [], []
+    prev = None
+    for i in range(horizon + 1):
+        if w.dim:
+            mw = Subspace.from_rows(
+                field, block_apply(field, w.basis, blocks, ops), w.ambient_dim)
+            reps = w.adapted_reps(mw)[0]
+        else:
+            reps = field.zeros((0, w.ambient_dim))
+        b_i = reps.shape[0]
+        if i == 0:
+            expand = block_expand(
+                field, reps[:, None, :], module.act.transpose(1, 0, 2))
+        else:
+            dmat = AlgebraMatrix(algebra, reps.reshape(b_i, blocks, d))
+            expand = dmat.expand()
+            if not (dmat.is_minimal()
+                    and field.is_zero(field.matmul(expand, prev))):
+                raise AssertionError(f"stage {i} is not a minimal complex")
+            entries.append(dmat.entries)
+        if i < horizon:
+            nxt = kernel(field, expand.T)
+            rank = b_i * d - nxt.dim
+        else:
+            nxt, rank = None, field.rank(expand.T)
+        if rank != w.dim:
+            raise AssertionError(f"not exact at stage {i - 1}")
+        betti.append(b_i)
+        w, blocks, ops, prev = nxt, b_i, algebra.generator_ops, expand
+    return betti, entries

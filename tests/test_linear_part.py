@@ -3,6 +3,7 @@
 import pytest
 
 from lindef.errors import LindefError
+from lindef.fields import Field
 from lindef.linalg import HomologyCell, Subspace, block_apply, block_expand
 from lindef.linear_part import (
     CLASSIFICATION_CLEAN,
@@ -169,6 +170,50 @@ class TestMStarChecks:
         c = lin_of(X3, 3)
         with pytest.raises(LindefError, match=">= 1"):
             mstar_cycle_boundary_equality(c, 0)
+
+    def test_equality_skips_degrees_without_homology(self, monkeypatch):
+        # reference: both sides eliminated in every degree; the check must
+        # agree and eliminate only where H != 0, up to its first failure
+        calls = []
+        real = Field.rref
+
+        def counting(self, a):
+            calls.append(a.shape)
+            return real(self, a)
+
+        skipped = 0
+        for algebra in CERTIFICATE_RINGS.values():
+            c = lin_of(algebra, 5)
+            field, gr = c.field, c.gr
+            for d in range(1, 4):
+                hom = c.homology(d)
+                want, expected = True, 0
+                for j in sorted(hom):
+                    ambient = c.stage_rank(d) * gr.component_dim(j - d + 1)
+                    if ambient == 0:
+                        continue
+                    tensor = gr.component_product(1, j - d)
+                    m_z, m_b = (
+                        Subspace.from_rows(
+                            field,
+                            block_apply(field, v.basis, c.stage_rank(d), tensor),
+                            ambient)
+                        for v in hom[j]
+                    )
+                    if hom[j].dim:
+                        expected += 2
+                    elif hom[j].cycles.dim:
+                        skipped += 1
+                    if m_z != m_b:
+                        want = False
+                        break
+                calls.clear()
+                monkeypatch.setattr(Field, "rref", counting)
+                got = mstar_cycle_boundary_equality(c, d)
+                monkeypatch.setattr(Field, "rref", real)
+                assert got is want
+                assert len(calls) == expected
+        assert skipped
 
 
 class TestConstruction:

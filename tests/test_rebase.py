@@ -20,11 +20,10 @@ from lindef.resolution import resolve
 from lindef.tor_ladder import _pi_applier
 
 from references import (
-    change_basis,
     component_product_reference,
+    dense_change,
     graded_coords,
     input_table,
-    inverse,
     mult,
     quotient_reference,
 )
@@ -135,25 +134,6 @@ class TestRebase:
                             lambda f: original(f)[::-1])
         with pytest.raises(AlgebraError, match="not adapted"):
             algebra_from_text(f"char 101\nvars x y\n{NON_ADAPTED}")
-
-
-def dense_change(algebra, seed):
-    """The algebra rebuilt on a random dense basis of its table."""
-    field, d = algebra.field, algebra.dim
-    rng = np.random.default_rng(seed)
-    while True:
-        if field.p:
-            basis = field.asarray(rng.integers(0, field.p, (d, d)))
-        else:
-            basis = field.asarray(rng.integers(-2, 3, (d, d)))
-        if field.rank(basis) == d:
-            break
-    inv = inverse(field, basis)
-    return FiniteLocalAlgebra(
-        field, change_basis(field, algebra.table, basis, inv),
-        field.matmul(algebra.unit.reshape(1, d), inv)[0],
-        field.matmul(algebra.mgens, inv),
-    )
 
 
 def invariants(algebra, horizon):

@@ -10,7 +10,7 @@ from lindef.linalg import kernel
 from lindef.presentation import algebra_from_text
 from lindef.resolution import AlgebraMatrix, MinimalResolution, resolve
 
-from references import mult
+from references import dense_change, mult
 
 
 def ring(text):
@@ -91,6 +91,16 @@ class TestStructure:
         with pytest.raises(ResourceLimitError, match="expand"):
             resolve(KOSZUL3.residue_field(), 6, max_expand_entries=1000)
 
+    def test_cap_reads_the_largest_strand_block(self):
+        # KOSZUL3's d_6 expands to 2916 x 972 entries, but its largest
+        # strand block, internal degree 6, is 729 x 729 = 531441
+        res = resolve(KOSZUL3.residue_field(), 6, max_expand_entries=1_000_000)
+        assert res.betti == [3**i for i in range(7)]
+        with pytest.raises(ResourceLimitError,
+                           match="differential 6 in internal degree 6 would "
+                                 "expand to a 729 x 729 block"):
+            resolve(KOSZUL3.residue_field(), 6, max_expand_entries=531_440)
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(LindefError):
             resolve(X2.residue_field(), -1)
@@ -168,17 +178,12 @@ class TestAlgebraMatrix:
             AlgebraMatrix(X2, X2.field.zeros((2, 2, 5)))
 
 
-def test_one_elimination_per_kernel(monkeypatch):
-    """Pin the rref count of a whole resolution.
+X2Y2 = ring("vars x y\nideal x^2, y^2")
 
-    k[x,y]/(x^2,y^2) has b_i = i + 1, so every syzygy module is nonzero.
-    Each of the h + 1 stages 0..h runs one rref of the stacked products
-    W*x_g for every generator x_g (M*x_g at stage 0), which spans mW, and
-    one for the kernel of its differential (only its rank at stage h):
-    (h + 1) * 2 = 10 at h = 4. One rref per generator plus the sums into
-    mW would make 20; row-reducing each kernel basis a second time, 25.
-    """
-    k = ring("vars x y\nideal x^2, y^2").residue_field()
+
+def counting_rref(monkeypatch, stage_marks=None):
+    """Record the shape of every rref call; with stage_marks, also the
+    call count at the start of each stage (at its minimal_generators)."""
     calls = []
     real = _kernels.rref
 
@@ -187,15 +192,46 @@ def test_one_elimination_per_kernel(monkeypatch):
         return real(a, p)
 
     monkeypatch.setattr(_kernels, "rref", counting)
-    res = resolve(k, 4)
+    if stage_marks is not None:
+        real_mingens = resolution.minimal_generators
+
+        def marking(space, blocks, ops):
+            stage_marks.append(len(calls))
+            return real_mingens(space, blocks, ops)
+
+        monkeypatch.setattr(resolution, "minimal_generators", marking)
+    return calls
+
+
+def test_one_elimination_per_kernel(monkeypatch):
+    """Pin the rref count of a resolution on the one-block path.
+
+    A dense change of basis of k[x,y]/(x^2,y^2) is rebased to a table
+    that is not graded, so every stage runs as one block. b_i = i + 1,
+    so every syzygy module is nonzero. Each of the h + 1 stages 0..h
+    runs one rref of the stacked products W*x_g for every generator x_g
+    (M*x_g at stage 0), which spans mW, and one for the kernel of its
+    differential (only its rank at stage h): (h + 1) * 2 = 10 at h = 4.
+    """
+    algebra = dense_change(X2Y2, 3)
+    assert resolution._basis_degrees(algebra) is None
+    calls = counting_rref(monkeypatch)
+    res = resolve(algebra.residue_field(), 4)
     assert res.betti == [1, 2, 3, 4, 5]
     assert len(calls) == 10
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 4])
 def test_last_stage_builds_no_kernel(monkeypatch, horizon):
-    """Stages 0..h-1 each build one syzygy basis; stage h checks a rank."""
-    k = ring("vars x y\nideal x^2, y^2").residue_field()
+    """Only strands with a target build a kernel, and stage h none.
+
+    Over k[x,y]/(x^2,y^2) (Hilbert function 1, 2, 1) the resolution of k
+    is linear: F_i has b_i = i + 1 generators of degree i, so its strands
+    are i, i + 1 and i + 2, and F_{i-1} has none in degree i + 2. Stage 0
+    builds the augmentation's kernel, each stage 1 <= i < h one kernel
+    for each of strands i and i + 1, and strand i + 2 is all kernel
+    without an elimination: 1 + 2(h - 1) kernels for h >= 1.
+    """
     calls = []
     real = resolution.kernel
 
@@ -204,9 +240,31 @@ def test_last_stage_builds_no_kernel(monkeypatch, horizon):
         return real(field, a)
 
     monkeypatch.setattr(resolution, "kernel", counting)
-    res = resolve(k, horizon)
+    res = resolve(X2Y2.residue_field(), horizon)
     assert res.betti == list(range(1, horizon + 2))
-    assert len(calls) == horizon
+    assert len(calls) == (1 + 2 * (horizon - 1) if horizon else 0)
+
+
+def test_no_rref_larger_than_a_strand_block(monkeypatch):
+    """Every elimination of a graded stage fits in its largest strand block.
+
+    Over k[x,y]/(x^2,y^2) stage i >= 1 has the blocks b_i x 2 b_{i-1}
+    (strand i) and 2 b_i x b_{i-1} (strand i + 1), so 2 b_i b_{i-1}
+    entries at most; stage 0's one block is the 4 x 1 augmentation. A
+    stage makes one rref for mW (in strand i + 1; strand i has no strand
+    below it in W) and one per block: 2 + 3 * 3 + 3 = 14 at h = 4, where
+    the one-block path makes 10 larger ones.
+    """
+    marks = []
+    calls = counting_rref(monkeypatch, marks)
+    res = resolve(X2Y2.residue_field(), 4)
+    b = res.betti
+    assert b == [1, 2, 3, 4, 5]
+    assert len(calls) == 14
+    largest = [4] + [2 * b[i] * b[i - 1] for i in range(1, 5)]
+    for i, (start, stop) in enumerate(zip(marks, marks[1:] + [len(calls)])):
+        assert stop > start
+        assert max(m * n for m, n in calls[start:stop]) <= largest[i]
 
 
 def reference_syzygy(res, i):
