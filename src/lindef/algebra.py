@@ -2,17 +2,34 @@
 
 An algebra is given by a structure-constant table on a distinguished
 basis, a unit vector, and designated generators of the maximal ideal.
-Construction checks the ring laws exhaustively on the basis:
-commutativity, then the unit and associativity laws of R as its own
-regular module (act = table). `_check_action` is the one check of an
-action, for R and for every validated module; it holds d * m^2 entries
-per slab for a dim-m module over a dim-d ring (d^3 for R itself). Over
-GF(p) its products run unreduced on float64 residues, one BLAS call per
-slab and term, when max(d, m) (p-1)^2 < 2^53 keeps every sum exact;
-larger primes fall back to int64 `matmul_mod`.
-Construction then computes the power filtration
-R = F_0 ⊇ F_1 ⊇ ... ⊇ F_t = 0 of the maximal ideal, and checks
-locality (codimension-one nilpotent maximal ideal).
+Construction checks the ring laws in this order: commutativity on the
+basis, the unit, and associativity on the n generators of the maximal
+ideal, as R acting on itself (act = table); then it computes the power
+filtration R = F_0 ⊇ F_1 ⊇ ... ⊇ F_t = 0 of the maximal ideal and
+checks locality (codimension-one nilpotent maximal ideal).
+
+Why the n generator slabs suffice. Slab g checks x (g c) = (x g) c for
+every x and basis element c, with g in the middle. The middle nucleus
+N = {b : x (b c) = (x b) c for all x, c} is a subspace closed under
+products, by the Teichmüller identity
+a(b,c,d) + (a,b,c)d = (ab,c,d) - (a,bc,d) + (a,b,cd)
+(Schafer, An Introduction to Nonassociative Algebras, 1966, ch. II),
+and it holds the unit once the unit acts as the identity. The
+filtration and locality checks show R = k 1 + F_1 with
+F_n = span(x_v F_{n-1}) and F_t = 0, so R is spanned by nested
+products of the generators x_v and N = R. For a module M over an
+associative R, {b : x (b c) = (x b) c for all x in M, c} is a
+subalgebra for the same reason, so `RModule` checks the generator
+slabs only. `_check_action` is the one check of an action, for R and
+for every validated module: n slabs of d * m^2 entries for a dim-m
+module over a dim-d ring. Over GF(p) its products run unreduced on
+float64 residues, one BLAS call per slab and term, when
+max(d, m) (p-1)^2 < 2^53 keeps every sum exact; larger primes fall
+back to int64 `matmul_mod`. When a generator slab fails, or a later
+check of the constructor fails after they passed, `_check_basis_slabs`
+runs the d slabs of the basis on the input table first, so that a
+table that is not associative is reported as such, at its first
+failing triple.
 
 Adapted basis. After construction every F_n is spanned by the last
 dim F_n basis vectors (its rref pivots are range(d - dim F_n, d)), so
@@ -58,28 +75,56 @@ def _action(field: Field, act, vs):
     return field.matmul(vs, act.reshape(d, m * n)).reshape(len(vs), m, n)
 
 
-def _check_action(field: Field, table, act, unit):
+def _check_action(field: Field, table, act, unit, mgens):
     """Verify that act (d, m, m) is a unital action of the ring `table`.
 
-    Exhaustive on the basis: the unit acts as the identity, and
-    x (e_i e_j) = (x e_i) e_j for every i, j and module basis vector x,
-    that is sum_u table[i, j, u] act[u] = act[i] @ act[j]. The second
-    law is checked one slab (fixed i, all j) at a time, so memory stays
-    at d * m^2 entries. The ring itself is the case act = table.
+    The unit acts as the identity, and x (g e_j) = (x g) e_j for every
+    generator g of mgens, basis element e_j and module basis vector x,
+    that is sum_u G_g[j, u] act[u] = A_g @ act[j], with G_g the
+    multiplication operator of g and A_g its action. With the
+    filtration and locality checks of the ring, this proves the law for
+    every g in R (module docstring). The ring itself is the case
+    act = table, where A_g = G_g.
 
-    Both operands are converted once by `Field.exact_operands`. Slab i is
-    D[j, x, l] = (table[i] @ act)[j, x, l] - (act[i] @ act[j])[x, l]: one
+    Both operator stacks and the action are converted once by
+    `Field.exact_operands`. Slab g is
+    D[j, x, l] = (G_g @ act)[j, x, l] - (A_g @ act[j])[x, l]: one
     product with the flattened actions and one stacked product, both in
     (j, x, l) layout, left unreduced, and the slab passes when every
-    entry is zero in the field (`Field.nonzero`). Over GF(p) this runs on
-    float64 residues, exact while max(d, m) (p-1)^2 < 2^53; above that
-    bound on int64 through `matmul_mod`. Of several failures, the one
-    reported has the smallest i, then x, then j.
+    entry is zero in the field (`Field.nonzero`). Over GF(p) this runs
+    on float64 residues, exact while max(d, m) (p-1)^2 < 2^53; above
+    that bound on int64 through `matmul_mod`. A failing slab raises the
+    error of `_check_basis_slabs`.
     """
     d, m, _ = act.shape
     unit_op = _action(field, act, unit[None])[0]
     if not field.is_zero(field.sub(unit_op, field.eye(m))):
         raise AlgebraError("designated unit does not act as identity")
+    k = max(d, m)
+    af = field.exact_operands(act, k)
+    gen_ops = field.exact_operands(_action(field, table, mgens), k)
+    gen_acts = gen_ops if act is table else field.exact_operands(
+        _action(field, act, mgens), k)
+    flat = af.reshape(d, m * m)
+    for op, gen_act in zip(gen_ops, gen_acts):
+        slab = field.exact_matmul(op, flat).reshape(d, m, m)
+        slab -= field.exact_matmul(gen_act, af)
+        if field.nonzero(slab).any():
+            _check_basis_slabs(field, table, act)
+            # unreachable: slab g is the sum of g[i] times basis slab i
+            raise AlgebraError("action is not associative")
+
+
+def _check_basis_slabs(field: Field, table, act):
+    """Associativity on every basis element, one slab (fixed i) at a
+    time: sum_u table[i, j, u] act[u] = act[i] @ act[j] for every j.
+
+    Failure path only: it names the failing triple of a table or action
+    that is already known, or suspected, to be wrong. Memory stays at
+    d * m^2 entries, as in `_check_action`. Of several failures, the one
+    reported has the smallest i, then module basis vector x, then j.
+    """
+    d, m, _ = act.shape
     af = field.exact_operands(act, max(d, m))
     tf = af if act is table else field.exact_operands(table, max(d, m))
     flat = af.reshape(d, m * m)
@@ -142,10 +187,14 @@ def _adapted_basis(filtration):
 class FiniteLocalAlgebra:
     """Commutative local k-algebra of finite dimension.
 
-    table[i, j] holds the coordinates of e_i * e_j. All ring laws are
-    verified exhaustively on the basis at construction, then the power
-    filtration of the designated maximal ideal is computed and locality
-    is enforced: the unit lies outside F_1 and dim F_1 = dim R - 1.
+    table[i, j] holds the coordinates of e_i * e_j. Construction checks
+    commutativity and the unit on the basis and associativity on the n
+    generator slabs of mgens, then computes the power filtration of the
+    designated maximal ideal and enforces locality: the unit lies
+    outside F_1 and dim F_1 = dim R - 1. Together these prove
+    associativity on all of R (module docstring). If any check after
+    the generator slabs fails, the d basis slabs of the input table run
+    first, so a non-associative table is reported as one.
     A basis not adapted to the filtration is replaced by an adapted
     one; input_basis then holds the new basis vectors as rows in the
     input coordinates (None when the input basis was kept).
@@ -169,20 +218,27 @@ class FiniteLocalAlgebra:
         if len(self.labels) != d:
             raise AlgebraError(f"expected {d} labels, got {len(self.labels)}")
         self.presentation = presentation
+        input_table = self.table
         self._validate_laws()
-        self.filtration = compute_filtration(field, self.table, self.mgens)
-        self.nilpotency_index = len(self.filtration) - 1
-        m = self.filtration[1]
-        if m.contains_vector(self.unit):
-            raise AlgebraError("unit lies in the designated maximal ideal")
-        if m.dim != d - 1:
-            raise AlgebraError(
-                f"maximal ideal has dimension {m.dim}, expected {d - 1}: "
-                "the quotient by it is not the base field"
-            )
-        self.input_basis = None
-        if not _is_adapted(self.filtration):
-            self._rebase()
+        try:
+            self.filtration = compute_filtration(field, self.table, self.mgens)
+            self.nilpotency_index = len(self.filtration) - 1
+            m = self.filtration[1]
+            if m.contains_vector(self.unit):
+                raise AlgebraError("unit lies in the designated maximal ideal")
+            if m.dim != d - 1:
+                raise AlgebraError(
+                    f"maximal ideal has dimension {m.dim}, expected {d - 1}: "
+                    "the quotient by it is not the base field"
+                )
+            self.input_basis = None
+            if not _is_adapted(self.filtration):
+                self._rebase()
+        except AlgebraError:
+            # the generator slabs prove associativity only together with
+            # these checks; a failure among them may hide a bad product
+            _check_basis_slabs(field, input_table, input_table)
+            raise
         self._graded = None
         self._gen_ops = None
 
@@ -214,7 +270,7 @@ class FiniteLocalAlgebra:
         if len(asym):
             i, j = asym[0]
             raise AlgebraError(f"table is not commutative at e{i}*e{j}")
-        _check_action(self.field, t, t, self.unit)
+        _check_action(self.field, t, t, self.unit, self.mgens)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -327,7 +383,9 @@ class RModule:
             self._validate()
 
     def _validate(self):
-        _check_action(self.field, self.algebra.table, self.act, self.algebra.unit)
+        algebra = self.algebra
+        _check_action(self.field, algebra.table, self.act, algebra.unit,
+                      algebra.mgens)
 
     @property
     def generator_actions(self):

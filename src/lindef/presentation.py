@@ -528,8 +528,10 @@ def load_structure_constants(data: dict):
     Expected keys: char, dim, basis (labels), unit (basis index),
     m_generators (list of basis indices), table (dim x dim nested lists,
     table[i][j] = coefficient vector of e_i * e_j). A value of the wrong
-    shape or type raises AlgebraError naming its key. All ring laws and
-    locality are verified by the FiniteLocalAlgebra constructor.
+    shape or type raises AlgebraError naming its key. The
+    FiniteLocalAlgebra constructor checks commutativity and the unit on
+    the basis, associativity on the slabs of the n generators of m, and
+    locality; the last two together prove associativity on all of R.
     """
     if not isinstance(data, dict):
         raise AlgebraError("structure constants must be a JSON object")

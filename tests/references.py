@@ -5,9 +5,12 @@ without the package's shortcuts, so a parity test that they agree
 checks the shortcut.
 """
 
+import math
+
 import numpy as np
 
 from lindef.algebra import FiniteLocalAlgebra
+from lindef.errors import AlgebraError
 from lindef.linalg import QuotientCoords, Subspace, block_apply, block_expand, kernel
 from lindef.poly import Polynomial, monomial_mul
 from lindef.presentation import buchberger, normal_form, quotient_basis
@@ -65,6 +68,51 @@ def mult(algebra, u, v):
     field = algebra.field
     op = operator(field, algebra.table, u)
     return field.matmul(field.asarray(v).reshape(1, algebra.dim), op)[0]
+
+
+def basis_slab_check(field, table, act):
+    """The law check on every basis element: for each i, one slab at a
+    time, sum_u table[i, j, u] act[u] = act[i] @ act[j] for every j.
+
+    Raises AlgebraError naming the first failing triple (smallest i,
+    then module basis vector x, then j), as the package did before it
+    checked the generator slabs only; explicit raises, so it checks
+    under python -O too.
+    """
+    d, m, _ = act.shape
+    af = field.exact_operands(act, max(d, m))
+    tf = af if act is table else field.exact_operands(table, max(d, m))
+    flat = af.reshape(d, m * m)
+    for i in range(d):
+        slab = field.exact_matmul(tf[i], flat).reshape(d, m, m)
+        slab -= field.exact_matmul(af[i], af)
+        bad = field.nonzero(slab)
+        if bad.any():
+            x, j = np.argwhere(bad.any(axis=2).T)[0]
+            raise AlgebraError(
+                f"action is not associative: x*(e{i}*e{j}) != (x*e{i})*e{j} "
+                f"for module basis vector x = {x}"
+            )
+
+
+def dense_associative(field, table, act):
+    """Whether x (e_i e_j) = (x e_i) e_j for all i, j and module basis
+    vectors x, from the two full (d, m, d, m) tensors in exact integer
+    or rational arithmetic (act = table: the ring's own law)."""
+    if field.p:
+        t, a = table.astype(object), act.astype(object)
+    else:
+        # both sides are bilinear in (table, act): one common scale clears
+        # every denominator, and Python ints multiply far faster
+        scale = math.lcm(*(x.denominator for x in (*table.flat, *act.flat)))
+        to_int = np.vectorize(lambda x: int(x * scale), otypes=[object])
+        t, a = to_int(table), to_int(act)
+    left = np.tensordot(t, a, axes=([2], [0])).transpose(0, 2, 1, 3)
+    right = np.tensordot(a, a, axes=([2], [1]))
+    diff = left - right
+    if field.p:
+        diff = diff % field.p
+    return not diff.any()
 
 
 def inverse(field, a):

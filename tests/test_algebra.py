@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lindef
 from lindef.algebra import FiniteLocalAlgebra, RModule, quotient_module
@@ -16,7 +19,9 @@ from lindef._kernels import exact_dtype
 from lindef.fields import Field, _is_prime
 from lindef.presentation import algebra_from_text
 
-from references import mult, operator
+from references import (
+    basis_slab_check, dense_associative, input_table, mult, operator,
+)
 
 GF101 = Field(101)
 # the law check on float64, on int64 above 2^53 by far, and on int64 for
@@ -170,6 +175,187 @@ class TestLawValidation:
         table[1, 1] = [0, 1]  # e^2 = e
         with pytest.raises(AlgebraError):
             FiniteLocalAlgebra(f, table, f.asarray([1, 0]), f.asarray([[0, 1]]))
+
+
+# small rings for the generator-slab properties: monomial, exterior-like
+# in three variables, a power of one variable, and a non-homogeneous
+# presentation whose input table is rebased
+SLAB_RINGS = [
+    "vars x y\nideal x^3, y^3, x*y^2",
+    "vars x y z\nideal x^2, y^2, z^2, x*y*z",
+    "vars x\nideal x^5",
+    "vars x y\nideal x^2 - y^5, x*y, y^6",
+]
+SLAB_FIELDS = [2, 101, 2**31 - 1, 0]
+
+
+@lru_cache(maxsize=None)
+def slab_ring(char, text):
+    return ring(f"char {char}\n{text}")
+
+
+def input_laws(algebra):
+    """(table, unit, mgens) of an algebra in its input basis."""
+    f, basis = algebra.field, algebra.input_basis
+    if basis is None:
+        return algebra.table, algebra.unit, algebra.mgens
+    return (input_table(algebra), f.matmul(algebra.unit[None], basis)[0],
+            f.matmul(algebra.mgens, basis))
+
+
+def slab_message(field, table, act):
+    """The first failing triple of the d basis slabs, or None."""
+    try:
+        basis_slab_check(field, table, act)
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def corruptions(draw, field, *axes):
+    """One to three (index, nonzero delta) pairs, coordinate k of the
+    index drawn from axes[k]."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        index = tuple(draw(st.sampled_from(axis)) for axis in axes)
+        if field.p:
+            delta = draw(st.integers(1, field.p - 1))
+        else:
+            delta = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+            delta *= draw(st.sampled_from([1, -1]))
+        out.append((index, delta))
+    return out
+
+
+class TestGeneratorSlabs:
+    """The n generator slabs against the dense all-triples reference."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_corrupted_rings_against_dense_reference(self, data):
+        # symmetric corruptions off the unit row keep commutativity and
+        # the unit: the table is rejected as not associative exactly when
+        # the dense reference rejects it, with the d-slab loop's message
+        char = data.draw(st.sampled_from(SLAB_FIELDS))
+        A = slab_ring(char, data.draw(st.sampled_from(SLAB_RINGS)))
+        f = A.field
+        table, unit, mgens = input_laws(A)
+        assert unit.tolist() == [1] + [0] * (A.dim - 1)
+        t = table.copy()
+        # a product inside the last graded piece (the socle's top) keeps
+        # the table associative: half the factors and targets come from
+        # its index range (of the adapted basis; the rebased ring's input
+        # basis just reuses the range)
+        top = A.quotient_dim(A.nilpotency_index - 1)
+        factors = range(data.draw(st.sampled_from([1, top])), A.dim)
+        targets = range(data.draw(st.sampled_from([0, top])), A.dim)
+        for (i, j, u), delta in data.draw(
+                corruptions(f, factors, factors, targets)):
+            t[i, j, u] = t[j, i, u] = f.add(t[i, j, u], delta)
+        try:
+            FiniteLocalAlgebra(f, t, unit, mgens)
+            message = None
+        except AlgebraError as exc:
+            message = str(exc)
+        associative = dense_associative(f, t, t)
+        if associative:
+            assert message is None or "not associative" not in message
+        else:
+            assert message == slab_message(f, t, t)
+            assert message.startswith("action is not associative: ")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_corrupted_quotient_actions_against_dense_reference(self, data):
+        # corruptions of the actions of basis elements outside the unit's
+        # support keep the unit law of R/F_n
+        char = data.draw(st.sampled_from(SLAB_FIELDS))
+        A = slab_ring(char, data.draw(st.sampled_from(SLAB_RINGS)))
+        f = A.field
+        n = data.draw(st.integers(1, A.nilpotency_index))
+        Q = quotient_module(A, n)
+        act = Q.act.copy()
+        rows = [u for u in range(A.dim) if A.unit[u] == 0]
+        top = A.quotient_dim(n - 1)
+        sources = range(data.draw(st.sampled_from([0, top])), Q.dim)
+        targets = range(data.draw(st.sampled_from([0, top])), Q.dim)
+        for index, delta in data.draw(corruptions(f, rows, sources, targets)):
+            act[index] = f.add(act[index], delta)
+        try:
+            RModule(A, Q.dim, act)
+            message = None
+        except AlgebraError as exc:
+            message = str(exc)
+        if dense_associative(f, A.table, act):
+            assert message is None
+        else:
+            assert message == slab_message(f, A.table, act)
+            assert message.startswith("action is not associative: ")
+
+    @staticmethod
+    def count_products(monkeypatch):
+        calls = []
+        product = Field.exact_matmul
+
+        def counted(self, a, b):
+            calls.append(a.shape)
+            return product(self, a, b)
+
+        monkeypatch.setattr(Field, "exact_matmul", counted)
+        return calls
+
+    @pytest.mark.parametrize("algebra", [X4, KOSZUL3, QQ_RING],
+                             ids=["X4", "KOSZUL3", "QQ"])
+    def test_valid_ring_and_module_check_the_generator_slabs(
+            self, algebra, monkeypatch):
+        # two products per generator of m, none per basis element
+        f, n = algebra.field, len(algebra.mgens)
+        calls = self.count_products(monkeypatch)
+        FiniteLocalAlgebra(f, algebra.table, algebra.unit, algebra.mgens)
+        assert len(calls) == 2 * n
+        del calls[:]
+        Q = quotient_module(algebra, 2)
+        RModule(algebra, Q.dim, Q.act)
+        assert len(calls) == 2 * n
+
+    def test_non_local_table_runs_the_basis_slabs_first(self, monkeypatch):
+        # k x k with e^2 = e is associative: the nilpotency error stands,
+        # after the 2n generator products and the 2d basis products
+        f = Field(7)
+        table = f.zeros((2, 2, 2))
+        table[0, 0] = [1, 0]
+        table[0, 1] = table[1, 0] = table[1, 1] = [0, 1]
+        calls = self.count_products(monkeypatch)
+        with pytest.raises(AlgebraError, match="not nilpotent"):
+            FiniteLocalAlgebra(f, table, f.asarray([1, 0]), f.asarray([[0, 1]]))
+        assert len(calls) == 2 * 1 + 2 * 2
+
+    @pytest.mark.parametrize("char", [7, 0], ids=["GF7", "QQ"])
+    def test_associativity_hidden_from_the_generator_slabs(self, char):
+        # basis 1, a, b with a^2 = b, ab = 0, b^2 = b and m generated by
+        # b alone: the slab of b passes and the ideal stalls at span(b),
+        # but a * (a * b) = 0 while (a * a) * b = b, and that is reported
+        f = Field(char)
+        table = f.zeros((3, 3, 3))
+        for j in range(3):
+            table[0, j, j] = table[j, 0, j] = 1
+        table[1, 1, 2] = 1
+        table[2, 2, 2] = 1
+        def prod(u, v):
+            return f.matmul(u[None], operator(f, table, v))[0]
+
+        basis, b = f.eye(3), f.asarray([0, 0, 1])
+        assert all((prod(x, prod(b, c)) == prod(prod(x, b), c)).all()
+                   for x in basis for c in basis)
+        assert not dense_associative(f, table, table)
+        with pytest.raises(AlgebraError) as exc:
+            FiniteLocalAlgebra(f, table, f.asarray([1, 0, 0]), b[None])
+        assert str(exc.value) == (
+            "action is not associative: x*(e1*e2) != (x*e1)*e2 "
+            "for module basis vector x = 1"
+        )
+        assert str(exc.value) == slab_message(f, table, table)
 
 
 class TestMultiplication:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lindef.algebra import FiniteLocalAlgebra
 from lindef.errors import AlgebraError, LindefError, ParseError
 from lindef.fields import Field
 from lindef.lab import ScanConfig, random_algebra
@@ -255,3 +256,71 @@ class TestStructureConstants:
                 {"char": 7, "dim": 1, "basis": ["1"], "unit": 0,
                  "m_generators": []}
             )
+
+
+# any value json.load can return: JSON scalars (with Python's NaN and
+# Infinity, and integers far past 2^63) nested in lists and objects
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-(2**70), 2**70),
+        st.floats(), st.text(max_size=4),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def structure_constants(draw):
+    """A commutative, unital structure-constant table of dim <= 4 with
+    small entries, so that the law, filtration and locality checks run,
+    then up to two mutations: a key deleted, or a key, table row or
+    entry replaced by arbitrary JSON."""
+    d = draw(st.integers(1, 4))
+    unit = draw(st.integers(0, d - 1))
+    flat = draw(st.lists(st.integers(-1, 2), min_size=d**3, max_size=d**3))
+    table = [[flat[(i * d + j) * d:(i * d + j + 1) * d] for j in range(d)]
+             for i in range(d)]
+    for i in range(d):
+        table[i][unit] = table[unit][i] = [int(k == i) for k in range(d)]
+        for j in range(i):
+            table[i][j] = table[j][i]
+    data = {
+        "char": draw(st.sampled_from([2, 3, 101, 2**31 - 1, 0])),
+        "dim": d,
+        "basis": [f"e{i}" for i in range(d)],
+        "unit": unit,
+        "m_generators": draw(st.lists(st.integers(0, d - 1), min_size=1,
+                                      max_size=d)),
+        "table": table,
+    }
+    odd = st.one_of(
+        st.sampled_from([-1, d, 2**70, "1/2", "1/0", " 4", "x", 1.5, 1e400]),
+        JSON_VALUES,
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from(["key", "row", "entry", "delete"]))
+        if target == "key":
+            data[draw(st.sampled_from(sorted(data)))] = draw(odd)
+        elif target == "delete":
+            data.pop(draw(st.sampled_from(sorted(data))))
+        else:
+            i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+            if target == "row":
+                table[i][j] = draw(odd)
+            elif isinstance(table[i][j], list) and table[i][j]:
+                table[i][j][draw(st.integers(0, len(table[i][j]) - 1))] = draw(odd)
+    return data
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True)
+@given(structure_constants())
+def test_fuzzed_tables_load_or_raise_lindef_error(data):
+    # never an IndexError, ValueError or other stray exception: every
+    # malformed, non-associative or non-local table is a LindefError
+    try:
+        algebra = load_structure_constants(data)
+    except LindefError:
+        return
+    assert isinstance(algebra, FiniteLocalAlgebra)
