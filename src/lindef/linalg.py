@@ -29,8 +29,15 @@ the operator of that basis element) is the scalar matrix
 sum_e entries[:, :, e] (x) ops[e] on these rows, built by
 `block_expand`. Its callers for differentials are
 `resolution.AlgebraMatrix.expand`, whose docstring lists the table
-truncations behind the Tor complexes, the m^2 composite and lin(F), and
-the resolution's strand blocks, one call per pair of generator degrees.
+truncations behind the Tor complexes, the m^2 composite and lin(F), the
+resolution's strand blocks, one call per pair of generator degrees, and
+the linear part's blocks, one call per linear strand.
+
+A direct sum of subspaces on disjoint sets of coordinates is handled
+part by part: the RREF basis of the sum is the union of the parts' RREF
+bases, sorted by pivot (`scatter_by_pivot`), so the resolution's
+strands and the linear part's strands give the bytes one elimination
+of the whole space gives.
 """
 
 from __future__ import annotations
@@ -280,13 +287,50 @@ def homology_cell(field: Field, outgoing, incoming, where: str) -> HomologyCell:
     outgoing is the matrix of the map leaving the spot (a zero-column
     matrix at the end of the complex), incoming that of the map into
     it. Raises AssertionError, named by `where`, when the boundaries
-    are not cycles.
+    are not cycles. A map with no columns has every vector as a cycle
+    and one with no rows has no boundaries, so neither is eliminated.
     """
-    cycles = kernel(field, outgoing.T)
+    n = outgoing.shape[0]
+    if outgoing.shape[1] == 0:
+        cycles = Subspace.full(field, n)
+    else:
+        cycles = kernel(field, outgoing.T)
+    if incoming.shape[0] == 0:
+        return HomologyCell(cycles, Subspace.zero(field, n))
     boundaries = row_space(field, incoming)
-    if not cycles.contains(boundaries):
+    if cycles.dim < n and not cycles.contains(boundaries):
         raise AssertionError(f"boundaries escape cycles at {where}")
     return HomologyCell(cycles, boundaries)
+
+
+def scatter_by_pivot(field: Field, ambient: int, parts):
+    """Rows held on disjoint coordinate sets, as rows of k^ambient in
+    increasing order of their pivots.
+
+    parts lists (index, rows, pivots): rows has len(index) columns,
+    index (increasing) names their coordinates in k^ambient, and pivots
+    are the rows' leading columns in those local coordinates. Returns
+    (out, pivots), the global pivots as a list. When every part is an
+    RREF basis, out is the RREF basis of their direct sum: each row is
+    zero outside its part, so the pivot columns of one part are zero in
+    the rows of every other.
+    """
+    n = sum(len(rows) for _, rows, _ in parts)
+    out = field.zeros((n, ambient))
+    if n == 0:
+        return out, []
+    pivots = np.concatenate([
+        np.asarray(index, dtype=np.intp)[list(piv)] for index, _, piv in parts
+    ])
+    order = np.argsort(pivots)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    start = 0
+    for index, rows, _ in parts:
+        if len(rows):
+            out[np.ix_(rank[start:start + len(rows)], index)] = rows
+            start += len(rows)
+    return out, pivots[order].tolist()
 
 
 def block_apply(field: Field, rows, blocks: int, ops):

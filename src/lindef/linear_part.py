@@ -11,6 +11,27 @@ Slice coordinates: stage n, internal degree j is laid out in the block
 layout of `linalg`, one block of length dim gr_{j-n} per generator. In
 the algebra's adapted basis a slice is a truncation of the expanded
 differential (`AlgebraMatrix.expand`).
+
+Linear strands. When the resolution ran by internal-degree strands
+(`MinimalResolution.degrees`), every entry of d_i from a generator g of
+F_i to a generator g' of F_{i-1} lies in degree deg g - deg g', so its
+gr_1 class is zero unless deg g = deg g' + 1. Put g in linear strand
+s = deg g - i: then lin(F) joins only generators of the same strand,
+and every slice is block-diagonal by s. Its block on strand s is built
+directly by `block_expand` from the entries' gr_1 coordinates between
+the strand's generators, and the cycles and boundaries of slice (i, j)
+are the direct sums of those of its blocks: one kernel and one row
+space per block, none for a block with no outgoing columns (all cycles)
+or no incoming rows (no boundaries). A strand's coordinates are a block
+layout of its own, and the RREF basis of a direct sum with disjoint
+coordinate supports is the union of the parts' RREF bases, so
+`linalg.scatter_by_pivot` reassembles each cell in global pivot order,
+the same bytes as one elimination of the whole slice; the m* checks
+read the reassembled cells. Without generator degrees at i - 1, i and
+i + 1 (a table that is not graded, or a generator row in two
+strands), homology(i) eliminates whole slices, and so it does when
+those stages have all their generators in one strand (as for a Koszul
+algebra): then the one block is the whole slice.
 """
 
 from __future__ import annotations
@@ -18,7 +39,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LindefError
-from .linalg import Subspace, block_apply, homology_cell
+from .linalg import (
+    HomologyCell,
+    Subspace,
+    block_apply,
+    block_expand,
+    homology_cell,
+    scatter_by_pivot,
+)
 from .resolution import MinimalResolution, resolve
 
 __all__ = [
@@ -51,6 +79,7 @@ class GradedComplex:
                 )
         self._slices = {}
         self._homology = {}
+        self._strands = {}
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -91,10 +120,62 @@ class GradedComplex:
         self._slices[key] = out
         return out
 
+    # -- linear strands ---------------------------------------------------
+
+    def strands(self, i: int):
+        """Generators of F_i by linear strand s = deg g - i (none below
+        stage 0), or None when the resolution has no degrees for F_i."""
+        if i < 0:
+            return {}
+        out = self._strands.get(i)
+        if out is None:
+            deg = self.res.degrees[i]
+            if deg is None:
+                return None
+            s = deg - i
+            out = self._strands[i] = {
+                v: np.flatnonzero(s == v) for v in sorted(set(s.tolist()))
+            }
+        return out
+
+    def _strand_block(self, i: int, j: int, s: int):
+        """Block of slice_matrix(i, j) on the generators of strand s of
+        F_i and F_{i-1}: their gr_1 entries expanded by gr_1 x gr_{j-i}."""
+        rows, cols = self.strands(i)[s], self.strands(i - 1)[s]
+        ent = self.res.diff[i].entries[rows[:, None], cols, self.gr.component_range(1)]
+        return block_expand(self.field, ent, self.gr.component_product(1, j - i))
+
+    def _strand_cell(self, i: int, j: int) -> HomologyCell:
+        """The cell at (i, j) from one cell per linear strand."""
+        field = self.field
+        below, above = self.strands(i - 1), self.strands(i + 1)
+        width = self.gr.component_dim(j - i)
+        has_out = self.gr.component_dim(j - i + 1) > 0
+        has_in = self.gr.component_dim(j - i - 1) > 0
+        cycles, boundaries = [], []
+        for s, gens in self.strands(i).items():
+            index = (gens[:, None] * width + np.arange(width)).ravel()
+            n = len(index)
+            out = self._strand_block(i, j, s) if has_out and s in below else (
+                field.zeros((n, 0)))
+            inc = self._strand_block(i + 1, j, s) if has_in and s in above else (
+                field.zeros((0, n)))
+            cell = homology_cell(field, out, inc, f"stage {i}, degree {j}, strand {s}")
+            cycles.append((index, cell.cycles.basis, cell.cycles.pivots))
+            boundaries.append((index, cell.boundaries.basis, cell.boundaries.pivots))
+        n = self.component_dim(i, j)
+        return HomologyCell(*(
+            Subspace(field, n, *scatter_by_pivot(field, n, parts))
+            for parts in (cycles, boundaries)
+        ))
+
     # -- homology ---------------------------------------------------------
 
     def homology(self, i: int) -> dict:
-        """HomologyCell per internal degree (needs stage i+1 incoming)."""
+        """HomologyCell per internal degree (needs stage i+1 incoming),
+        one linear strand at a time when the resolution has generator
+        degrees at i - 1, i and i + 1 in more than one strand (see the
+        module docstring)."""
         if i < 0 or i + 1 > self.res.horizon:
             raise LindefError(
                 f"homology at {i} needs the resolution through {i + 1}, "
@@ -102,12 +183,18 @@ class GradedComplex:
             )
         if i in self._homology:
             return self._homology[i]
+        near = [self.strands(k) for k in (i - 1, i, i + 1)]
+        # with one strand in all, the strand blocks are the whole slices
+        by_strand = None not in near and len(set().union(*near)) > 1
         out = {}
         for j in self.degree_range(i):
-            out[j] = homology_cell(
-                self.field, self.slice_matrix(i, j), self.slice_matrix(i + 1, j),
-                f"stage {i}, degree {j}",
-            )
+            if by_strand:
+                out[j] = self._strand_cell(i, j)
+            else:
+                out[j] = homology_cell(
+                    self.field, self.slice_matrix(i, j),
+                    self.slice_matrix(i + 1, j), f"stage {i}, degree {j}",
+                )
         self._homology[i] = out
         return out
 

@@ -71,10 +71,16 @@ def _tokenize(text: str):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
+            try:
+                int(text[i:j])
+            except ValueError:  # past Python's limit on int-string digits
+                raise ParseError(
+                    f"integer of {j - i} digits is too long", line, col
+                ) from None
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i
             i = j

@@ -53,6 +53,7 @@ from .linalg import (  # noqa: F401
     block_expand,
     kernel,
     kernel_structured,
+    scatter_by_pivot,
 )
 
 __all__ = ["AlgebraMatrix", "MinimalResolution", "resolve", "minimal_generators"]
@@ -99,6 +100,8 @@ class AlgebraMatrix:
             the Tor ladder's ranks, all n       rows :q_{t-2}  cols :q_{t-1}
             F_i -> F_{i-1}/m^2 F_{i-1}          rows all       cols :q_2
             lin(F)_i in internal degree j       rows gr(j-i)   cols gr(j-i+1)
+            linear strand s of lin(F)_i in      rows gr(j-i)   cols gr(j-i+1)
+              degree j, generators of degree s+i -> s+i-1, entries in gr(1)
             strand D of d_i, generators of      rows gr(D-a)   cols gr(D-a')
               degrees a -> a', entries in gr(a-a')
 
@@ -109,7 +112,9 @@ class AlgebraMatrix:
         (`tor_ladder._rank_profile`). The strand blocks, one per pair of
         generator degrees, are what the resolution builds over a graded
         table (see the module docstring); it calls `block_expand` on them
-        directly, with only the entries in gr(a - a').
+        directly, with only the entries in gr(a - a'). The linear part
+        does the same for its linear strands (`linear_part.GradedComplex`),
+        whose blocks keep the gr_1 entries between generators of one strand.
 
         lin(F) keeps only the entries' gr_1 coordinates, yet the last
         row sums over every e. That is the same matrix: coordinate 0 of
@@ -259,7 +264,7 @@ def minimal_generators(space, blocks: int, ops):
             continue
         below = space.parts.get(D - 1)
         if below is None or below.dim == 0:
-            found.append((D, w.basis, w.pivots))
+            found.append((st.index[D], w.basis, w.pivots))
             continue
         prods = field.zeros((len(ops) * below.dim, w.ambient_dim))
         for a, gens in st.groups.items():
@@ -278,17 +283,8 @@ def minimal_generators(space, blocks: int, ops):
         mw = Subspace.from_rows(field, prods, w.ambient_dim)
         # a whole strand contains mW_D without a check
         reps, cols = w.adapted_reps(mw, check=w.dim < w.ambient_dim)
-        found.append((D, reps, cols))
-    out = field.zeros((sum(len(f[1]) for f in found), blocks * st.d))
-    if found:
-        pivots = np.concatenate([st.index[D][list(cols)] for D, _, cols in found])
-        rank = np.empty(len(pivots), dtype=np.intp)
-        rank[np.argsort(pivots)] = np.arange(len(pivots))
-        start = 0
-        for D, reps, _ in found:
-            out[np.ix_(rank[start:start + len(reps)], st.index[D])] = reps
-            start += len(reps)
-    return out
+        found.append((st.index[D], reps, cols))
+    return scatter_by_pivot(field, blocks * st.d, found)[0]
 
 
 def _kernel_or_rank(field, expand, last: bool):
@@ -309,7 +305,9 @@ class MinimalResolution:
     scalar matrix). Stage i reads only the syzygy space ker d_{i-1}
     (ker of the augmentation F_0 -> M at i = 1, all of M at i = 0), so
     construction carries one syzygy space at a time and keeps none;
-    syzygy(i) recomputes ker d_i from diff[i]. Every stage enforces
+    syzygy(i) recomputes ker d_i from diff[i]. degrees[i] holds the
+    internal degrees of F_i's generators while the stages run by strand,
+    and is None from the first one-block stage on. Every stage enforces
     minimality, d o d = 0 and exactness; the last checks its rank
     without building a kernel basis.
 
@@ -334,6 +332,7 @@ class MinimalResolution:
         self.max_expand_entries = max_expand_entries
         self.betti = []
         self.diff = [None]
+        self.degrees = []
         self._build()
 
     # -- construction --------------------------------------------------
@@ -369,6 +368,7 @@ class MinimalResolution:
             else:
                 w = split
                 prev = {D: aug[idx] for D, idx in strands.index.items()}
+        self.degrees.append(None if strands is None else np.zeros(b, dtype=np.intp))
         for i in range(1, self.horizon + 1):
             ops = alg.generator_ops if strands is None else alg.table[gr(1)]
             reps = minimal_generators(w, b, ops)
@@ -379,6 +379,7 @@ class MinimalResolution:
                 )
             self.diff.append(dmat)
             gdeg = None if strands is None else _row_degrees(reps, strands.cdeg)
+            self.degrees.append(gdeg)
             del reps
             last = i == self.horizon
             if gdeg is None:

@@ -285,3 +285,17 @@ def reference_resolution(module, horizon):
         betti.append(b_i)
         w, blocks, ops, prev = nxt, b_i, algebra.generator_ops, expand
     return betti, entries
+
+
+def one_block_homology(complex_, i):
+    """lin(F)'s cells at stage i from whole slices, with no strand split
+    and no shortcut: per internal degree j, the kernel of slice (i, j)
+    and the row space of slice (i + 1, j), each one elimination."""
+    field = complex_.field
+    out = {}
+    for j in complex_.degree_range(i):
+        outgoing = complex_.slice_matrix(i, j)
+        incoming = complex_.slice_matrix(i + 1, j)
+        out[j] = (kernel(field, outgoing.T),
+                  Subspace.from_rows(field, incoming, outgoing.shape[0]))
+    return out

@@ -60,6 +60,52 @@ class TestPanelParity:
         assert (E1 == E2).all()
 
 
+class TestSmallPanel:
+    """Panels of at most pure.SMALL_PANEL entries run on Python ints and
+    must pick the same pivots and leave the same panel as the numpy
+    loop, which larger panels run."""
+
+    @staticmethod
+    def numpy_loop(E, p, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(pure, "SMALL_PANEL", -1)
+            return pure.panel_jordan(E, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+    def test_against_the_numpy_loop(self, p, monkeypatch):
+        rng = np.random.default_rng(p % 1000)
+        shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (1, 16), (16, 1), (16, 16),
+                  (8, 32), (32, 8), (3, 85), (85, 3)]
+        for shape in shapes:
+            for trial in range(6):
+                E = sparse_matrix(rng, shape, p, rng.choice([0.2, 0.6, 1.0]))
+                if shape[1] and trial % 2:
+                    E[:, rng.random(shape[1]) < 0.4] = 0  # all-zero columns
+                if shape[0] > 1 and trial % 3 == 2:
+                    E[1:, :] = E[0]  # dependent rows
+                assert E.size <= pure.SMALL_PANEL
+                small, loop = E.copy(), E.copy()
+                assert pure.panel_jordan(small, p) == self.numpy_loop(loop, p, monkeypatch)
+                assert small.dtype == np.int64 and (small == loop).all()
+
+    def test_dispatch_by_size(self, monkeypatch):
+        calls = []
+        real = pure._panel_jordan_small
+        monkeypatch.setattr(pure, "_panel_jordan_small",
+                            lambda E, p: calls.append(E.size) or real(E, p))
+        rng = np.random.default_rng(7)
+        for shape in [(16, 16), (17, 16), (1, 257), (0, 300)]:
+            pure.panel_jordan(random_panel(rng, *shape, 101), 101)
+        assert calls == [256, 0]
+
+    def test_rref_through_small_panels(self):
+        # every panel of these shapes is small; rref must stay canonical
+        rng = np.random.default_rng(11)
+        for p in (2, 101, 2**31 - 1):
+            for shape in [(4, 9), (12, 20), (20, 12), (6, 40)]:
+                assert_matches_reference(sparse_matrix(rng, shape, p, 0.5), p)
+
+
 def reference_rref(a, p):
     """Textbook single-column elimination with Python ints."""
     a = [[int(x) % p for x in row] for row in a.tolist()]

@@ -324,3 +324,54 @@ def test_fuzzed_tables_load_or_raise_lindef_error(data):
     except LindefError:
         return
     assert isinstance(algebra, FiniteLocalAlgebra)
+
+
+# pieces of presentation text: keywords, names, numbers (a superscript
+# digit, an Arabic-Indic one and one past Python's int-string limit
+# among them), operators and separators, besides arbitrary characters
+TEXT_PIECES = st.one_of(
+    st.sampled_from([
+        "char", "vars", "ideal", "x", "y", "z", "x1", "_", "0", "1", "2", "3",
+        "7", "101", "2147483647", "4294967296", "10000", "²", "٣", "9" * 5000,
+        "+", "-", "*", "^", ",", "/", " ", "\n", "\t", "#", "\r",
+    ]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def presentation_texts(draw):
+    """Either text built from TEXT_PIECES after a head that may be well
+    formed, or a well-formed presentation (small exponents, pure powers
+    of each variable most of the time, so the Groebner basis and the
+    ring build run) with up to two pieces spliced in anywhere."""
+    if draw(st.booleans()):
+        head = draw(st.sampled_from(["", "vars x y\nideal ",
+                                     "char 0\nvars x y z\nideal "]))
+        return head + "".join(draw(st.lists(TEXT_PIECES, max_size=24)))
+    names = ["x", "y", "z"][:draw(st.integers(1, 3))]
+    term = st.tuples(st.integers(-3, 3), st.lists(
+        st.tuples(st.sampled_from(names), st.integers(0, 4)), max_size=3))
+    gens = [f"{v}^{draw(st.integers(1, 4))}" for v in names
+            if draw(st.integers(0, 4))]
+    for poly in draw(st.lists(st.lists(term, min_size=1, max_size=3), max_size=3)):
+        gens.append(" + ".join(
+            "*".join([str(c)] + [f"{v}^{e}" for v, e in mons]) for c, mons in poly))
+    char = draw(st.sampled_from(["", "char 0\n", "char 2\n", "char 7\n"]))
+    text = f"{char}vars {' '.join(names)}\nideal {', '.join(gens)}\n"
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(TEXT_PIECES) + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True)
+@given(presentation_texts())
+def test_fuzzed_presentations_build_or_raise_lindef_error(text):
+    # never an IndexError, ValueError or other stray exception, and no
+    # hang: every malformed or infinite presentation is a LindefError
+    try:
+        algebra = algebra_from_text(text)
+    except LindefError:
+        return
+    assert isinstance(algebra, FiniteLocalAlgebra)

@@ -3,18 +3,22 @@
 `reference_resolution` runs every stage as one block. Resolving strand
 by strand must give the same Betti numbers and the same entry arrays,
 byte for byte, on graded rings of every kind of field, and a ring whose
-table is not graded must take the one-block path.
+table is not graded must take the one-block path. Likewise the linear
+part's homology, taken one linear strand at a time, must give the cells
+that `one_block_homology` gets from whole slices, and the same
+`full_check` record.
 """
 
 import numpy as np
 import pytest
 
 from lindef import resolution
-from lindef.lab import ScanConfig, random_algebra
+from lindef.lab import ScanConfig, full_check, random_algebra
+from lindef.linear_part import GradedComplex, linear_part
 from lindef.presentation import algebra_from_text
 from lindef.resolution import MinimalResolution, resolve
 
-from references import reference_resolution
+from references import dense_change, one_block_homology, reference_resolution
 
 # the ci-dim100 benchmark ring of seed 1: two dense degree-10 forms
 CI_DIM100 = (
@@ -110,3 +114,70 @@ def test_syzygy_module_resolves_like_the_tail():
     tail = resolve(module, 3)
     assert tail.betti == res.betti[3:7]
     assert_same_resolution(tail, module, 3)
+
+
+# the Dress–Krämer fibre product k[x,y]/(x^2,y^3,xy^2) x_k k[z]/(z^3)
+FIBRE = "vars x y z\nideal x^2, y^3, x*y^2, z^3, x*z, y*z"
+SCAN_WIDE = ScanConfig(nvars=3, nilpotency=3, horizon=5, count=1, seed=1)
+
+# name -> (ring builder, homology through stage, linear strands)
+LINEAR_CASES = {
+    "fibre product GF(2)": (lambda: algebra_from_text(f"char 2\n{FIBRE}"), 5, True),
+    "fibre product GF(101)": (lambda: algebra_from_text(FIBRE), 5, True),
+    "fibre product QQ": (lambda: algebra_from_text(f"char 0\n{FIBRE}"), 2, True),
+    "scan-wide seed 1": (lambda: random_algebra(SCAN_WIDE, 0), 5, True),
+    "dense basis GF(101)": (
+        lambda: dense_change(algebra_from_text(FIBRE), 3), 4, False),
+    "dense basis QQ": (lambda: dense_change(algebra_from_text(
+        "char 0\nvars x y\nideal x^2, x*y, y^3"), 5), 3, False),
+}
+
+
+def assert_same_subspace(got, want):
+    assert got.ambient_dim == want.ambient_dim
+    assert got.pivots == want.pivots
+    assert got.basis.dtype == want.basis.dtype
+    assert got.basis.shape == want.basis.shape
+    if got.field.p:
+        assert got.basis.tobytes() == want.basis.tobytes()
+    else:
+        assert got.basis.tolist() == want.basis.tolist()
+
+
+@pytest.mark.parametrize("name", LINEAR_CASES)
+def test_linear_strands_match_whole_slices(name, monkeypatch):
+    build, top, by_strand = LINEAR_CASES[name]
+    res = resolve(build().residue_field(), top + 1)
+    assert all(d is not None for d in res.degrees) is by_strand
+    assert all(d is None for d in res.degrees) is not by_strand
+    paths = {}
+    real_slice, real_cell = GradedComplex.slice_matrix, GradedComplex._strand_cell
+    monkeypatch.setattr(GradedComplex, "slice_matrix", lambda self, i, j: (
+        paths.setdefault(stage, set()).add("slice") or real_slice(self, i, j)))
+    monkeypatch.setattr(GradedComplex, "_strand_cell", lambda self, i, j: (
+        paths.setdefault(stage, set()).add("strand") or real_cell(self, i, j)))
+    lin = linear_part(res)
+    cells = {}
+    for stage in range(top + 1):
+        cells[stage] = lin.homology(stage)
+    # a stage runs by strand, building its blocks and never a whole
+    # slice, or eliminates whole slices; graded rings split somewhere
+    assert all(len(p) == 1 for p in paths.values())
+    assert any(p == {"strand"} for p in paths.values()) is by_strand
+    for i, got in cells.items():
+        want = one_block_homology(linear_part(res), i)
+        assert got.keys() == want.keys()
+        for j, (cycles, boundaries) in want.items():
+            assert_same_subspace(got[j].cycles, cycles)
+            assert_same_subspace(got[j].boundaries, boundaries)
+
+
+@pytest.mark.parametrize("name, horizon", [
+    ("fibre product GF(2)", 4), ("fibre product QQ", 2), ("scan-wide seed 1", 4),
+])
+def test_full_check_unchanged_by_linear_strands(name, horizon, monkeypatch):
+    algebra = LINEAR_CASES[name][0]()
+    got = full_check(algebra, horizon).to_json_dict()
+    # no generator degrees anywhere: every cell from whole slices
+    monkeypatch.setattr(GradedComplex, "strands", lambda self, i: None)
+    assert full_check(algebra, horizon).to_json_dict() == got
