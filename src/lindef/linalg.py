@@ -30,8 +30,9 @@ sum_e entries[:, :, e] (x) ops[e] on these rows, built by
 `block_expand`. Its callers for differentials are
 `resolution.AlgebraMatrix.expand`, whose docstring lists the table
 truncations behind the Tor complexes, the m^2 composite and lin(F), the
-resolution's strand blocks, one call per pair of generator degrees, and
-the linear part's blocks, one call per linear strand.
+resolution's strand blocks, one call per pair of generator degrees (one
+per stage in the trivial grading of an ungraded table), and the linear
+part's blocks, one call per linear strand.
 
 A direct sum of subspaces on disjoint sets of coordinates is handled
 part by part: the RREF basis of the sum is the union of the parts' RREF
@@ -313,8 +314,11 @@ def scatter_by_pivot(field: Field, ambient: int, parts):
     (out, pivots), the global pivots as a list. When every part is an
     RREF basis, out is the RREF basis of their direct sum: each row is
     zero outside its part, so the pivot columns of one part are zero in
-    the rows of every other.
+    the rows of every other. One part on all of k^ambient (an ungraded
+    resolution's one strand) is returned as it is.
     """
+    if len(parts) == 1 and len(parts[0][0]) == ambient:
+        return parts[0][1], list(parts[0][2])
     n = sum(len(rows) for _, rows, _ in parts)
     out = field.zeros((n, ambient))
     if n == 0:

@@ -12,26 +12,26 @@ layout of `linalg`, one block of length dim gr_{j-n} per generator. In
 the algebra's adapted basis a slice is a truncation of the expanded
 differential (`AlgebraMatrix.expand`).
 
-Linear strands. When the resolution ran by internal-degree strands
-(`MinimalResolution.degrees`), every entry of d_i from a generator g of
-F_i to a generator g' of F_{i-1} lies in degree deg g - deg g', so its
-gr_1 class is zero unless deg g = deg g' + 1. Put g in linear strand
-s = deg g - i: then lin(F) joins only generators of the same strand,
-and every slice is block-diagonal by s. Its block on strand s is built
-directly by `block_expand` from the entries' gr_1 coordinates between
-the strand's generators, and the cycles and boundaries of slice (i, j)
-are the direct sums of those of its blocks: one kernel and one row
-space per block, none for a block with no outgoing columns (all cycles)
-or no incoming rows (no boundaries). A strand's coordinates are a block
-layout of its own, and the RREF basis of a direct sum with disjoint
-coordinate supports is the union of the parts' RREF bases, so
+Linear strands. The resolution runs in one grading
+(`MinimalResolution.m_degree`, the degree s of m's generators, and
+`MinimalResolution.degrees`), in which every entry of d_i from a
+generator g of F_i to a generator g' of F_{i-1} lies in degree
+deg g - deg g'. In the filtration grading (s = 1) its gr_1 class is zero
+unless deg g = deg g' + 1; in the trivial grading (s = 0) every degree
+is 0. Put g in linear strand deg g - i*s: then lin(F) joins only
+generators of the same strand, and every slice is block-diagonal by
+strand (an ungraded resolution has one linear strand). Its block on a
+strand is built directly by `block_expand` from the entries' gr_1
+coordinates between the strand's generators, once, and kept until both
+homology cells that read it are taken. The cycles and boundaries of
+slice (i, j) are the direct sums of those of its blocks: one kernel and
+one row space per block, none for a block with no outgoing columns (all
+cycles) or no incoming rows (no boundaries). A strand's coordinates are
+a block layout of its own, and the RREF basis of a direct sum with
+disjoint coordinate supports is the union of the parts' RREF bases, so
 `linalg.scatter_by_pivot` reassembles each cell in global pivot order,
 the same bytes as one elimination of the whole slice; the m* checks
-read the reassembled cells. Without generator degrees at i - 1, i and
-i + 1 (a table that is not graded, or a generator row in two
-strands), homology(i) eliminates whole slices, and so it does when
-those stages have all their generators in one strand (as for a Koszul
-algebra): then the one block is the whole slice.
+read the reassembled cells.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ class GradedComplex:
         self._slices = {}
         self._homology = {}
         self._strands = {}
+        self._blocks = {}
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -105,7 +106,8 @@ class GradedComplex:
         """Scalar matrix of the degree-j part of the differential at i.
 
         Maps the degree-j slice of stage i into the degree-j slice of
-        stage i-1 (row-vector convention).
+        stage i-1 (row-vector convention). `homology` builds only its
+        linear-strand blocks, never the whole slice.
         """
         key = (i, j)
         if key in self._slices:
@@ -123,27 +125,33 @@ class GradedComplex:
     # -- linear strands ---------------------------------------------------
 
     def strands(self, i: int):
-        """Generators of F_i by linear strand s = deg g - i (none below
-        stage 0), or None when the resolution has no degrees for F_i."""
+        """Generators of F_i by linear strand (none below stage 0)."""
         if i < 0:
             return {}
         out = self._strands.get(i)
         if out is None:
-            deg = self.res.degrees[i]
-            if deg is None:
-                return None
-            s = deg - i
+            s = self.res.degrees[i] - i * self.res.m_degree
             out = self._strands[i] = {
                 v: np.flatnonzero(s == v) for v in sorted(set(s.tolist()))
             }
         return out
 
-    def _strand_block(self, i: int, j: int, s: int):
+    def _strand_block(self, i: int, j: int, s: int, other: int):
         """Block of slice_matrix(i, j) on the generators of strand s of
-        F_i and F_{i-1}: their gr_1 entries expanded by gr_1 x gr_{j-i}."""
-        rows, cols = self.strands(i)[s], self.strands(i - 1)[s]
-        ent = self.res.diff[i].entries[rows[:, None], cols, self.gr.component_range(1)]
-        return block_expand(self.field, ent, self.gr.component_product(1, j - i))
+        F_i and F_{i-1}: their gr_1 entries expanded by gr_1 x gr_{j-i}.
+
+        The block serves homology(i - 1) and homology(i); `other` names
+        the one not asking now, for which it is kept until it asks.
+        """
+        block = self._blocks.pop((i, j, s), None)
+        if block is None:
+            rows, cols = self.strands(i)[s], self.strands(i - 1)[s]
+            ent = self.res.diff[i].entries[rows[:, None], cols,
+                                           self.gr.component_range(1)]
+            block = block_expand(self.field, ent, self.gr.component_product(1, j - i))
+            if 0 <= other < self.res.horizon and other not in self._homology:
+                self._blocks[i, j, s] = block
+        return block
 
     def _strand_cell(self, i: int, j: int) -> HomologyCell:
         """The cell at (i, j) from one cell per linear strand."""
@@ -156,9 +164,9 @@ class GradedComplex:
         for s, gens in self.strands(i).items():
             index = (gens[:, None] * width + np.arange(width)).ravel()
             n = len(index)
-            out = self._strand_block(i, j, s) if has_out and s in below else (
+            out = self._strand_block(i, j, s, i - 1) if has_out and s in below else (
                 field.zeros((n, 0)))
-            inc = self._strand_block(i + 1, j, s) if has_in and s in above else (
+            inc = self._strand_block(i + 1, j, s, i + 1) if has_in and s in above else (
                 field.zeros((0, n)))
             cell = homology_cell(field, out, inc, f"stage {i}, degree {j}, strand {s}")
             cycles.append((index, cell.cycles.basis, cell.cycles.pivots))
@@ -173,30 +181,16 @@ class GradedComplex:
 
     def homology(self, i: int) -> dict:
         """HomologyCell per internal degree (needs stage i+1 incoming),
-        one linear strand at a time when the resolution has generator
-        degrees at i - 1, i and i + 1 in more than one strand (see the
-        module docstring)."""
+        one linear strand at a time (see the module docstring)."""
         if i < 0 or i + 1 > self.res.horizon:
             raise LindefError(
                 f"homology at {i} needs the resolution through {i + 1}, "
                 f"horizon is {self.res.horizon}"
             )
-        if i in self._homology:
-            return self._homology[i]
-        near = [self.strands(k) for k in (i - 1, i, i + 1)]
-        # with one strand in all, the strand blocks are the whole slices
-        by_strand = None not in near and len(set().union(*near)) > 1
-        out = {}
-        for j in self.degree_range(i):
-            if by_strand:
-                out[j] = self._strand_cell(i, j)
-            else:
-                out[j] = homology_cell(
-                    self.field, self.slice_matrix(i, j),
-                    self.slice_matrix(i + 1, j), f"stage {i}, degree {j}",
-                )
-        self._homology[i] = out
-        return out
+        if i not in self._homology:
+            self._homology[i] = {
+                j: self._strand_cell(i, j) for j in self.degree_range(i)}
+        return self._homology[i]
 
     def homology_dims(self, i: int) -> dict:
         return {j: s.dim for j, s in self.homology(i).items()}

@@ -11,32 +11,37 @@ are recomputed and enforced, not assumed.
 A free module R^b is the row space k^(b*d) in the block layout of
 `linalg` (one block of length d = dim R per generator).
 
-Graded strands. Let deg e be the filtration degree of basis vector e in
-the adapted basis. The table is graded when every nonzero
-table[a, b, c] has deg c = deg a + deg b, as for every homogeneous
-presentation; it is checked once per resolution. Over a graded table,
-give generator g of F_i a degree deg g, so that coordinate (g, e) has
-internal degree deg g + deg e, and split R^b into strands, one per
-internal degree. F_0's generators sit in degree 0, and a generator of
-F_i (i >= 1) has the degree of its row in F_{i-1}. When every
-generator row lies in one strand, every expanded d_i is block-diagonal
-by strand, so each stage runs one strand at a time:
+Strands. A grading puts basis vector e of R in degree deg e, with m
+generated in degree s. Give generator g of F_i a degree deg g, so that
+coordinate (g, e) has internal degree deg g + deg e, and split R^b into
+strands, one per internal degree. F_0's generators sit in degree 0, and
+a generator of F_i (i >= 1) has the degree of its row in F_{i-1}. Every
+generator row lies in one strand, so every expanded d_i is
+block-diagonal by strand, and each stage runs one strand at a time:
 
-* (mW)_D = gr_1 W_{D-1}, so mW is eliminated strand by strand from
-  those products, and the lowest strand of W needs no elimination;
+* (mW)_D = m_s W_{D-s}, so mW is eliminated strand by strand from the
+  products of W_{D-s} with the degree-s generators of m, and a strand
+  of W with no strand below it needs no elimination;
 * each strand block of d_i is built from the entries and table
   truncations by `block_expand`, never the whole expanded matrix;
 * d o d = 0, the kernel and the last stage's rank are computed per
   block, and a strand of F_i with no coordinates in F_{i-1} is all
   kernel and makes no elimination.
 
+The grading is chosen once per resolution. The filtration grading
+(deg e the filtration degree in the adapted basis, s = 1, m generated
+by gr_1's basis) is used when the table is graded (every nonzero
+table[a, b, c] has deg c = deg a + deg b, as for every homogeneous
+presentation) and the first syzygy space splits by strand. Otherwise
+(a rebased non-homogeneous ring, a module whose coordinates are not
+graded) the trivial grading is: every deg e is 0, s = 0, m is generated
+by the generators of m, and each stage is one strand, the whole
+expanded differential. Stage 0 resolves M itself in the trivial grading.
+
 The RREF basis of a direct sum with disjoint coordinate supports is the
 union of the summands' RREF bases, so kernels and W/mW representatives
 sorted by global pivot are those of the one-block computation: the
-generators, the entries and every record are the same bytes. When the
-table is not graded (a rebased non-homogeneous ring), or some row of
-the first syzygy space or of a stage's generators touches two strands,
-that stage and every later one run as one block.
+generators, the entries and every record are the same bytes.
 """
 
 from __future__ import annotations
@@ -101,7 +106,7 @@ class AlgebraMatrix:
             F_i -> F_{i-1}/m^2 F_{i-1}          rows all       cols :q_2
             lin(F)_i in internal degree j       rows gr(j-i)   cols gr(j-i+1)
             linear strand s of lin(F)_i in      rows gr(j-i)   cols gr(j-i+1)
-              degree j, generators of degree s+i -> s+i-1, entries in gr(1)
+              degree j, entries in gr(1)
             strand D of d_i, generators of      rows gr(D-a)   cols gr(D-a')
               degrees a -> a', entries in gr(a-a')
 
@@ -110,14 +115,16 @@ class AlgebraMatrix:
         r(n, i) = rank(d_i (x) R/m^n): with its columns in degree order,
         r(n, i) is the rank of the first b_{i-1} q_n of them
         (`tor_ladder._rank_profile`). The strand blocks, one per pair of
-        generator degrees, are what the resolution builds over a graded
-        table (see the module docstring); it calls `block_expand` on them
-        directly, with only the entries in gr(a - a'). The linear part
-        does the same for its linear strands (`linear_part.GradedComplex`),
-        whose blocks keep the gr_1 entries between generators of one strand.
+        generator degrees, are what the resolution builds (see the module
+        docstring); it calls `block_expand` on them directly, with only
+        the entries in gr(a - a'). gr is the grading's: in the trivial
+        one gr(0) is the whole basis, and the one strand block is the
+        whole matrix. The linear part does the same for its linear
+        strands (`linear_part.GradedComplex`), whose blocks keep the gr_1
+        entries between generators of one strand.
 
-        lin(F) keeps only the entries' gr_1 coordinates, yet the last
-        row sums over every e. That is the same matrix: coordinate 0 of
+        lin(F) keeps only the entries' gr_1 coordinates, yet its row in
+        the table sums over every e. That is the same matrix: coordinate 0 of
         every entry is zero since d_i is minimal (which the resolution
         checks), and an e in F_2 maps F_q into F_{q+2}, whose
         coordinates in the gr(q+1) range are zero.
@@ -163,33 +170,43 @@ def _row_degrees(rows, cdeg):
 
 
 class _Strands:
-    """The internal-degree strands of R^b, generator g of degree gdeg[g].
+    """The internal-degree strands of a free module, generator g of
+    degree gdeg[g], when basis vector e of a block has degree edeg[e]
+    (nondecreasing) and m is generated in degree s.
 
     index[D] holds the coordinates of strand D in increasing order, which
     is the strand's own coordinate order; groups[a] the generators of
-    degree a. positions(D, a) lists where the coordinates of the degree-a
+    degree a; gr(q) the range of a block's degree-q basis vectors.
+    positions(D, a) lists where the coordinates of the degree-a
     generators sit in strand D, generator-major: they form a block layout
     with blocks gr(D - a), so `block_apply` and `block_expand` act on
     them directly.
     """
 
-    __slots__ = ("gr", "d", "cdeg", "index", "local", "groups", "_pos")
+    __slots__ = ("edeg", "s", "offsets", "d", "cdeg", "index", "local", "groups",
+                 "_pos")
 
-    def __init__(self, gdeg, edeg, gr):
-        self.gr = gr
+    def __init__(self, gdeg, edeg, s: int):
+        self.edeg, self.s = edeg, s
+        self.offsets = [0, *np.cumsum(np.bincount(edeg)).tolist()]
         self.d = d = len(edeg)
         self.cdeg = cdeg = (gdeg[:, None] + edeg).ravel()
         order = np.argsort(cdeg, kind="stable")
         counts = np.bincount(cdeg)
         starts = np.cumsum(counts) - counts
         self.index = {
-            D: order[s:s + n]
-            for D, (s, n) in enumerate(zip(starts.tolist(), counts.tolist())) if n
+            D: order[start:start + n]
+            for D, (start, n) in enumerate(zip(starts.tolist(), counts.tolist())) if n
         }
         self.local = np.empty(len(cdeg), dtype=np.intp)
         self.local[order] = np.arange(len(cdeg)) - np.repeat(starts, counts)
         self.groups = {a: np.flatnonzero(gdeg == a) for a in sorted(set(gdeg.tolist()))}
         self._pos = {}
+
+    def gr(self, q: int) -> slice:
+        if 0 <= q < len(self.offsets) - 1:
+            return slice(self.offsets[q], self.offsets[q + 1])
+        return slice(0, 0)
 
     def positions(self, D: int, a: int):
         pos = self._pos.get((D, a))
@@ -233,48 +250,39 @@ class StrandSpace:
         return sum(p.dim for p in self.parts.values())
 
 
-def minimal_generators(space, blocks: int, ops):
+def minimal_generators(space: StrandSpace, blocks: int, ops):
     """Adapted representatives of a basis of W/mW for W = space.
 
-    W lies in a module of `blocks` blocks, and ops (n, a, a) stacks the
-    operators of generators of m on one block. W must be closed under
-    the R-action (callers pass kernels of R-linear maps, which are).
-    Representatives are the rref basis rows of W whose pivots survive in
-    W/mW; they generate W over R by Nakayama.
+    W lies in a module of `blocks` blocks, split into strands, and ops
+    (n, a, a) stacks the operators on one block of m's generators of
+    degree s = space.strands.s. W must be closed under the R-action
+    (callers pass kernels of R-linear maps, which are). Representatives
+    are the rref basis rows of W whose pivots survive in W/mW; they
+    generate W over R by Nakayama.
 
-    For a Subspace, mW is spanned by the products of W's basis with
-    every generator: one `block_apply` product and one elimination. For
-    a StrandSpace over a graded table, ops stacks the operators of gr_1's
-    basis and (mW)_D = gr_1 W_{D-1}: one product per generator degree and
-    one elimination per strand whose strand below is nonzero. The
-    strands' representatives, as rows of R^blocks, are returned in
-    order of their pivots, which is the one-block order.
+    (mW)_D = ops W_{D-s}: one `block_apply` product per generator degree
+    and one elimination per strand of W with a nonzero strand s below
+    it. The strands' representatives, as rows of R^blocks, are returned
+    in order of their pivots, which is the one-block order.
     """
-    if isinstance(space, Subspace):
-        field = space.field
-        if space.dim == 0:
-            return field.zeros((0, space.ambient_dim))
-        rows = block_apply(field, space.basis, blocks, ops)
-        mw = Subspace.from_rows(field, rows, space.ambient_dim)
-        return space.adapted_reps(mw)[0]
     field, st = space.field, space.strands
     found = []
     for D, w in space.parts.items():
         if w.dim == 0:
             continue
-        below = space.parts.get(D - 1)
+        below = space.parts.get(D - st.s)
         if below is None or below.dim == 0:
             found.append((st.index[D], w.basis, w.pivots))
             continue
         prods = field.zeros((len(ops) * below.dim, w.ambient_dim))
         for a, gens in st.groups.items():
-            src, dst = st.positions(D - 1, a), st.positions(D, a)
+            src, dst = st.positions(D - st.s, a), st.positions(D, a)
             if len(src) and len(dst):
                 sub = below.basis if len(src) == below.ambient_dim else (
                     below.basis[:, src]
                 )
                 images = block_apply(
-                    field, sub, len(gens), ops[:, st.gr(D - 1 - a), st.gr(D - a)]
+                    field, sub, len(gens), ops[:, st.gr(D - st.s - a), st.gr(D - a)]
                 )
                 if len(dst) == w.ambient_dim:
                     prods = images
@@ -305,21 +313,19 @@ class MinimalResolution:
     scalar matrix). Stage i reads only the syzygy space ker d_{i-1}
     (ker of the augmentation F_0 -> M at i = 1, all of M at i = 0), so
     construction carries one syzygy space at a time and keeps none;
-    syzygy(i) recomputes ker d_i from diff[i]. degrees[i] holds the
-    internal degrees of F_i's generators while the stages run by strand,
-    and is None from the first one-block stage on. Every stage enforces
+    syzygy(i) recomputes ker d_i from diff[i]. Every stage enforces
     minimality, d o d = 0 and exactness; the last checks its rank
     without building a kernel basis.
 
-    Over a graded table each stage runs one internal-degree strand at a
-    time, and falls back to one block when the table is not graded or a
-    generator row touches two strands (see the module docstring); both
-    give the same bytes. max_expand_entries caps the largest block that
-    a stage allocates: a strand block, or the whole expanded
-    differential on the one-block path. Betti numbers of Artinian
-    algebras grow exponentially, and the cap turns a would-be
-    out-of-memory kill into a ResourceLimitError naming the stage (and
-    the internal degree of a strand block) and the shape.
+    Each stage runs one internal-degree strand at a time in the grading
+    chosen for the whole resolution (see the module docstring), in which
+    m is generated in degree m_degree (1 filtration, 0 trivial) and F_i's
+    generators have degrees degrees[i]. max_expand_entries caps the
+    largest strand block that a stage allocates (in the trivial grading,
+    the whole expanded differential). Betti numbers of Artinian algebras
+    grow exponentially, and the cap turns a would-be out-of-memory kill
+    into a ResourceLimitError naming the stage (and the internal degree
+    of a filtration strand block) and the shape.
     """
 
     def __init__(self, module: RModule, horizon: int,
@@ -333,6 +339,7 @@ class MinimalResolution:
         self.betti = []
         self.diff = [None]
         self.degrees = []
+        self.m_degree = 0
         self._build()
 
     # -- construction --------------------------------------------------
@@ -341,11 +348,11 @@ class MinimalResolution:
         alg = self.algebra
         field, d = alg.field, alg.dim
         mod = self.module
-        edeg = _basis_degrees(alg)
-        gr = alg.graded().component_range
-        # stage 0 resolves M itself, as one block: the whole of M, acted
-        # on by the module's own generator actions
-        reps = minimal_generators(Subspace.full(field, mod.dim), 1,
+        # stage 0 resolves M itself in the trivial grading, acted on by
+        # the module's own generator actions
+        top = _Strands(np.zeros(1, dtype=np.intp),
+                       np.zeros(mod.dim, dtype=np.intp), 0)
+        reps = minimal_generators(top.split(Subspace.full(field, mod.dim)), 1,
                                   mod.generator_actions)
         b = reps.shape[0]
         # the augmentation F_0 -> M sends generator g to reps[g]
@@ -356,21 +363,21 @@ class MinimalResolution:
                 "augmentation is not surjective: generators do not span M"
             )
         self.betti.append(b)
-        # `strands` is the strand split of F_{i-1}, None on the one-block
-        # path; prev maps each strand D to its block of d_{i-1} (None to
-        # the whole matrix)
-        strands, prev = None, {None: aug}
-        if edeg is not None and w is not None:
-            strands = _Strands(np.zeros(b, dtype=np.intp), edeg, gr)
+        self.degrees.append(np.zeros(b, dtype=np.intp))
+        if w is None:
+            return
+        # the grading: filtration when the table is graded and w splits
+        edeg = _basis_degrees(alg)
+        strands = None if edeg is None else _Strands(self.degrees[0], edeg, 1)
+        split = None if strands is None else strands.split(w)
+        if split is None:
+            strands = _Strands(self.degrees[0], np.zeros(d, dtype=np.intp), 0)
             split = strands.split(w)
-            if split is None:
-                strands = None
-            else:
-                w = split
-                prev = {D: aug[idx] for D, idx in strands.index.items()}
-        self.degrees.append(None if strands is None else np.zeros(b, dtype=np.intp))
+        w, self.m_degree = split, strands.s
+        ops = alg.table[strands.gr(1)] if strands.s else alg.generator_ops
+        # prev maps each strand D of F_{i-1} to its block of d_{i-1}
+        prev = {D: aug[idx] for D, idx in strands.index.items()}
         for i in range(1, self.horizon + 1):
-            ops = alg.generator_ops if strands is None else alg.table[gr(1)]
             reps = minimal_generators(w, b, ops)
             dmat = AlgebraMatrix(alg, reps.reshape(len(reps), b, d))
             if not dmat.is_minimal():
@@ -378,17 +385,14 @@ class MinimalResolution:
                     f"differential {i} has an entry outside the maximal ideal"
                 )
             self.diff.append(dmat)
-            gdeg = None if strands is None else _row_degrees(reps, strands.cdeg)
+            gdeg = _row_degrees(reps, strands.cdeg)
+            if gdeg is None:
+                raise AssertionError(f"stage {i} has a generator row in two strands")
             self.degrees.append(gdeg)
             del reps
-            last = i == self.horizon
-            if gdeg is None:
-                stage, nxt, rank = self._one_block(i, dmat, strands, prev, last)
-                strands = None
-            else:
-                new = _Strands(gdeg, edeg, gr)
-                stage, nxt, rank = self._by_strand(i, dmat, new, strands, prev, last)
-                strands = new
+            new = _Strands(gdeg, strands.edeg, strands.s)
+            stage, nxt, rank = self._stage(i, dmat, new, strands, prev,
+                                           i == self.horizon)
             if rank != w.dim:
                 raise AssertionError(
                     f"resolution not exact at stage {i - 1}: image rank {rank}"
@@ -396,7 +400,7 @@ class MinimalResolution:
                 )
             b = dmat.src_rank
             self.betti.append(b)
-            w, prev = nxt, stage
+            strands, w, prev = new, nxt, stage
 
     def _check_cap(self, i, rows, cols, degree=None):
         if rows * cols > self.max_expand_entries:
@@ -407,38 +411,24 @@ class MinimalResolution:
                 f"{what}, over the cap of {self.max_expand_entries} entries"
             )
 
-    def _one_block(self, i, dmat, strands, prev, last):
-        """Stage i as one block: the whole expanded d_i, checked against
-        every block of d_{i-1} (`strands` splits F_{i-1} when those are
-        strand blocks)."""
-        field = self.algebra.field
-        d = self.algebra.dim
-        self._check_cap(i, dmat.src_rank * d, dmat.dst_rank * d)
-        expand = dmat.expand()
-        for D, pm in prev.items():
-            cols = slice(None) if D is None else strands.index[D]
-            if not field.is_zero(field.matmul(expand[:, cols], pm)):
-                raise AssertionError(f"differential {i} does not compose to zero")
-        nxt, rank = _kernel_or_rank(field, expand, last)
-        return {None: expand}, nxt, rank
-
-    def _by_strand(self, i, dmat, new, old, prev, last):
+    def _stage(self, i, dmat, new, old, prev, last):
         """Stage i strand by strand: new and old split F_i and F_{i-1},
         and prev holds d_{i-1}'s block of each strand of F_{i-1}."""
         alg = self.algebra
-        field, gr = alg.field, old.gr
+        field, gr, s = alg.field, old.gr, old.s
         shapes = {D: (len(idx), len(old.index.get(D, ())))
                   for D, idx in new.index.items()}
         for D, (r, c) in shapes.items():
             if c:
-                self._check_cap(i, r, c, D)
+                # the trivial grading's one strand is the whole matrix
+                self._check_cap(i, r, c, D if s else None)
         # a generator of degree a meets one of degree a' through entries
-        # in gr(a - a') only
+        # in gr(a - a') only, and a - a' >= s by minimality
         pairs = []
         for a, gens in new.groups.items():
             for a2, gens2 in old.groups.items():
                 q = gr(a - a2)
-                if a > a2 and q.stop > q.start:
+                if a - a2 >= s and q.stop > q.start:
                     pairs.append((a, a2, q, dmat.entries[
                         np.ix_(gens, gens2, np.arange(q.start, q.stop))]))
         stage, parts, rank = {}, {}, 0

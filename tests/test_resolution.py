@@ -101,6 +101,16 @@ class TestStructure:
                                  "expand to a 729 x 729 block"):
             resolve(KOSZUL3.residue_field(), 6, max_expand_entries=531_440)
 
+    def test_cap_reads_the_whole_matrix_in_the_trivial_grading(self):
+        # an ungraded table has one strand per stage: d_4 of the rebased
+        # k[x,y]/(x^2,y^2) (b_4 = 5, b_3 = 4, d = 4) is the whole matrix
+        k = dense_change(X2Y2, 3).residue_field()
+        assert resolve(k, 4, max_expand_entries=320).betti == [1, 2, 3, 4, 5]
+        with pytest.raises(ResourceLimitError,
+                           match="differential 4 would expand to a 20 x 16 "
+                                 "matrix, over the cap of 319 entries"):
+            resolve(k, 4, max_expand_entries=319)
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(LindefError):
             resolve(X2.residue_field(), -1)
@@ -204,10 +214,11 @@ def counting_rref(monkeypatch, stage_marks=None):
 
 
 def test_one_elimination_per_kernel(monkeypatch):
-    """Pin the rref count of a resolution on the one-block path.
+    """Pin the rref count of a resolution in the trivial grading.
 
     A dense change of basis of k[x,y]/(x^2,y^2) is rebased to a table
-    that is not graded, so every stage runs as one block. b_i = i + 1,
+    that is not graded, so every stage runs as one strand, the whole
+    expanded differential. b_i = i + 1,
     so every syzygy module is nonzero. Each of the h + 1 stages 0..h
     runs one rref of the stacked products W*x_g for every generator x_g
     (M*x_g at stage 0), which spans mW, and one for the kernel of its
@@ -217,6 +228,7 @@ def test_one_elimination_per_kernel(monkeypatch):
     assert resolution._basis_degrees(algebra) is None
     calls = counting_rref(monkeypatch)
     res = resolve(algebra.residue_field(), 4)
+    assert res.m_degree == 0
     assert res.betti == [1, 2, 3, 4, 5]
     assert len(calls) == 10
 
@@ -253,7 +265,8 @@ def test_no_rref_larger_than_a_strand_block(monkeypatch):
     entries at most; stage 0's one block is the 4 x 1 augmentation. A
     stage makes one rref for mW (in strand i + 1; strand i has no strand
     below it in W) and one per block: 2 + 3 * 3 + 3 = 14 at h = 4, where
-    the one-block path makes 10 larger ones.
+    the whole matrices of the trivial grading make 10 larger ones
+    (test_one_elimination_per_kernel).
     """
     marks = []
     calls = counting_rref(monkeypatch, marks)

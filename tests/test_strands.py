@@ -1,22 +1,24 @@
-"""Graded strands: the resolution by internal degree against one block.
+"""Strands: the resolution by internal degree against one block.
 
 `reference_resolution` runs every stage as one block. Resolving strand
 by strand must give the same Betti numbers and the same entry arrays,
-byte for byte, on graded rings of every kind of field, and a ring whose
-table is not graded must take the one-block path. Likewise the linear
-part's homology, taken one linear strand at a time, must give the cells
-that `one_block_homology` gets from whole slices, and the same
+byte for byte, on rings of every kind of field: graded ones in the
+filtration grading, and ungraded ones (and a module whose coordinates
+are not graded) in the trivial grading, one strand per stage. Likewise
+the linear part's homology, taken one linear strand at a time, must give
+the cells that `one_block_homology` gets from whole slices, and the same
 `full_check` record.
 """
 
-import numpy as np
 import pytest
 
+from lindef import linear_part as linear_part_module
 from lindef import resolution
 from lindef.lab import ScanConfig, full_check, random_algebra
+from lindef.linalg import HomologyCell
 from lindef.linear_part import GradedComplex, linear_part
 from lindef.presentation import algebra_from_text
-from lindef.resolution import MinimalResolution, resolve
+from lindef.resolution import resolve
 
 from references import dense_change, one_block_homology, reference_resolution
 
@@ -29,6 +31,10 @@ CI_DIM100 = (
     " + 50*x^6*y^4 + 97*x^7*y^3 + 20*x^8*y^2 + 25*x^9*y + 27*x^10\n"
 )
 
+GF2_RING = "char 2\nvars x y z\nideal x^2, y^3, x*y*z, z^2, y*z"
+QQ_RING = "char 0\nvars x y\nideal x^2, x*y, y^3"
+BIG_RING = "char 2147483647\nvars x y\nideal x^3, x*y^2, y^4"
+
 # name -> (ring builder, horizon, graded table)
 CASES = {
     "scan-wide seed 1": (lambda: random_algebra(
@@ -37,14 +43,16 @@ CASES = {
         ScanConfig(nvars=2, nilpotency=4, horizon=6, count=8,
                    degree_range=(3, 3), seed=1), 0), 7, True),
     "ci-dim100 seed 1": (lambda: algebra_from_text(CI_DIM100), 6, True),
-    "QQ": (lambda: algebra_from_text(
-        "char 0\nvars x y\nideal x^2, x*y, y^3"), 4, True),
-    "GF(2)": (lambda: algebra_from_text(
-        "char 2\nvars x y z\nideal x^2, y^3, x*y*z, z^2, y*z"), 6, True),
-    "GF(2^31-1)": (lambda: algebra_from_text(
-        "char 2147483647\nvars x y\nideal x^3, x*y^2, y^4"), 6, True),
+    "QQ": (lambda: algebra_from_text(QQ_RING), 4, True),
+    "GF(2)": (lambda: algebra_from_text(GF2_RING), 6, True),
+    "GF(2^31-1)": (lambda: algebra_from_text(BIG_RING), 6, True),
     "rebased": (lambda: algebra_from_text(
         "char 101\nvars x y\nideal x^2 - y^5, x*y, y^6"), 6, False),
+    "dense basis QQ": (lambda: dense_change(algebra_from_text(QQ_RING), 1), 4, False),
+    "dense basis GF(2)": (
+        lambda: dense_change(algebra_from_text(GF2_RING), 1), 5, False),
+    "dense basis GF(2^31-1)": (
+        lambda: dense_change(algebra_from_text(BIG_RING), 1), 5, False),
 }
 
 
@@ -67,18 +75,22 @@ def test_strands_match_one_block(name):
     algebra = build()
     assert (resolution._basis_degrees(algebra) is not None) is graded
     k = algebra.residue_field()
-    assert_same_resolution(resolve(k, horizon), k, horizon)
+    res = resolve(k, horizon)
+    # the filtration grading on graded tables, the trivial one otherwise
+    assert res.m_degree == (1 if graded else 0)
+    if not graded:
+        assert all(not d.any() for d in res.degrees)
+    assert_same_resolution(res, k, horizon)
 
 
-def test_non_homogeneous_generators_fall_back_to_one_block(monkeypatch):
+def test_generator_row_in_two_strands_raises(monkeypatch):
     # over k[x,y]/(x^2,y^3) d_2 has rows (x, -y), (y^2, 0), (0, x) of
     # degrees 2, 3, 2; adding the second row to the first keeps a minimal
-    # generating
-    # set, whose rows touch two strands: stage 2 and every later one run
-    # as one block, with the same Betti numbers
+    # generating set, whose rows touch two strands, which
+    # minimal_generators never builds: stage 2 raises
     algebra = algebra_from_text("vars x y\nideal x^2, y^3")
     k = algebra.residue_field()
-    want = resolve(k, 5)
+    assert resolve(k, 5).betti == [1, 2, 3, 4, 5, 6]
     real = resolution.minimal_generators
     stages = []
 
@@ -90,28 +102,25 @@ def test_non_homogeneous_generators_fall_back_to_one_block(monkeypatch):
             reps[0] = algebra.field.add(reps[0], reps[1])
         return reps
 
-    one_block = []
-    real_one_block = MinimalResolution._one_block
-
-    def spying(self, i, *args):
-        one_block.append(i)
-        return real_one_block(self, i, *args)
-
     monkeypatch.setattr(resolution, "minimal_generators", recombining)
-    monkeypatch.setattr(MinimalResolution, "_one_block", spying)
-    res = resolve(k, 5)
-    assert res.betti == want.betti == [1, 2, 3, 4, 5, 6]
-    assert one_block == [2, 3, 4, 5]
-    assert not np.array_equal(res.diff[2].entries, want.diff[2].entries)
+    with pytest.raises(AssertionError,
+                       match="stage 2 has a generator row in two strands"):
+        resolve(k, 5)
+    assert stages == [0, 1, 2]
 
 
 def test_syzygy_module_resolves_like_the_tail():
     # a syzygy module's coordinates are a kernel basis, not a graded one:
-    # its resolution (split or not) is the tail of the resolution of k
+    # over a graded table its first syzygy space does not split by
+    # strand, so it runs in the trivial grading, and its resolution is
+    # the tail of the resolution of k
     algebra = algebra_from_text("vars x y\nideal x^2, y^3")
+    assert resolution._basis_degrees(algebra) is not None
     res = resolve(algebra.residue_field(), 6)
+    assert res.m_degree == 1
     module = res.syzygy(2)
     tail = resolve(module, 3)
+    assert tail.m_degree == 0
     assert tail.betti == res.betti[3:7]
     assert_same_resolution(tail, module, 3)
 
@@ -120,7 +129,7 @@ def test_syzygy_module_resolves_like_the_tail():
 FIBRE = "vars x y z\nideal x^2, y^3, x*y^2, z^3, x*z, y*z"
 SCAN_WIDE = ScanConfig(nvars=3, nilpotency=3, horizon=5, count=1, seed=1)
 
-# name -> (ring builder, homology through stage, linear strands)
+# name -> (ring builder, homology through stage, graded table)
 LINEAR_CASES = {
     "fibre product GF(2)": (lambda: algebra_from_text(f"char 2\n{FIBRE}"), 5, True),
     "fibre product GF(101)": (lambda: algebra_from_text(FIBRE), 5, True),
@@ -145,25 +154,15 @@ def assert_same_subspace(got, want):
 
 
 @pytest.mark.parametrize("name", LINEAR_CASES)
-def test_linear_strands_match_whole_slices(name, monkeypatch):
-    build, top, by_strand = LINEAR_CASES[name]
+def test_linear_strands_match_whole_slices(name):
+    build, top, graded = LINEAR_CASES[name]
     res = resolve(build().residue_field(), top + 1)
-    assert all(d is not None for d in res.degrees) is by_strand
-    assert all(d is None for d in res.degrees) is not by_strand
-    paths = {}
-    real_slice, real_cell = GradedComplex.slice_matrix, GradedComplex._strand_cell
-    monkeypatch.setattr(GradedComplex, "slice_matrix", lambda self, i, j: (
-        paths.setdefault(stage, set()).add("slice") or real_slice(self, i, j)))
-    monkeypatch.setattr(GradedComplex, "_strand_cell", lambda self, i, j: (
-        paths.setdefault(stage, set()).add("strand") or real_cell(self, i, j)))
+    assert res.m_degree == (1 if graded else 0)
     lin = linear_part(res)
-    cells = {}
-    for stage in range(top + 1):
-        cells[stage] = lin.homology(stage)
-    # a stage runs by strand, building its blocks and never a whole
-    # slice, or eliminates whole slices; graded rings split somewhere
-    assert all(len(p) == 1 for p in paths.values())
-    assert any(p == {"strand"} for p in paths.values()) is by_strand
+    cells = {stage: lin.homology(stage) for stage in range(top + 1)}
+    # graded rings split into linear strands somewhere, ungraded ones
+    # have one linear strand per stage
+    assert any(len(lin.strands(i)) > 1 for i in range(top + 2)) is graded
     for i, got in cells.items():
         want = one_block_homology(linear_part(res), i)
         assert got.keys() == want.keys()
@@ -172,12 +171,47 @@ def test_linear_strands_match_whole_slices(name, monkeypatch):
             assert_same_subspace(got[j].boundaries, boundaries)
 
 
+@pytest.mark.parametrize("name", LINEAR_CASES)
+def test_each_strand_block_built_once(name, monkeypatch):
+    build, top, _ = LINEAR_CASES[name]
+    lin = linear_part(resolve(build().residue_field(), top + 1))
+    gr = lin.gr
+    # the (i, j, s) blocks the cells of stages 0..top read: outgoing from
+    # stage i, and incoming from stage i + 1
+    wanted = set()
+    for i in range(top + 1):
+        for j in lin.degree_range(i):
+            for s in lin.strands(i):
+                if gr.component_dim(j - i + 1) and s in lin.strands(i - 1):
+                    wanted.add((i, j, s))
+                if gr.component_dim(j - i - 1) and s in lin.strands(i + 1):
+                    wanted.add((i + 1, j, s))
+    built = []
+    real = linear_part_module.block_expand
+
+    def counting(field, entries, ops):
+        built.append(entries.shape)
+        return real(field, entries, ops)
+
+    monkeypatch.setattr(linear_part_module, "block_expand", counting)
+    # full_check's order: the profile's stages first, then stage 0
+    for i in [*range(1, top + 1), 0]:
+        lin.homology(i)
+    assert len(built) == len(wanted)
+    assert not lin._blocks
+
+
+def one_block_cells(self, i):
+    return {j: HomologyCell(*cell) for j, cell in one_block_homology(self, i).items()}
+
+
 @pytest.mark.parametrize("name, horizon", [
     ("fibre product GF(2)", 4), ("fibre product QQ", 2), ("scan-wide seed 1", 4),
+    ("dense basis GF(101)", 3),
 ])
 def test_full_check_unchanged_by_linear_strands(name, horizon, monkeypatch):
     algebra = LINEAR_CASES[name][0]()
     got = full_check(algebra, horizon).to_json_dict()
-    # no generator degrees anywhere: every cell from whole slices
-    monkeypatch.setattr(GradedComplex, "strands", lambda self, i: None)
+    # every cell from whole slices
+    monkeypatch.setattr(GradedComplex, "homology", one_block_cells)
     assert full_check(algebra, horizon).to_json_dict() == got
