@@ -29,10 +29,11 @@ the operator of that basis element) is the scalar matrix
 sum_e entries[:, :, e] (x) ops[e] on these rows, built by
 `block_expand`. Its callers for differentials are
 `resolution.AlgebraMatrix.expand`, whose docstring lists the table
-truncations behind the Tor complexes, the m^2 composite and lin(F), the
-resolution's strand blocks, one call per pair of generator degrees (one
-per stage in the trivial grading of an ungraded table), and the linear
-part's blocks, one call per linear strand.
+truncations behind the Tor complexes and lin(F), the strand blocks of
+`resolution.MinimalResolution.strand_blocks` that the resolution and the
+Tor ladder use, one call per pair of generator degrees (one per stage in
+the trivial grading of an ungraded table), and the linear part's blocks,
+one call per linear strand.
 
 A direct sum of subspaces on disjoint sets of coordinates is handled
 part by part: the RREF basis of the sum is the union of the parts' RREF

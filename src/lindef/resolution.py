@@ -23,7 +23,10 @@ block-diagonal by strand, and each stage runs one strand at a time:
   products of W_{D-s} with the degree-s generators of m, and a strand
   of W with no strand below it needs no elimination;
 * each strand block of d_i is built from the entries and table
-  truncations by `block_expand`, never the whole expanded matrix;
+  truncations by `block_expand`, never the whole expanded matrix
+  (`MinimalResolution.strand_blocks`, which also serves the Tor ladder
+  the same blocks cut to low filtration degrees; the resolution keeps
+  each stage's strand layout for it);
 * d o d = 0, the kernel and the last stage's rank are computed per
   block, and a strand of F_i with no coordinates in F_{i-1} is all
   kernel and makes no elimination.
@@ -102,26 +105,31 @@ class AlgebraMatrix:
         complex derived from a minimal resolution F is a truncation:
 
             d_i (x) R/m^n, the Tor complex      rows :q_n      cols :q_n
-            the Tor ladder's ranks, all n       rows :q_{t-2}  cols :q_{t-1}
-            F_i -> F_{i-1}/m^2 F_{i-1}          rows all       cols :q_2
             lin(F)_i in internal degree j       rows gr(j-i)   cols gr(j-i+1)
             linear strand s of lin(F)_i in      rows gr(j-i)   cols gr(j-i+1)
               degree j, entries in gr(1)
             strand D of d_i, generators of      rows gr(D-a)   cols gr(D-a')
               degrees a -> a', entries in gr(a-a')
+            the Tor ladder's strand D, the      rows gr(D-a)   cols gr(D-a')
+              same pair, all n                    ∩ :q_{t-2}     ∩ :q_{t-1}
 
-        (t the nilpotency index). A row of degree a meets only columns
-        of degree >= a + 1, so the second truncation holds every
-        r(n, i) = rank(d_i (x) R/m^n): with its columns in degree order,
-        r(n, i) is the rank of the first b_{i-1} q_n of them
-        (`tor_ladder._rank_profile`). The strand blocks, one per pair of
-        generator degrees, are what the resolution builds (see the module
-        docstring); it calls `block_expand` on them directly, with only
-        the entries in gr(a - a'). gr is the grading's: in the trivial
-        one gr(0) is the whole basis, and the one strand block is the
-        whole matrix. The linear part does the same for its linear
-        strands (`linear_part.GradedComplex`), whose blocks keep the gr_1
-        entries between generators of one strand.
+        (t the nilpotency index). F_i -> F_{i-1}/m^2 F_{i-1} needs no
+        expansion: on the generators of F_i it is entries[:, :, :q_2]
+        (`tor_ladder.msquared_preimage_condition`). On a resolution only
+        `syzygy`, `linear_part.GradedComplex.slice_matrix` and the Tor
+        complexes of `upsilon` (`tor_ladder._TorComplex`) call this
+        method; the resolution and the ladder build strand blocks, one
+        `block_expand` per pair of generator degrees with only the
+        entries in gr(a - a') (`MinimalResolution.strand_blocks`). A row
+        of degree a meets only columns of degree >= a + 1, so the
+        ladder's cut blocks hold every r(n, i) = rank(d_i (x) R/m^n):
+        with their columns in degree order, r(n, i) counts their pivots
+        among the columns of degree < n (`tor_ladder._rank_profile`). gr
+        is the grading's: in the trivial one gr(0) is the whole basis
+        and the one strand block the whole matrix. The linear part does
+        the same for its linear strands (`linear_part.GradedComplex`),
+        whose blocks keep the gr_1 entries between generators of one
+        strand.
 
         lin(F) keeps only the entries' gr_1 coordinates, yet its row in
         the table sums over every e. That is the same matrix: coordinate 0 of
@@ -215,6 +223,40 @@ class _Strands:
             coords = self.groups[a][:, None] * self.d + np.arange(r.start, r.stop)
             pos = self._pos[D, a] = self.local[coords.ravel()]
         return pos
+
+    def layout(self, D: int):
+        """(size, place, None) of strand D in its own coordinate order:
+        place[a] = (positions(D, a), gr(D - a)) for each generator degree
+        a with coordinates in the strand."""
+        place = {}
+        for a in self.groups:
+            r = self.gr(D - a)
+            if r.stop > r.start:
+                place[a] = (self.positions(D, a), r)
+        return len(self.index.get(D, ())), place, None
+
+    def cut(self, D: int, q: int, fdeg=None):
+        """(size, place, cdeg) of strand D cut to the basis vectors e < q
+        of each block, laid out one generator degree after another, the
+        highest first, each generator-major: place[a] = (the slice of the
+        degree-a generators' coordinates, the cut range of gr(D - a)).
+        With fdeg, the filtration degree of each basis vector, cdeg lists
+        the coordinates' filtration degrees; the highest generator degree
+        first puts them in increasing order when each gr(D - a) is one
+        filtration degree, as in the filtration grading."""
+        place, cdeg, size = {}, [], 0
+        for a in reversed(self.groups):
+            r = self.gr(D - a)
+            r = slice(r.start, min(r.stop, q))
+            if r.stop > r.start:
+                n = len(self.groups[a]) * (r.stop - r.start)
+                place[a] = (slice(size, size + n), r)
+                if fdeg is not None:
+                    cdeg.append(np.tile(fdeg[r], len(self.groups[a])))
+                size += n
+        if fdeg is None:
+            return size, place, None
+        return size, place, np.concatenate(cdeg) if cdeg else fdeg[:0]
 
     def split(self, space: Subspace):
         """space's parts by strand, or None when a basis row touches two
@@ -320,9 +362,11 @@ class MinimalResolution:
     Each stage runs one internal-degree strand at a time in the grading
     chosen for the whole resolution (see the module docstring), in which
     m is generated in degree m_degree (1 filtration, 0 trivial) and F_i's
-    generators have degrees degrees[i]. max_expand_entries caps the
-    largest strand block that a stage allocates (in the trivial grading,
-    the whole expanded differential). Betti numbers of Artinian algebras
+    generators have degrees degrees[i]; the strand layout of each F_i is
+    kept, so `strand_blocks` rebuilds the blocks of any d_i, whole or cut
+    to low filtration degrees, without rebuilding a layout.
+    max_expand_entries caps every strand block built (in the trivial
+    grading, the whole expanded differential). Betti numbers of Artinian algebras
     grow exponentially, and the cap turns a would-be out-of-memory kill
     into a ResourceLimitError naming the stage (and the internal degree
     of a filtration strand block) and the shape.
@@ -374,6 +418,7 @@ class MinimalResolution:
             strands = _Strands(self.degrees[0], np.zeros(d, dtype=np.intp), 0)
             split = strands.split(w)
         w, self.m_degree = split, strands.s
+        self._strands = [strands]
         ops = alg.table[strands.gr(1)] if strands.s else alg.generator_ops
         # prev maps each strand D of F_{i-1} to its block of d_{i-1}
         prev = {D: aug[idx] for D, idx in strands.index.items()}
@@ -390,9 +435,9 @@ class MinimalResolution:
                 raise AssertionError(f"stage {i} has a generator row in two strands")
             self.degrees.append(gdeg)
             del reps
-            new = _Strands(gdeg, strands.edeg, strands.s)
-            stage, nxt, rank = self._stage(i, dmat, new, strands, prev,
-                                           i == self.horizon)
+            strands = _Strands(gdeg, strands.edeg, strands.s)
+            self._strands.append(strands)
+            prev, nxt, rank = self._stage(i, prev, i == self.horizon)
             if rank != w.dim:
                 raise AssertionError(
                     f"resolution not exact at stage {i - 1}: image rank {rank}"
@@ -400,7 +445,7 @@ class MinimalResolution:
                 )
             b = dmat.src_rank
             self.betti.append(b)
-            strands, w, prev = new, nxt, stage
+            w = nxt
 
     def _check_cap(self, i, rows, cols, degree=None):
         if rows * cols > self.max_expand_entries:
@@ -411,42 +456,13 @@ class MinimalResolution:
                 f"{what}, over the cap of {self.max_expand_entries} entries"
             )
 
-    def _stage(self, i, dmat, new, old, prev, last):
-        """Stage i strand by strand: new and old split F_i and F_{i-1},
-        and prev holds d_{i-1}'s block of each strand of F_{i-1}."""
-        alg = self.algebra
-        field, gr, s = alg.field, old.gr, old.s
-        shapes = {D: (len(idx), len(old.index.get(D, ())))
-                  for D, idx in new.index.items()}
-        for D, (r, c) in shapes.items():
-            if c:
-                # the trivial grading's one strand is the whole matrix
-                self._check_cap(i, r, c, D if s else None)
-        # a generator of degree a meets one of degree a' through entries
-        # in gr(a - a') only, and a - a' >= s by minimality
-        pairs = []
-        for a, gens in new.groups.items():
-            for a2, gens2 in old.groups.items():
-                q = gr(a - a2)
-                if a - a2 >= s and q.stop > q.start:
-                    pairs.append((a, a2, q, dmat.entries[
-                        np.ix_(gens, gens2, np.arange(q.start, q.stop))]))
+    def _stage(self, i, prev, last):
+        """Stage i strand by strand: prev holds d_{i-1}'s block of each
+        strand of F_{i-1}. Returns d_i's blocks, ker d_i by strand (None
+        at the last stage) and the rank of d_i."""
+        field = self.algebra.field
         stage, parts, rank = {}, {}, 0
-        for D, (r, c) in shapes.items():
-            if c == 0:
-                if not last:
-                    parts[D] = Subspace.full(field, r)
-                continue
-            block = field.zeros((r, c))
-            for a, a2, q, ent in pairs:
-                rows, cols = new.positions(D, a), old.positions(D, a2)
-                if len(rows) and len(cols):
-                    sub = block_expand(field, ent, alg.table[q, gr(D - a), gr(D - a2)])
-                    if len(rows) == r and len(cols) == c:
-                        # one pair of degrees fills the block, in order
-                        block = sub
-                    else:
-                        block[np.ix_(rows, cols)] = sub
+        for D, block, _ in self.strand_blocks(i):
             pm = prev.get(D)
             if pm is not None and not field.is_zero(field.matmul(block, pm)):
                 raise AssertionError(f"differential {i} does not compose to zero")
@@ -454,7 +470,104 @@ class MinimalResolution:
             rank += r_D
             if not last:
                 parts[D], stage[D] = part, block
-        return stage, None if last else StrandSpace(field, new, parts), rank
+        if last:
+            return stage, None, rank
+        # a strand of F_i with no coordinates in F_{i-1} is all kernel
+        new = self._strands[i]
+        parts = {D: parts[D] if D in parts else Subspace.full(field, len(idx))
+                 for D, idx in new.index.items()}
+        return stage, StrandSpace(field, new, parts), rank
+
+    def strand_blocks(self, i: int, rows: int | None = None,
+                      cols: int | None = None):
+        """Yield (D, block, cdeg) for each internal-degree strand D of d_i
+        whose block has both rows and columns, in increasing D.
+
+        A generator of degree a meets one of degree a' through entries in
+        gr(a - a') only, and a - a' >= m_degree by minimality, so a block
+        is one `block_expand` of table[gr(a - a'), gr(D - a), gr(D - a')]
+        per pair of generator degrees. No other coordinate of the entries
+        is read: `check_differential` checks that they are zero.
+
+        Without bounds the block is in the strands' own coordinate order
+        (`_Strands.positions`), which the resolution's kernels use, and
+        cdeg is None. With bounds it keeps, of each generator's block of
+        R, the basis vectors of filtration degree < rows on its rows and
+        < cols on its columns (the ranges :q_rows and :q_cols of the
+        adapted basis); its columns are in filtration-degree order and
+        cdeg lists their filtration degrees. Each block is checked against
+        max_expand_entries before it is allocated.
+        """
+        field, table = self.algebra.field, self.algebra.table
+        new, old = self._strands[i], self._strands[i - 1]
+        s, gr = old.s, old.gr
+        entries = self.diff[i].entries
+        pairs = []
+        for a, gens in new.groups.items():
+            for a2, gens2 in old.groups.items():
+                q = gr(a - a2)
+                if a - a2 >= s and q.stop > q.start:
+                    pairs.append((a, a2, q, entries[gens[:, None], gens2, q]))
+        for D, (r, rplace, _), (c, cplace, cdeg) in self._layouts(i, rows, cols):
+            self._check_cap(i, r, c, D if s else None)
+            block = field.zeros((r, c))
+            for a, a2, q, ent in pairs:
+                if a in rplace and a2 in cplace:
+                    (at_r, rr), (at_c, cr) = rplace[a], cplace[a2]
+                    sub = block_expand(field, ent, table[q, rr, cr])
+                    if sub.shape == block.shape:
+                        # one pair of degrees fills the block, in order
+                        block = sub
+                    elif isinstance(at_r, slice):
+                        block[at_r, at_c] = sub
+                    else:
+                        block[np.ix_(at_r, at_c)] = sub
+            if cdeg is not None and (cdeg[1:] < cdeg[:-1]).any():
+                order = np.argsort(cdeg, kind="stable")
+                block, cdeg = block[:, order], cdeg[order]
+            yield D, block, cdeg
+
+    def _layouts(self, i, rows, cols):
+        """(D, row layout, column layout) of each strand D of d_i with
+        both rows and columns, for `strand_blocks`."""
+        new, old = self._strands[i], self._strands[i - 1]
+        if rows is None:
+            for D in new.index:
+                if D in old.index:
+                    yield D, new.layout(D), old.layout(D)
+            return
+        alg = self.algebra
+        grd = alg.graded()
+        fdeg = np.repeat(np.arange(len(grd.dims)), grd.dims)
+        q_r, q_c = alg.quotient_dim(rows), alg.quotient_dim(cols)
+        for D in new.index:
+            row_layout = new.cut(D, q_r)
+            if row_layout[0]:
+                col_layout = old.cut(D, q_c, fdeg)
+                if col_layout[0]:
+                    yield D, row_layout, col_layout
+
+    def check_differential(self, i: int):
+        """Raise AssertionError unless d_i is minimal and homogeneous:
+        every nonzero entry from a generator g to g' lies in
+        gr(deg g - deg g'). `strand_blocks` reads no other coordinate, so
+        a unit or an off-degree entry (in a d_i replaced after the
+        resolution built it) would not show in its blocks. Explicit
+        raises, so it checks under python -O too."""
+        dmat = self.diff[i]
+        if not dmat.is_minimal():
+            raise AssertionError(
+                f"differential {i} survives reduction mod m: resolution not minimal"
+            )
+        edeg = self._strands[i].edeg
+        want = self.degrees[i][:, None] - self.degrees[i - 1]
+        off = np.asarray(dmat.entries != 0) & (edeg != want[:, :, None])
+        if off.any():
+            g, g2, e = np.argwhere(off)[0].tolist()
+            raise AssertionError(
+                f"differential {i} is not homogeneous: entry ({g}, {g2}) has a "
+                f"coordinate of degree {edeg[e]}, not {want[g, g2]}"
+            )
 
     # -- accessors -----------------------------------------------------
 

@@ -6,6 +6,7 @@ checks the shortcut.
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -299,3 +300,34 @@ def one_block_homology(complex_, i):
         out[j] = (kernel(field, outgoing.T),
                   Subspace.from_rows(field, incoming, outgoing.shape[0]))
     return out
+
+
+def whole_rank_profile(res, i):
+    """[r(n, i) for 0 <= n < t], r(n, i) = rank(d_i (x) R/m^n), from one
+    elimination of the whole of d_i truncated to rows :q_{t-2} and
+    columns :q_{t-1}, with its columns taken coordinate-major
+    (coordinate, then block), which is degree order: r(n, i) counts its
+    pivots among the first b_{i-1} q_n columns."""
+    algebra = res.algebra
+    t = algebra.nilpotency_index
+    b = res.betti[i - 1]
+    q = algebra.quotient_dim(t - 1)
+    dense = res.diff[i].expand(slice(0, algebra.quotient_dim(t - 2)), slice(0, q))
+    rows = dense.shape[0]
+    ordered = dense.reshape(rows, b, q).transpose(0, 2, 1).reshape(rows, q * b)
+    _, pivots = algebra.field.rref(ordered)
+    return [bisect_left(pivots, b * algebra.quotient_dim(n)) for n in range(t)]
+
+
+def preimage_by_kernel(res, i):
+    """Whether every x with d_i(x) in m^2 F_{i-1} lies in m F_i, i >= 1:
+    the kernel of F_i -> F_{i-1}/m^2 F_{i-1} (the whole of d_i with its
+    columns truncated to :q_2) has every basis vector vanish mod m, that
+    is, in the leading coordinate of each block."""
+    algebra = res.algebra
+    field = algebra.field
+    b_i = res.betti[i]
+    composite = res.diff[i].expand(cols=slice(0, algebra.quotient_dim(2)))
+    preimage = kernel(field, composite.T)
+    heads = preimage.basis.reshape(preimage.dim, b_i, algebra.dim)[:, :, 0]
+    return field.is_zero(heads)

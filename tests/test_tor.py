@@ -23,6 +23,7 @@ from lindef.presentation import algebra_from_text
 from lindef.resolution import AlgebraMatrix, resolve
 from lindef.tor_ladder import (
     _pi_applier,
+    _rank_profile,
     _TorComplex,
     msquared_preimage_condition,
     tor_ladder,
@@ -31,7 +32,14 @@ from lindef.tor_ladder import (
     upsilon_one_implies_two,
 )
 
-from references import block_sum, quotient_reference
+from references import (
+    block_sum,
+    dense_change,
+    preimage_by_kernel,
+    quotient_reference,
+    whole_rank_profile,
+)
+from test_strands import CI_DIM100
 
 
 def ring(text):
@@ -292,6 +300,16 @@ class TestOnePass:
             assert (lad.tor_dims, lad.ranks, lad.forced) == (tor_dims, ranks, forced)
 
     def test_one_elimination_per_differential(self, monkeypatch):
+        """The ladder eliminates each nonempty truncated strand block once.
+
+        Strand D of d_i keeps, on its rows, the coordinates (g, e) of F_i
+        with deg g + deg e = D and deg e <= t - 3, and on its columns those
+        of F_{i-1} with deg e <= t - 2. The expected shapes are counted
+        here from the generator degrees and the Hilbert function, not
+        from the builder. Over k[x]/(x^5) (t = 5, generators of degrees
+        0, 1, 5, 6, 10) d_1 and d_3 have three 1 x 1 blocks each, and d_2
+        and d_4 (entries x^4, of degree t - 1) none.
+        """
         rings = (X5, GF101_RING, QQ_RING)
         resolutions = [resolve(algebra.residue_field(), 4) for algebra in rings]
         built, eliminated = [], []
@@ -309,17 +327,114 @@ class TestOnePass:
 
         monkeypatch.setattr(tor_ladder_module, "_TorComplex", Counted)
         monkeypatch.setattr(Field, "rref", counted_rref)
+        counts = []
         for res in resolutions:
             eliminated.clear()
             tor_ladder(res, 3)
             assert built == []
-            assert len(eliminated) == 3 + 1  # d_1 .. d_{horizon+1}
+            want = [shape for i in range(1, 5)
+                    for shape in truncated_strand_shapes(res, i)]
+            # the exact shapes: one rref per block, none larger than one
+            assert eliminated == want
+            counts.append(len(want))
+        assert counts[0] == 6
+
+
+def truncated_strand_shapes(res, i):
+    """(rows, cols) of each truncated strand block of d_i that has both,
+    in increasing internal degree (filtration grading)."""
+    assert res.m_degree == 1
+    dims = res.algebra.graded().dims
+    t = len(dims)
+
+    def size(gens, D, top):
+        return sum(dims[D - a] for a in gens.tolist() if 0 <= D - a <= top)
+
+    new, old = res.degrees[i], res.degrees[i - 1]
+    shapes = []
+    for D in range(int(new.min()), int(new.max()) + t):
+        r, c = size(new, D, t - 3), size(old, D, t - 2)
+        if r and c:
+            shapes.append((r, c))
+    return shapes
+
+
+# name -> (ring builder, ladder horizon)
+STRAND_RINGS = {
+    "ci-dim100 seed 1": (lambda: ring(CI_DIM100), 5),
+    "scan-wide seed 1": (lambda: SCAN_WIDE, 5),
+    "scan-many heavy seed 1 #0": (lambda: SCAN_HEAVY, 6),
+    "scan-many heavy seed 1 #1": (lambda: random_algebra(ScanConfig(
+        nvars=2, nilpotency=4, horizon=6, count=8, degree_range=(3, 3),
+        seed=1), 1), 6),
+    "m^2 = 0": (lambda: KOSZUL3, 4),
+    "GF(2)": (lambda: GF2_RING, 5),
+    "QQ": (lambda: QQ_RING, 4),
+    "GF(2^31-1)": (lambda: GF_BIG_RING, 5),
+    "dense basis GF(101)": (lambda: dense_change(GF101_RING, 1), 5),
+    "dense basis QQ": (lambda: dense_change(QQ_RING, 2), 4),
+}
+
+
+@pytest.fixture(scope="module")
+def strand_resolution():
+    """name -> (resolution, ladder horizon), each resolved once."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            build, horizon = STRAND_RINGS[name]
+            cache[name] = resolve(build().residue_field(), horizon + 1), horizon
+        return cache[name]
+
+    return get
+
+
+class TestStrandLadder:
+    """The per-strand ladder and the generator-row preimage condition
+    against the whole-matrix routes of `references`."""
+
+    @pytest.mark.parametrize("name", STRAND_RINGS)
+    def test_rank_profile_matches_whole_matrix(self, name, strand_resolution):
+        res, horizon = strand_resolution(name)
+        t = res.algebra.nilpotency_index
+        # m^2 = 0 keeps no rows; the dense bases run in the trivial grading
+        assert (t == 2) is (name == "m^2 = 0")
+        assert res.m_degree == (0 if name.startswith("dense") else 1)
+        for i in range(1, horizon + 2):
+            got = _rank_profile(res, i)
+            assert got == whole_rank_profile(res, i)
+            if t == 2:
+                assert got == [0, 0]
+
+    @pytest.mark.parametrize("name", STRAND_RINGS)
+    def test_preimage_matches_kernel_route(self, name, strand_resolution):
+        res, horizon = strand_resolution(name)
+        for i in range(1, horizon + 1):
+            assert msquared_preimage_condition(res, i) == preimage_by_kernel(res, i)
+
+    def test_preimage_takes_both_outcomes(self, strand_resolution):
+        outcomes = set()
+        for name in STRAND_RINGS:
+            res, horizon = strand_resolution(name)
+            outcomes.update(preimage_by_kernel(res, i)
+                            for i in range(1, horizon + 1))
+        assert outcomes == {True, False}
 
 
 def non_minimal(res, i):
     """d_i with a unit added to its first entry."""
     entries = res.diff[i].entries.copy()
     entries[0, 0, 0] = res.algebra.field.add(entries[0, 0, 0], 1)
+    return AlgebraMatrix(res.algebra, entries)
+
+
+def off_degree(res, i):
+    """d_i with x^2 added to its first entry: over k[x]/(x^4) every entry
+    of d_i has degree 1 or 3, so the entry stays in m but leaves its
+    degree, where no strand block reads it."""
+    entries = res.diff[i].entries.copy()
+    entries[0, 0, 2] = res.algebra.field.add(entries[0, 0, 2], 1)
     return AlgebraMatrix(res.algebra, entries)
 
 
@@ -331,32 +446,60 @@ class TestNonMinimal:
         with pytest.raises(AssertionError, match=f"differential {i} .*not minimal"):
             tor_ladder(res, 2)
 
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_off_degree_entry_raises(self, i):
+        res = resolve(X4.residue_field(), 3)
+        assert res.diff[i].is_minimal()
+        res.diff[i] = off_degree(res, i)
+        assert res.diff[i].is_minimal()
+        with pytest.raises(AssertionError,
+                           match=f"differential {i} is not homogeneous"):
+            tor_ladder(res, 2)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_preimage_raises(self, i):
+        res = resolve(X4.residue_field(), 3)
+        res.diff[i] = non_minimal(res, i)
+        with pytest.raises(AssertionError, match=f"differential {i} .*not minimal"):
+            msquared_preimage_condition(res, i)
+
     def test_ladder_raises_under_python_O(self):
-        script = textwrap.dedent("""
-            import sys
-            if __debug__:
-                sys.exit("not running under -O")
-            sys.path.insert(0, sys.argv[1])
-            from test_tor import X4, non_minimal
-            from lindef.resolution import resolve
-            from lindef.tor_ladder import tor_ladder
-            res = resolve(X4.residue_field(), 3)
-            res.diff[2] = non_minimal(res, 2)
-            try:
-                tor_ladder(res, 2)
-            except AssertionError as exc:
-                print("raised:", exc)
-            else:
-                sys.exit("the ladder accepted a non-minimal differential")
-        """)
-        src = str(Path(lindef.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script, str(Path(__file__).parent)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr + proc.stdout
-        assert proc.stdout.startswith("raised:")
+        assert "not minimal" in ladder_under_python_O("non_minimal")
+
+    def test_off_degree_entry_raises_under_python_O(self):
+        assert "differential 2 is not homogeneous" in ladder_under_python_O(
+            "off_degree")
+
+
+def ladder_under_python_O(corruption):
+    """The AssertionError message of the ladder over k[x]/(x^4) with d_2
+    replaced by `corruption`(res, 2), run under python -O."""
+    script = textwrap.dedent(f"""
+        import sys
+        if __debug__:
+            sys.exit("not running under -O")
+        sys.path.insert(0, sys.argv[1])
+        from test_tor import X4, {corruption}
+        from lindef.resolution import resolve
+        from lindef.tor_ladder import tor_ladder
+        res = resolve(X4.residue_field(), 3)
+        res.diff[2] = {corruption}(res, 2)
+        try:
+            tor_ladder(res, 2)
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            sys.exit("the ladder accepted a corrupted differential")
+    """)
+    src = str(Path(lindef.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(Path(__file__).parent)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.startswith("raised:")
+    return proc.stdout
 
 
 class TestGuards:
