@@ -247,20 +247,22 @@ def full_check(algebra, horizon: int) -> AlgebraReport:
     }
     oracle_mismatch = not oracle["classification_match"]
 
+    # both m* checks stage by stage: the equality check at stage n takes
+    # the gr_1 * Z_j stacks the annihilation check kept for it
     annihilation = {}
+    cycle_equality = {}
     certificate = None
     for n in range(0, horizon):
         ok, cert = mstar_annihilation_check(complex_, n)
         annihilation[n] = ok
         if not ok and certificate is None:
             certificate = cert
+        if n >= 1:
+            cycle_equality[n] = mstar_cycle_boundary_equality(complex_, n)
     annihilation_violation = not all(annihilation.values())
 
     # the premise "ld <= d" is horizon-evidenced only on clean samples,
     # so only those can raise the flag; values are recorded for all
-    cycle_equality = {
-        d: mstar_cycle_boundary_equality(complex_, d) for d in range(1, horizon)
-    }
     clean = lin["classification"] == CLASSIFICATION_CLEAN
     cycle_equality_violation = clean and not all(cycle_equality.values())
 
@@ -330,7 +332,12 @@ def scan(cfg: ScanConfig, out_path=None):
     """
     reports = []
     for index in range(cfg.count):
-        report = full_check(random_algebra(cfg, index), cfg.horizon)
+        try:
+            report = full_check(random_algebra(cfg, index), cfg.horizon)
+        except LindefError as err:
+            # same type and traceback, with the failing sample named
+            err.args = (f"sample {index}: {err}",)
+            raise
         report.index = index
         reports.append(report)
 

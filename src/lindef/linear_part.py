@@ -81,6 +81,7 @@ class GradedComplex:
         self._homology = {}
         self._strands = {}
         self._blocks = {}
+        self._gr1_cycles = {}
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -192,6 +193,22 @@ class GradedComplex:
                 j: self._strand_cell(i, j) for j in self.degree_range(i)}
         return self._homology[i]
 
+    def gr1_cycles(self, n: int, j: int, keep: bool = False):
+        """gr_1 * Z_j at stage n: one `block_apply` stack of every gr_1
+        element s times every cycle basis row r (row s * dim Z_j + r).
+
+        Both m* checks read it. A stack kept by one (`keep`) is handed
+        to the next caller and then dropped, so each is built once; one
+        that no caller asks for again lives as long as the complex.
+        """
+        imgs = self._gr1_cycles.pop((n, j), None)
+        if imgs is None:
+            imgs = block_apply(self.field, self.homology(n)[j].cycles.basis,
+                               self.stage_rank(n), self.gr.component_product(1, j - n))
+            if keep:
+                self._gr1_cycles[n, j] = imgs
+        return imgs
+
     def homology_dims(self, i: int) -> dict:
         return {j: s.dim for j, s in self.homology(i).items()}
 
@@ -261,7 +278,10 @@ def mstar_annihilation_check(complex_: GradedComplex, n: int):
     Degreewise sufficient: gr is standard graded and cycles/boundaries
     are graded submodules, so (m* Z)_{j+1} equals gr_1 * Z_j: per degree
     one `block_apply` stack of every gr_1 element s times every cycle
-    basis row r, reduced against the boundaries at once. Returns
+    basis row r (`GradedComplex.gr1_cycles`), reduced against the
+    boundaries at once. A degree with no target (gr_{j-n+1} = 0) cannot
+    fail. The stacks that `mstar_cycle_boundary_equality` will read at
+    the same stage (n >= 1, nonzero homology) are kept for it. Returns
     (True, None) or (False, certificate) with the violating cycle: the
     smallest failing j, then s, then r.
     """
@@ -271,15 +291,13 @@ def mstar_annihilation_check(complex_: GradedComplex, n: int):
     b_n = complex_.stage_rank(n)
     for j in sorted(hom):
         sl = hom[j]
-        if sl.cycles.dim == 0:
+        ambient = b_n * gr.component_dim(j - n + 1)
+        if sl.cycles.dim == 0 or ambient == 0:
             continue
-        q = j - n
         nxt = hom.get(j + 1)
-        target = nxt.boundaries if nxt else (
-            Subspace.zero(field, b_n * gr.component_dim(q + 1))
-        )
+        target = nxt.boundaries if nxt else Subspace.zero(field, ambient)
         z = sl.cycles.basis
-        imgs = block_apply(field, z, b_n, gr.component_product(1, q))
+        imgs = complex_.gr1_cycles(n, j, keep=n >= 1 and sl.dim > 0)
         bad = np.flatnonzero((target.reduce(imgs) != 0).any(axis=1))
         if len(bad):
             s, r = divmod(int(bad[0]), z.shape[0])
@@ -297,7 +315,8 @@ def mstar_cycle_boundary_equality(complex_: GradedComplex, d: int) -> bool:
     """Whether m* Ker d*_d and m* Im d*_{d+1} agree in every internal degree.
 
     Offered for d >= 1 only: there is no outgoing differential at 0.
-    Same degreewise reduction as the annihilation check. A degree whose
+    Same degreewise reduction as the annihilation check, whose gr_1 * Z_j
+    stacks it takes when that check ran first at stage d. A degree whose
     cycles and boundaries have equal dimensions has Z = B (B ⊆ Z), so it
     is skipped without an elimination.
     """
@@ -312,10 +331,11 @@ def mstar_cycle_boundary_equality(complex_: GradedComplex, d: int) -> bool:
         ambient = b_d * gr.component_dim(j - d + 1)
         if ambient == 0 or sl.dim == 0:
             continue
-        tensor = gr.component_product(1, j - d)
-        m_cycles, m_boundaries = (
-            Subspace.from_rows(field, block_apply(field, v.basis, b_d, tensor), ambient)
-            for v in sl
+        m_cycles = Subspace.from_rows(field, complex_.gr1_cycles(d, j), ambient)
+        m_boundaries = Subspace.from_rows(
+            field,
+            block_apply(field, sl.boundaries.basis, b_d, gr.component_product(1, j - d)),
+            ambient,
         )
         if m_cycles != m_boundaries:
             return False

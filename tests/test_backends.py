@@ -313,6 +313,161 @@ class TestResidues:
         assert (matmul_mod(a[:, :rank], x, p) == a[:, rank:]).all()
 
 
+def staircase_rows(rng, m, n, p, tail=0.02):
+    """m rows with distinct leading 1s at random columns, each with a
+    sparse random tail right of its lead, in random row order."""
+    a = sparse_matrix(rng, (m, n), p, tail)
+    lead = np.sort(rng.choice(n, m, replace=False))
+    a[np.arange(n) <= lead[:, None]] = 0
+    a[np.arange(m), lead] = 1
+    return a[rng.permutation(m)]
+
+
+def spy(monkeypatch, name, record):
+    """Replace _kernels.<name> by a wrapper that passes its arguments and
+    result to `record` and returns the result."""
+    real = getattr(_kernels, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(_kernels, name, wrapper)
+
+
+def structured_inputs(p):
+    """Wide inputs with structure for the pivot rounds, by name."""
+    rng = np.random.default_rng(p % 1000 + 17)
+    n = 2 * _kernels.panel_width(p) + 40
+    base = staircase_rows(rng, 24, n, p)
+    chain = np.zeros((12, n), dtype=np.int64)
+    chain[np.arange(12), 3 * np.arange(12)] = 1
+    chain[np.arange(12), 3 * np.arange(12) + 3] = rng.integers(1, p, size=12)
+    dense = rng.integers(0, p, size=(20, n), dtype=np.int64)
+    dense[:, : n // 2] = 0
+    zeros = staircase_rows(rng, 30, n, p)
+    zeros[:, rng.choice(n, n // 4, replace=False)] = 0
+    zeros = np.insert(zeros, [0, 7, 7, 30], 0, axis=0)
+    return {
+        "identity_with_tail": staircase_rows(rng, 40, n, p, tail=0.05),
+        # the operator-stack shape of minimal_generators' products
+        "stacked_repeats": np.vstack(
+            [base * c % p for c in rng.integers(0, p, size=3)]
+            + [base[::-1]]),
+        "chain": chain,
+        "half_dense": np.vstack([staircase_rows(rng, 30, n, p), dense]),
+        "zero_rows_and_columns": zeros,
+        "all_zero": np.zeros((5, n), dtype=np.int64),
+    }
+
+
+class TestStructuredPass:
+    """Wide inputs run rounds of clean leading-column pivots before the
+    blocked loop; the result must stay the canonical RREF."""
+
+    PRIMES = [2, 101, 32003, 2**31 - 1]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_against_reference(self, p):
+        for name, a in structured_inputs(p).items():
+            assert a.shape[1] > _kernels.panel_width(p), name
+            assert_matches_reference(a, p)
+        got, piv = rref(np.zeros((0, 600), dtype=np.int64), p)
+        assert got.shape == (0, 600) and piv == ()
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_every_round_forced(self, p, monkeypatch):
+        # rounds run until no live row is left, whatever they cost
+        monkeypatch.setattr(_kernels, "_round_pays", lambda *args: True)
+        for a in structured_inputs(p).values():
+            assert_matches_reference(a, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_chain_one_pivot_per_round(self, p, monkeypatch):
+        # row i leads at column 3i and is nonzero at the next row's lead,
+        # so only the smallest lead is clean in each round
+        rounds = []
+        monkeypatch.setattr(_kernels, "_round_pays",
+                            lambda k, *rest: rounds.append(k) or True)
+        assert_matches_reference(structured_inputs(p)["chain"], p)
+        assert rounds == [1] * 12
+
+    def test_partial_pass_then_blocked_residual(self, monkeypatch):
+        p = 101
+        rounds, blocked = [], []
+        spy(monkeypatch, "_pivot_rounds", lambda args, out: rounds.append(len(out[0])))
+        spy(monkeypatch, "_rref_blocked", lambda args, out: blocked.append(
+            (args[0].shape, len(out), args[0].flags.c_contiguous)))
+        a = structured_inputs(p)["half_dense"]
+        assert_matches_reference(a, p)
+        # the rounds take staircase pivots until the dense rows stall them;
+        # the rest goes to the blocked loop as a residual on the free
+        # columns, a view into the working copy
+        [taken] = rounds
+        [((rows, cols), rank, contiguous)] = blocked
+        assert 0 < taken < 50 and cols == a.shape[1] - taken
+        assert taken + rank == len(reference_rref(a, p)[1]) and rank >= 19
+        assert not contiguous
+
+    def test_pass_runs_on_sparse_inputs(self, monkeypatch):
+        # the inputs of TestRref.test_sparse_inputs take pivots in rounds
+        taken = []
+        spy(monkeypatch, "_pivot_rounds", lambda args, out: taken.append(len(out[0])))
+        for p, shape in [(3, (100, 1000)), (101, (100, 1000)), (2**31 - 1, (10, 300))]:
+            for seed in range(8):
+                rng = np.random.default_rng(seed)
+                rref(sparse_matrix(rng, shape, p, 0.02), p)
+        assert len(taken) == 24 and all(taken)
+
+    @pytest.mark.parametrize("p, width", REGIMES)
+    def test_dense_inputs_reach_the_blocked_loop(self, p, width, monkeypatch):
+        # dense matrices stall the rounds at once, so TestResidues keeps
+        # testing the blocked loop on the whole working copy (over GF(2)
+        # half the entries are zero and a round may take a few pivots)
+        taken, blocked = [], []
+        spy(monkeypatch, "_pivot_rounds", lambda args, out: taken.append(len(out[0])))
+        spy(monkeypatch, "_rref_blocked", lambda args, out: blocked.append(args[0]))
+        rng = np.random.default_rng(width)
+        n = max(2 * width + 7, 40)
+        for a in (rng.integers(0, p, size=(20, n), dtype=np.int64),
+                  matmul_mod(rng.integers(0, p, size=(24, 5), dtype=np.int64),
+                             rng.integers(0, p, size=(5, n), dtype=np.int64), p)):
+            got, _ = rref(a, p)
+            if p == 2:
+                assert taken[-1] <= 3
+            else:
+                assert taken[-1] == 0 and blocked[-1] is got
+
+    def test_single_panel_inputs_skip_the_pass(self, monkeypatch):
+        calls = []
+        spy(monkeypatch, "_pivot_rounds", lambda args, out: calls.append(1))
+        rng = np.random.default_rng(5)
+        rref(staircase_rows(rng, 100, _kernels.panel_width(101), 101), 101)
+        assert calls == []
+
+    def test_peak_memory_structured(self):
+        # the rounds and the residual work inside the working copy; the
+        # other temporaries stay within a few _SCAN_ELEMS budgets, far
+        # below a second copy
+        p = 101
+        rng = np.random.default_rng(12)
+        a = staircase_rows(rng, 2000, 3000, p, tail=0.002)
+        a[1500:] = (a[:500] * 3 + a[500:1000]) % p  # dependent rows
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got, piv = rref(a, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        budget = 4 * 8 * _kernels._SCAN_ELEMS
+        assert peak - got.nbytes <= budget < got.nbytes // 2
+        assert len(piv) == 1500
+        assert not got[1500:].any()
+        assert (got[np.arange(1500), list(piv)] == 1).all()
+
+
 class TestMatmulMod:
     def exact(self, x, y, p):
         return (x.astype(object) @ y.astype(object) % p).astype(np.int64)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lindef.cli import main
+from lindef.errors import ResourceLimitError
 from lindef.presentation import algebra_from_text, parse_presentation
 
 from references import pairwise_table
@@ -236,6 +237,20 @@ class TestScan:
         assert main(self.ARGS + ["--out", str(p2)]) == 0
         capsys.readouterr()
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failing_sample_named_on_stderr(self, capsys, monkeypatch):
+        import lindef.lab as lab
+
+        def over_cap(algebra, horizon):
+            raise ResourceLimitError("differential 7 would expand to a 16200 x 6480 block")
+
+        monkeypatch.setattr(lab, "full_check", over_cap)
+        code = main(self.ARGS)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sample 0: differential 7 would expand to a 16200 x 6480 block\n")
 
     def test_count_zero(self, capsys):
         code = main(["scan", "--count", "0"])

@@ -11,7 +11,7 @@ import pytest
 
 import lindef
 
-from lindef.errors import LindefError
+from lindef.errors import LindefError, ParseError, ResourceLimitError
 from lindef.lab import (
     FLAG_NAMES,
     ScanConfig,
@@ -261,6 +261,30 @@ class TestScan:
         assert summary["count"] == 0 and reports == []
         assert summary["violations"] == 0
         assert p.read_bytes() == b""
+
+    @pytest.mark.parametrize("error", [LindefError, ResourceLimitError, ParseError])
+    def test_failing_sample_named(self, error, monkeypatch):
+        # the error escapes with its own type, now naming its sample
+        import lindef.lab as lab
+
+        real = lab.full_check
+        seen = []
+
+        def failing(algebra, horizon):
+            seen.append(algebra)
+            if len(seen) == 3:
+                raise (error("bad cell", 4, 2) if error is ParseError
+                       else error("differential 7 would expand"))
+            return real(algebra, horizon)
+
+        monkeypatch.setattr(lab, "full_check", failing)
+        with pytest.raises(error) as info:
+            scan(self.CFG)
+        assert type(info.value) is error
+        assert str(info.value).startswith("sample 2: ")
+        assert str(info.value).endswith(
+            "line 4, column 2: bad cell" if error is ParseError
+            else "differential 7 would expand")
 
     def test_exit_codes(self):
         summary, _ = scan(ScanConfig(count=0))

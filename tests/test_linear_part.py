@@ -216,6 +216,55 @@ class TestMStarChecks:
         assert skipped
 
 
+    @pytest.mark.parametrize("name", ["X3", "GF101", "QQ"])
+    def test_full_check_builds_each_gr1_cycle_stack_once(self, name, monkeypatch):
+        # both m* checks read gr_1 * Z_j; full_check's block_apply calls are
+        # one per (stage, degree) with cycles and a target, plus gr_1 * B_j
+        # where the equality check compares, up to its first failure
+        import lindef.linear_part as lp
+        from lindef.lab import full_check
+
+        algebra, horizon = CERTIFICATE_RINGS[name], 4
+        c = lin_of(algebra, horizon + 1)
+        field, gr = c.field, c.gr
+        expected = 0
+        for n in range(horizon):
+            hom = c.homology(n)
+            assert mstar_annihilation_check(linear_part(c.res), n) == (True, None)
+            for j in sorted(hom):
+                if hom[j].cycles.dim and c.stage_rank(n) * gr.component_dim(j - n + 1):
+                    expected += 1
+        equality = {}
+        for d in range(1, horizon):
+            hom = c.homology(d)
+            equality[d] = True
+            for j in sorted(hom):
+                ambient = c.stage_rank(d) * gr.component_dim(j - d + 1)
+                if ambient == 0 or hom[j].dim == 0:
+                    continue
+                expected += 1
+                tensor = gr.component_product(1, j - d)
+                m_z, m_b = (
+                    Subspace.from_rows(
+                        field, block_apply(field, v.basis, c.stage_rank(d), tensor),
+                        ambient)
+                    for v in hom[j]
+                )
+                if m_z != m_b:
+                    equality[d] = False
+                    break
+        calls = []
+        real = lp.block_apply
+        monkeypatch.setattr(lp, "block_apply",
+                            lambda *args: calls.append(1) or real(*args))
+        report = full_check(algebra, horizon)
+        assert len(calls) == expected
+        assert report.checks["cycle_equality"] == equality
+        assert report.checks["annihilation"] == {n: True for n in range(horizon)}
+        assert report.certificate is None
+        assert name != "X3" or not all(equality.values())
+
+
 class TestConstruction:
     def test_nonminimal_complex_rejected(self):
         res = resolve(X2.residue_field(), 2)
