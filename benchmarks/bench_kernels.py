@@ -1,20 +1,16 @@
-"""Timing comparison of the GF(p) elimination backends.
+"""Timing comparison of the GF(p) elimination panels.
 
-Runs the same workload under LINDEF_KERNELS=pure and =fast in child
-processes (backend choice is made at import time) and prints one table
-with a column per backend that loads. A backend that does not load (the
-compiled one when `_speedups` is not built) gets a note on stderr
-instead; the exit status is 1 only when no backend ran. Only
-panel_jordan and its caller rref differ between backends; the matmul
-layer is shared numpy/BLAS orchestration.
+Times the same workload with each panel that loads, in one process: the
+numpy panel `pure.panel_jordan` always, the compiled `_speedups` one
+when it was built (otherwise a note on stderr says so). Each run sets
+`_kernels._panel_jordan`, which `rref` calls, and restores it
+afterwards. Only the panel differs; rref's orchestration and the matmul
+layer are shared numpy/BLAS code.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N]
 """
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 import time
 
@@ -49,42 +45,40 @@ def run_case(kind, rows, cols, repeat):
     return best
 
 
-def worker(repeat):
+def panels():
+    """The panels that load, by backend name."""
+    from lindef._kernels import pure
+
+    out = {"pure": pure.panel_jordan}
+    try:
+        from lindef._kernels import _speedups
+    except ImportError as exc:
+        print(f"note: backend 'fast' not timed: {exc}", file=sys.stderr)
+    else:
+        out["fast"] = _speedups.panel_jordan
+    return out
+
+
+def time_panel(panel, repeat):
+    """Best seconds per case with `panel` as rref's panel."""
     from lindef import _kernels
 
-    out = {"backend": _kernels.BACKEND, "times": {}}
-    for label, kind, rows, cols in CASES:
-        out["times"][label] = run_case(kind, rows, cols, repeat)
-    print(json.dumps(out))
+    saved = _kernels._panel_jordan
+    _kernels._panel_jordan = panel
+    try:
+        return {label: run_case(kind, rows, cols, repeat)
+                for label, kind, rows, cols in CASES}
+    finally:
+        _kernels._panel_jordan = saved
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
 
-    if args.worker:
-        worker(args.repeat)
-        return
-
-    results = {}
-    for choice in ("pure", "fast"):
-        env = dict(os.environ, LINDEF_KERNELS=choice)
-        proc = subprocess.run(
-            [sys.executable, __file__, "--worker", "--repeat", str(args.repeat)],
-            capture_output=True, text=True, env=env,
-        )
-        if proc.returncode != 0:
-            last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-            print(f"note: backend {choice!r} not timed: {last}", file=sys.stderr)
-            continue
-        rec = json.loads(proc.stdout)
-        assert rec["backend"] == choice, rec
-        results[choice] = rec["times"]
-
-    if not results:
-        sys.exit(1)
+    results = {name: time_panel(panel, args.repeat)
+               for name, panel in panels().items()}
 
     width = max(len(label) for label, *_ in CASES)
     header = f"{'case':<{width}}" + "".join(f"  {b:>10}" for b in results)
@@ -96,6 +90,7 @@ def main():
         if both:
             line += f"  {times[0] / times[1]:>6.2f}x"
         print(line)
+
 
 if __name__ == "__main__":
     main()

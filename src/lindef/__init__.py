@@ -12,7 +12,6 @@ from .errors import (
     ParseError,
     AlgebraError,
     ResourceLimitError,
-    HorizonError,
 )
 
 __version__ = "0.1.0"
@@ -23,6 +22,5 @@ __all__ = [
     "ParseError",
     "AlgebraError",
     "ResourceLimitError",
-    "HorizonError",
     "__version__",
 ]

@@ -3,8 +3,8 @@
 Layout: a backend supplies `panel_jordan` (dense Gauss-Jordan on an int64
 column panel); this module orchestrates the panel-blocked reduced row
 echelon form around it, so the backends differ only in the panel. The
-compiled backend `_speedups` is preferred; `pure` (numpy) is the
-fallback. Force one with LINDEF_KERNELS={auto,fast,pure}.
+compiled backend `_speedups` is used when it imports, `pure` (numpy)
+otherwise; `BACKEND` names the one in use.
 
 `rref` keeps one working copy of its input. A matrix that fits in one
 panel (n <= panel_width(p)) is eliminated by `panel_jordan` in place, on
@@ -72,29 +72,18 @@ shared by `matmul_mod` and the unreduced products of `matmul_unreduced`,
 whose differences `nonzero_mod` tests for divisibility by p.
 """
 
-import os
-
 import numpy as np
 
 from . import pure
 
-_choice = os.environ.get("LINDEF_KERNELS", "auto")
-if _choice not in ("auto", "fast", "pure"):
-    raise ImportError(
-        f"LINDEF_KERNELS must be 'auto', 'fast' or 'pure', got {_choice!r}"
-    )
+try:
+    from . import _speedups
 
-BACKEND = "pure"
-_panel_jordan = pure.panel_jordan
-if _choice in ("auto", "fast"):
-    try:
-        from . import _speedups
-
-        _panel_jordan = _speedups.panel_jordan
-        BACKEND = "fast"
-    except ImportError:
-        if _choice == "fast":
-            raise
+    _panel_jordan = _speedups.panel_jordan
+    BACKEND = "fast"
+except ImportError:
+    _panel_jordan = pure.panel_jordan
+    BACKEND = "pure"
 
 # Keep float64 accumulation exact: K products of size (p-1)^2 must stay
 # below 2^53. 256 wide panels are plenty for every p below ~2^22.

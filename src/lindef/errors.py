@@ -19,8 +19,4 @@ class AlgebraError(LindefError):
 
 
 class ResourceLimitError(LindefError):
-    """A configured resource cap (pair limit, dimension cap) was hit."""
-
-
-class HorizonError(LindefError):
-    """An index beyond the computed horizon, or an invalid range."""
+    """A resource cap (pair limit, dimension cap, block size) was hit."""

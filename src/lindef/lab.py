@@ -247,8 +247,6 @@ def full_check(algebra, horizon: int) -> AlgebraReport:
     }
     oracle_mismatch = not oracle["classification_match"]
 
-    # both m* checks stage by stage: the equality check at stage n takes
-    # the gr_1 * Z_j stacks the annihilation check kept for it
     annihilation = {}
     cycle_equality = {}
     certificate = None

@@ -132,12 +132,12 @@ class Subspace:
             raise LindefError("ambient dimensions differ")
         return self.contains_rows(other.basis)
 
-    def coords(self, rows, check: bool = True):
+    def coords(self, rows):
         """Coordinates of row vectors with respect to the basis."""
         coef = np.ascontiguousarray(rows[:, list(self.pivots)]) if self.dim else (
             self.field.zeros((rows.shape[0], 0))
         )
-        if check and rows.shape[0]:
+        if rows.shape[0]:
             recon = self.field.matmul(coef, self.basis) if self.dim else (
                 self.field.zeros(rows.shape)
             )
@@ -197,28 +197,26 @@ class QuotientCoords:
 
     __slots__ = ("field", "sub", "reps", "cols")
 
-    def __init__(self, field: Field, sup: Subspace, sub: Subspace, check: bool = True):
+    def __init__(self, field: Field, sup: Subspace, sub: Subspace):
         self.field = field
         self.sub = sub
-        self.reps, self.cols = sup.adapted_reps(sub, check=check)
+        self.reps, self.cols = sup.adapted_reps(sub)
 
     @property
     def dim(self) -> int:
         return len(self.cols)
 
-    def coords(self, rows, check: bool = True):
+    def coords(self, rows):
         """Quotient coordinates of row vectors lying in sup."""
         reduced = self.sub.reduce(rows)
         if self.dim == 0:
-            out = self.field.zeros((rows.shape[0], 0))
-            if check and not self.field.is_zero(reduced):
+            if not self.field.is_zero(reduced):
                 raise LindefError("vector not in the subspace pair")
-            return out
+            return self.field.zeros((rows.shape[0], 0))
         out = np.ascontiguousarray(reduced[:, self.cols])
-        if check:
-            recon = self.field.matmul(out, self.reps)
-            if not self.field.is_zero(self.field.sub(reduced, recon)):
-                raise LindefError("vector not in the subspace pair")
+        recon = self.field.matmul(out, self.reps)
+        if not self.field.is_zero(self.field.sub(reduced, recon)):
+            raise LindefError("vector not in the subspace pair")
         return out
 
 

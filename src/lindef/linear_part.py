@@ -77,11 +77,9 @@ class GradedComplex:
                     f"linear part undefined: differential {i} has an entry "
                     "outside the maximal ideal"
                 )
-        self._slices = {}
         self._homology = {}
         self._strands = {}
         self._blocks = {}
-        self._gr1_cycles = {}
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -110,18 +108,12 @@ class GradedComplex:
         stage i-1 (row-vector convention). `homology` builds only its
         linear-strand blocks, never the whole slice.
         """
-        key = (i, j)
-        if key in self._slices:
-            return self._slices[key]
         if 1 <= i <= self.res.horizon:
             gr = self.gr.component_range
-            out = self.res.diff[i].expand(gr(j - i), gr(j - i + 1))
-        else:
-            out = self.field.zeros(
-                (self.component_dim(i, j), self.component_dim(i - 1, j))
-            )
-        self._slices[key] = out
-        return out
+            return self.res.diff[i].expand(gr(j - i), gr(j - i + 1))
+        return self.field.zeros(
+            (self.component_dim(i, j), self.component_dim(i - 1, j))
+        )
 
     # -- linear strands ---------------------------------------------------
 
@@ -193,21 +185,13 @@ class GradedComplex:
                 j: self._strand_cell(i, j) for j in self.degree_range(i)}
         return self._homology[i]
 
-    def gr1_cycles(self, n: int, j: int, keep: bool = False):
+    def gr1_cycles(self, n: int, j: int):
         """gr_1 * Z_j at stage n: one `block_apply` stack of every gr_1
         element s times every cycle basis row r (row s * dim Z_j + r).
-
-        Both m* checks read it. A stack kept by one (`keep`) is handed
-        to the next caller and then dropped, so each is built once; one
-        that no caller asks for again lives as long as the complex.
+        Both m* checks read it; each builds its own.
         """
-        imgs = self._gr1_cycles.pop((n, j), None)
-        if imgs is None:
-            imgs = block_apply(self.field, self.homology(n)[j].cycles.basis,
-                               self.stage_rank(n), self.gr.component_product(1, j - n))
-            if keep:
-                self._gr1_cycles[n, j] = imgs
-        return imgs
+        return block_apply(self.field, self.homology(n)[j].cycles.basis,
+                           self.stage_rank(n), self.gr.component_product(1, j - n))
 
     def homology_dims(self, i: int) -> dict:
         return {j: s.dim for j, s in self.homology(i).items()}
@@ -280,10 +264,8 @@ def mstar_annihilation_check(complex_: GradedComplex, n: int):
     one `block_apply` stack of every gr_1 element s times every cycle
     basis row r (`GradedComplex.gr1_cycles`), reduced against the
     boundaries at once. A degree with no target (gr_{j-n+1} = 0) cannot
-    fail. The stacks that `mstar_cycle_boundary_equality` will read at
-    the same stage (n >= 1, nonzero homology) are kept for it. Returns
-    (True, None) or (False, certificate) with the violating cycle: the
-    smallest failing j, then s, then r.
+    fail. Returns (True, None) or (False, certificate) with the violating
+    cycle: the smallest failing j, then s, then r.
     """
     field = complex_.field
     gr = complex_.gr
@@ -297,7 +279,7 @@ def mstar_annihilation_check(complex_: GradedComplex, n: int):
         nxt = hom.get(j + 1)
         target = nxt.boundaries if nxt else Subspace.zero(field, ambient)
         z = sl.cycles.basis
-        imgs = complex_.gr1_cycles(n, j, keep=n >= 1 and sl.dim > 0)
+        imgs = complex_.gr1_cycles(n, j)
         bad = np.flatnonzero((target.reduce(imgs) != 0).any(axis=1))
         if len(bad):
             s, r = divmod(int(bad[0]), z.shape[0])
@@ -315,10 +297,9 @@ def mstar_cycle_boundary_equality(complex_: GradedComplex, d: int) -> bool:
     """Whether m* Ker d*_d and m* Im d*_{d+1} agree in every internal degree.
 
     Offered for d >= 1 only: there is no outgoing differential at 0.
-    Same degreewise reduction as the annihilation check, whose gr_1 * Z_j
-    stacks it takes when that check ran first at stage d. A degree whose
-    cycles and boundaries have equal dimensions has Z = B (B ⊆ Z), so it
-    is skipped without an elimination.
+    Same degreewise gr_1 * Z_j stacks as the annihilation check. A degree
+    whose cycles and boundaries have equal dimensions has Z = B (B ⊆ Z),
+    so it is skipped without an elimination.
     """
     if d < 1:
         raise LindefError(f"cycle/boundary equality is defined for d >= 1, got {d}")

@@ -37,6 +37,12 @@ from .poly import (
 DEFAULT_CHARACTERISTIC = 101
 KEYWORDS = ("char", "vars", "ideal")
 
+# ResourceLimitError caps of the ring build: Groebner pair reductions,
+# quotient dimension, and the staircase's enumeration box
+PAIR_CAP = 20000
+DIM_CAP = 2000
+BOX_CAP = 50 * DIM_CAP
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -349,12 +355,12 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return a * (1 / fc) - b * (1 / gc)
 
 
-def buchberger(gens, pair_cap: int = 20000):
+def buchberger(gens):
     """Reduced Groebner basis (degrevlex) of the ideal generated by gens.
 
     Processes S-pairs in order of (lcm degree, lcm, index); pairs with
     coprime leading terms are skipped. Raises ResourceLimitError after
-    pair_cap pair reductions.
+    PAIR_CAP pair reductions.
     """
     basis = []
     for g in gens:
@@ -382,9 +388,9 @@ def buchberger(gens, pair_cap: int = 20000):
     while heap:
         _, _, i, j = heapq.heappop(heap)
         processed += 1
-        if processed > pair_cap:
+        if processed > PAIR_CAP:
             raise ResourceLimitError(
-                f"Groebner pair limit {pair_cap} exceeded; ideal too complex"
+                f"Groebner pair limit {PAIR_CAP} exceeded; ideal too complex"
             )
         s = s_polynomial(basis[i], basis[j])
         r = normal_form(s, basis)
@@ -416,7 +422,7 @@ def _interreduce(basis):
     return reduced
 
 
-def quotient_basis(gb, nvars: int, dim_cap: int = 2000):
+def quotient_basis(gb, nvars: int):
     """Standard monomials of a zero-dimensional leading-term staircase.
 
     Raises AlgebraError when the quotient is not finite dimensional
@@ -441,7 +447,7 @@ def quotient_basis(gb, nvars: int, dim_cap: int = 2000):
     total = 1
     for b in bounds:
         total *= b
-        if total > 50 * dim_cap:
+        if total > BOX_CAP:
             raise ResourceLimitError("staircase enumeration box too large")
     out = []
     import itertools
@@ -449,9 +455,9 @@ def quotient_basis(gb, nvars: int, dim_cap: int = 2000):
     for mon in itertools.product(*(range(b) for b in bounds)):
         if not any(monomial_divides(lt, mon) for lt in lts):
             out.append(mon)
-            if len(out) > dim_cap:
+            if len(out) > DIM_CAP:
                 raise ResourceLimitError(
-                    f"quotient dimension exceeds cap {dim_cap}"
+                    f"quotient dimension exceeds cap {DIM_CAP}"
                 )
     out.sort(key=degrevlex_key)
     return out
@@ -461,7 +467,7 @@ def quotient_basis(gb, nvars: int, dim_cap: int = 2000):
 # algebra construction
 
 
-def build_algebra(pres: Presentation, dim_cap: int = 2000, pair_cap: int = 20000):
+def build_algebra(pres: Presentation):
     """Quotient algebra k[vars]/I as a structure-constant table.
 
     The basis consists of the standard monomials sorted by degrevlex
@@ -478,8 +484,8 @@ def build_algebra(pres: Presentation, dim_cap: int = 2000, pair_cap: int = 20000
     """
     field = pres.field
     n = len(pres.varnames)
-    gb = buchberger(pres.gens, pair_cap=pair_cap)
-    qb = quotient_basis(gb, n, dim_cap=dim_cap)
+    gb = buchberger(pres.gens)
+    qb = quotient_basis(gb, n)
     if not qb:
         raise AlgebraError("the ideal contains a unit; the quotient is the zero ring")
     d = len(qb)
@@ -512,8 +518,8 @@ def build_algebra(pres: Presentation, dim_cap: int = 2000, pair_cap: int = 20000
     )
 
 
-def algebra_from_text(text: str, dim_cap: int = 2000, pair_cap: int = 20000):
-    return build_algebra(parse_presentation(text), dim_cap=dim_cap, pair_cap=pair_cap)
+def algebra_from_text(text: str):
+    return build_algebra(parse_presentation(text))
 
 
 def _integer(value, key: str) -> int:

@@ -1,9 +1,5 @@
 """Pure-numpy vs compiled kernel parity and backend selection."""
 
-import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from math import isqrt
 
@@ -524,42 +520,33 @@ class TestMatmulMod:
         assert (out == ((x @ hi) % p * 65536 + x @ lo) % p).all()
 
 
-BACKEND_PROBE = (
-    "import json, lindef._kernels as k, numpy as np;"
-    "a = (np.arange(30, dtype=np.int64).reshape(5, 6) * 7 + 3) % 101;"
-    "r, piv = k.rref(a, 101);"
-    "print(json.dumps({'backend': k.BACKEND, 'rref': r.tolist(),"
-    " 'piv': list(piv)}))"
-)
-
-
-def run_probe(value):
-    env = dict(os.environ, LINDEF_KERNELS=value)
-    return subprocess.run(
-        [sys.executable, "-c", BACKEND_PROBE],
-        capture_output=True, text=True, env=env,
-    )
-
-
 class TestSelection:
-    def test_pure_forced(self):
-        out = run_probe("pure")
-        assert out.returncode == 0
-        assert json.loads(out.stdout)["backend"] == "pure"
+    """The compiled panel is used exactly when `_speedups` imports."""
+
+    def test_backend_names_the_panel(self):
+        if speedups is None:
+            assert _kernels.BACKEND == "pure"
+            assert _kernels._panel_jordan is pure.panel_jordan
+        else:
+            assert _kernels.BACKEND == "fast"
+            assert _kernels._panel_jordan is speedups.panel_jordan
 
     @needs_speedups
-    def test_fast_forced(self):
-        out = run_probe("fast")
-        assert out.returncode == 0
-        assert json.loads(out.stdout)["backend"] == "fast"
-
-    @needs_speedups
-    def test_results_agree_across_backends(self):
-        a = json.loads(run_probe("pure").stdout)
-        b = json.loads(run_probe("fast").stdout)
-        assert a["rref"] == b["rref"] and a["piv"] == b["piv"]
-
-    def test_invalid_value_rejected(self):
-        out = run_probe("turbo")
-        assert out.returncode != 0
-        assert "LINDEF_KERNELS" in out.stderr
+    @pytest.mark.parametrize("p", TestStructuredPass.PRIMES)
+    def test_rref_agrees_across_panels(self, p, monkeypatch):
+        # structured and dense multi-panel inputs, each eliminated once
+        # per panel in the same process
+        rng = np.random.default_rng(p % 1000 + 3)
+        n = 2 * _kernels.panel_width(p) + 7
+        inputs = list(structured_inputs(p).values()) + [
+            rng.integers(0, p, size=(40, n), dtype=np.int64),
+            matmul_mod(rng.integers(0, p, size=(30, 9), dtype=np.int64),
+                       rng.integers(0, p, size=(9, n), dtype=np.int64), p),
+        ]
+        for a in inputs:
+            out = []
+            for panel in (pure.panel_jordan, speedups.panel_jordan):
+                monkeypatch.setattr(_kernels, "_panel_jordan", panel)
+                got, piv = rref(a, p)
+                out.append((got.dtype, got.shape, got.tobytes(), piv))
+            assert out[0] == out[1]

@@ -370,6 +370,16 @@ class TestQuotientAndInducedMaps:
             seen[key] = coords.pop()
         assert len(set(seen.values())) == len(cosets)
 
+    def test_quotient_coords_reject_vectors_outside_the_pair(self):
+        z = Subspace.from_rows(GF2, GF2.asarray([[1, 0, 1, 0], [0, 1, 0, 0]]))
+        b = Subspace.from_rows(GF2, GF2.asarray([[0, 1, 0, 0]]))
+        outside = GF2.asarray([[0, 0, 0, 1]])
+        with pytest.raises(LindefError, match="sub ⊆ self"):
+            QuotientCoords(GF2, b, z)
+        for sup in (z, b):  # a nonzero quotient, and a zero one
+            with pytest.raises(LindefError, match="not in the subspace pair"):
+                QuotientCoords(GF2, sup, b).coords(outside)
+
     def test_induced_map_identity(self):
         z = Subspace.from_rows(GF3, GF3.asarray([[1, 0, 0], [0, 1, 0]]))
         b = Subspace.from_rows(GF3, GF3.asarray([[0, 1, 0]]))

@@ -217,10 +217,11 @@ class TestMStarChecks:
 
 
     @pytest.mark.parametrize("name", ["X3", "GF101", "QQ"])
-    def test_full_check_builds_each_gr1_cycle_stack_once(self, name, monkeypatch):
-        # both m* checks read gr_1 * Z_j; full_check's block_apply calls are
-        # one per (stage, degree) with cycles and a target, plus gr_1 * B_j
-        # where the equality check compares, up to its first failure
+    def test_each_mstar_check_builds_its_own_gr1_cycle_stacks(self, name, monkeypatch):
+        # full_check's block_apply calls: gr_1 * Z_j for the annihilation
+        # check per (stage, degree) with cycles and a target, plus gr_1 * Z_j
+        # and gr_1 * B_j where the equality check compares, up to its first
+        # failure
         import lindef.linear_part as lp
         from lindef.lab import full_check
 
@@ -242,7 +243,7 @@ class TestMStarChecks:
                 ambient = c.stage_rank(d) * gr.component_dim(j - d + 1)
                 if ambient == 0 or hom[j].dim == 0:
                     continue
-                expected += 1
+                expected += 2
                 tensor = gr.component_product(1, j - d)
                 m_z, m_b = (
                     Subspace.from_rows(

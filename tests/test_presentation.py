@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lindef.algebra import FiniteLocalAlgebra
-from lindef.errors import AlgebraError, LindefError, ParseError
+from lindef import presentation
+from lindef.errors import AlgebraError, LindefError, ParseError, ResourceLimitError
 from lindef.fields import Field
 from lindef.lab import ScanConfig, random_algebra
 from lindef.poly import Polynomial
@@ -120,6 +121,18 @@ class TestGroebner:
         gb = buchberger(pres.gens)
         with pytest.raises(AlgebraError, match="finite"):
             quotient_basis(gb, 2)
+
+    def test_resource_caps(self, monkeypatch):
+        assert (presentation.PAIR_CAP, presentation.DIM_CAP,
+                presentation.BOX_CAP) == (20000, 2000, 100000)
+        with pytest.raises(ResourceLimitError, match="^quotient dimension exceeds cap 2000$"):
+            algebra_from_text("vars x y\nideal x^45, y^45")  # dim 2025
+        with pytest.raises(ResourceLimitError, match="^staircase enumeration box too large$"):
+            algebra_from_text("vars x y\nideal x^400, x*y, y^400")  # dim 799
+        monkeypatch.setattr(presentation, "PAIR_CAP", 0)
+        with pytest.raises(ResourceLimitError,
+                           match="^Groebner pair limit 0 exceeded; ideal too complex$"):
+            algebra_from_text("vars x y\nideal y - x^2, x^3")
 
     def test_normal_form_is_idempotent(self):
         pres = parse_presentation("vars x y\nideal y - x^2, x^3\n")

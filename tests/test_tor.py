@@ -579,7 +579,7 @@ class TestBlockExpandIdentities:
                 Subspace.full(field, b_prev * d),
                 block_sum(algebra.power(2), b_prev),
             )
-            want = qc.coords(res.diff[i].expand(), check=False)
+            want = qc.coords(res.diff[i].expand())
             got = res.diff[i].expand(cols=slice(0, algebra.quotient_dim(2)))
             assert got.shape == want.shape and (got == want).all()
 
@@ -597,7 +597,7 @@ class TestBlockExpandIdentities:
                 Subspace.full(field, b_prev * d),
                 block_sum(algebra.power(2), b_prev),
             )
-            preimage = kernel(field, qc.coords(res.diff[i].expand(), check=False).T)
+            preimage = kernel(field, qc.coords(res.diff[i].expand()).T)
             m_block = block_sum(algebra.power(1), res.betti[i])
             outcomes.append(m_block.contains(preimage))
             assert msquared_preimage_condition(res, i) == outcomes[-1]
