@@ -13,6 +13,19 @@ class ParseError(LindefError):
         self.line = line
         self.col = col
 
+    def __reduce__(self):
+        # args hold the formatted message, not __init__'s arguments:
+        # rebuild without __init__, so the message as it stands (with any
+        # prefix a caller added), line and col survive a pickle
+        return _rebuild_parse_error, (type(self), self.args, self.line, self.col)
+
+
+def _rebuild_parse_error(cls, args, line, col):
+    err = cls.__new__(cls, *args)
+    err.line = line
+    err.col = col
+    return err
+
 
 class AlgebraError(LindefError):
     """Input does not define a commutative Artinian local algebra."""

@@ -32,6 +32,7 @@ from .poly import (
     monomial_lcm,
     monomial_mul,
     monomial_quotient,
+    scalar_inverse,
 )
 
 DEFAULT_CHARACTERISTIC = 101
@@ -319,40 +320,61 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
     Deterministic: always reduces the current leading term, using the
     first divisor in list order. Every monomial of the result is
-    irreducible against the basis.
+    irreducible against the basis. The work is one dict reduced in
+    place; each divisor's leading monomial, inverse leading coefficient
+    and tail are read once per call.
     """
-    field = f.field
-    rem = Polynomial.zero(field, f.nvars)
-    work = f
-    while not work.is_zero:
-        lm, lc = work.leading_term()
-        for g in basis:
-            gm, gc = g.leading_term()
+    p = f.field.p
+    divisors = []
+    for g in basis:
+        gm, gc = g.leading_term()
+        tail = [(m, c) for m, c in g.terms.items() if m != gm]
+        divisors.append((gm, scalar_inverse(f.field, gc), tail))
+    work = dict(f.terms)
+    rem = {}
+    while work:
+        lm = max(work, key=degrevlex_key)
+        lc = work.pop(lm)
+        for gm, ginv, tail in divisors:
             if monomial_divides(gm, lm):
                 q = monomial_quotient(lm, gm)
-                if field.p:
-                    factor = field.scalar(lc * pow(int(gc), -1, field.p))
-                else:
-                    factor = lc / gc
-                work = work - g.shift_by_monomial(q, factor)
+                factor = lc * ginv % p if p else lc * ginv
+                for m, c in tail:
+                    m = monomial_mul(m, q)
+                    c = work.get(m, 0) - factor * c
+                    if p:
+                        c %= p
+                    if c:
+                        work[m] = c
+                    else:
+                        del work[m]
                 break
         else:
-            t = Polynomial.from_monomial(field, f.nvars, lm, lc)
-            rem = rem + t
-            work = work - t
-    return rem
+            rem[lm] = lc
+    # terms leave `work` largest first, so the first one kept leads
+    return Polynomial.from_clean(f.field, f.nvars, rem, next(iter(rem), None))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    field = f.field
+    p = f.field.p
     fm, fc = f.leading_term()
     gm, gc = g.leading_term()
     lcm = monomial_lcm(fm, gm)
-    a = f.shift_by_monomial(monomial_quotient(lcm, fm), field.scalar(1))
-    b = g.shift_by_monomial(monomial_quotient(lcm, gm), field.scalar(1))
-    if field.p:
-        return a * pow(int(fc), -1, field.p) - b * pow(int(gc), -1, field.p)
-    return a * (1 / fc) - b * (1 / gc)
+    qf, qg = monomial_quotient(lcm, fm), monomial_quotient(lcm, gm)
+    finv, ginv = scalar_inverse(f.field, fc), scalar_inverse(f.field, gc)
+    terms = {}
+    for m, c in f.terms.items():
+        terms[monomial_mul(m, qf)] = c * finv % p if p else c * finv
+    for m, c in g.terms.items():
+        m = monomial_mul(m, qg)
+        c = terms.get(m, 0) - c * ginv
+        if p:
+            c %= p
+        if c:
+            terms[m] = c
+        else:
+            del terms[m]
+    return Polynomial.from_clean(f.field, f.nvars, terms)
 
 
 def buchberger(gens):
@@ -475,8 +497,11 @@ def build_algebra(pres: Presentation):
     ideal is spanned by the non-constant basis monomials.
 
     The table comes from the multiplication matrices X_v of the
-    variables, row j = NF(x_v * e_j): n * d normal forms (Faugere,
-    Gianni, Lazard and Mora, JSC 16, 1993). The standard monomials form
+    variables, row j = NF(x_v * e_j) (Faugere, Gianni, Lazard and Mora,
+    JSC 16, 1993). A product x_v * e_j that is itself a standard
+    monomial is its own normal form and is written into X_v directly;
+    only the border monomials, the products outside the staircase, are
+    divided by the Groebner basis. The standard monomials form
     an order ideal, so every e_i other than 1 is e_i' * x_v for some
     variable v and an earlier basis element e_i', and
     table[i] = table[i'] @ X_v. Normal forms are unique, so this is the
@@ -494,7 +519,11 @@ def build_algebra(pres: Presentation):
     xmats = field.zeros((n, d, d))
     for v, x in enumerate(xs):
         for j, mj in enumerate(qb):
-            prod = Polynomial.from_monomial(field, n, monomial_mul(x, mj), 1)
+            mon = monomial_mul(x, mj)
+            if mon in index:  # a standard monomial is its own normal form
+                xmats[v, j, index[mon]] = field.scalar(1)
+                continue
+            prod = Polynomial.from_monomial(field, n, mon, 1)
             for mon, c in normal_form(prod, gb).terms.items():
                 xmats[v, j, index[mon]] = c
     one = index[(0,) * n]

@@ -5,17 +5,137 @@ without the package's shortcuts, so a parity test that they agree
 checks the shortcut.
 """
 
+import heapq
 import math
 from bisect import bisect_left
 
 import numpy as np
 
+from lindef import presentation
 from lindef.algebra import FiniteLocalAlgebra
-from lindef.errors import AlgebraError
+from lindef.errors import AlgebraError, ResourceLimitError
 from lindef.linalg import QuotientCoords, Subspace, block_apply, block_expand, kernel
-from lindef.poly import Polynomial, monomial_mul
-from lindef.presentation import buchberger, normal_form, quotient_basis
+from lindef.poly import (
+    Polynomial,
+    degrevlex_key,
+    monomial_degree,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+    monomial_quotient,
+)
+from lindef.presentation import quotient_basis
 from lindef.resolution import AlgebraMatrix
+
+
+# ---------------------------------------------------------------------------
+# the ring build by Polynomial arithmetic alone: every leading term is
+# recomputed, every step builds new Polynomials
+
+
+def leading_term_reference(f):
+    """(monomial, coefficient) of f's degrevlex-largest term."""
+    mon = max(f.terms, key=degrevlex_key)
+    return mon, f.terms[mon]
+
+
+def shift_by_monomial(f, mon, c):
+    """f * c * x^mon, through the validating constructor."""
+    c = f.field.scalar(c)
+    return Polynomial(
+        f.field, f.nvars, {monomial_mul(m, mon): v * c for m, v in f.terms.items()}
+    )
+
+
+def _inverse_scalar(field, c):
+    return field.scalar(pow(int(c), -1, field.p)) if field.p else 1 / c
+
+
+def monic_reference(f):
+    return f * _inverse_scalar(f.field, leading_term_reference(f)[1])
+
+
+def normal_form_reference(f, basis):
+    """Remainder of f under division by `basis`: the current leading
+    term is reduced by the first divisor in list order."""
+    field = f.field
+    rem = Polynomial.zero(field, f.nvars)
+    work = f
+    while not work.is_zero:
+        lm, lc = leading_term_reference(work)
+        for g in basis:
+            gm, gc = leading_term_reference(g)
+            if monomial_divides(gm, lm):
+                factor = field.scalar(lc * _inverse_scalar(field, gc))
+                work = work - shift_by_monomial(g, monomial_quotient(lm, gm), factor)
+                break
+        else:
+            t = Polynomial.from_monomial(field, f.nvars, lm, lc)
+            rem = rem + t
+            work = work - t
+    return rem
+
+
+def s_polynomial_reference(f, g):
+    field = f.field
+    fm, fc = leading_term_reference(f)
+    gm, gc = leading_term_reference(g)
+    lcm = monomial_lcm(fm, gm)
+    a = shift_by_monomial(f, monomial_quotient(lcm, fm), 1)
+    b = shift_by_monomial(g, monomial_quotient(lcm, gm), 1)
+    return a * _inverse_scalar(field, fc) - b * _inverse_scalar(field, gc)
+
+
+def buchberger_reference(gens):
+    """Reduced Groebner basis by the package's pair order, (lcm degree,
+    lcm, index), coprime pairs skipped, the same pair cap."""
+    basis = [monic_reference(g) for g in gens if not g.is_zero]
+    if not basis:
+        return []
+    heap = []
+
+    def push_pairs(new_index):
+        gm = leading_term_reference(basis[new_index])[0]
+        for i in range(new_index):
+            im = leading_term_reference(basis[i])[0]
+            lcm = monomial_lcm(im, gm)
+            if lcm != monomial_mul(im, gm):
+                heapq.heappush(
+                    heap, (monomial_degree(lcm), degrevlex_key(lcm), i, new_index)
+                )
+
+    for idx in range(len(basis)):
+        push_pairs(idx)
+    processed = 0
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        processed += 1
+        if processed > presentation.PAIR_CAP:
+            raise ResourceLimitError(
+                f"Groebner pair limit {presentation.PAIR_CAP} exceeded; "
+                "ideal too complex"
+            )
+        r = normal_form_reference(s_polynomial_reference(basis[i], basis[j]), basis)
+        if not r.is_zero:
+            basis.append(monic_reference(r))
+            push_pairs(len(basis) - 1)
+
+    def lead(g):
+        return degrevlex_key(leading_term_reference(g)[0])
+
+    minimal, seen = [], set()
+    for g in sorted(basis, key=lead):
+        gm = leading_term_reference(g)[0]
+        if gm not in seen and not any(
+            monomial_divides(leading_term_reference(h)[0], gm) for h in minimal
+        ):
+            minimal.append(g)
+            seen.add(gm)
+    reduced = []
+    for idx, g in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1 :]
+        reduced.append(monic_reference(normal_form_reference(g, others)))
+    return sorted(reduced, key=lead)
 
 
 def pairwise_table(pres):
@@ -23,7 +143,7 @@ def pairwise_table(pres):
     NF(e_i * e_j), basis the degrevlex-sorted standard monomials."""
     field = pres.field
     n = len(pres.varnames)
-    gb = buchberger(pres.gens)
+    gb = buchberger_reference(pres.gens)
     qb = quotient_basis(gb, n)
     d = len(qb)
     index = {m: i for i, m in enumerate(qb)}
@@ -34,7 +154,7 @@ def pairwise_table(pres):
                 table[i, j] = table[j, i]
                 continue
             prod = Polynomial.from_monomial(field, n, monomial_mul(mi, mj), 1)
-            for mon, c in normal_form(prod, gb).terms.items():
+            for mon, c in normal_form_reference(prod, gb).terms.items():
                 table[i, j, index[mon]] = c
     return table
 
@@ -120,7 +240,8 @@ def inverse(field, a):
     """Inverse of an invertible square matrix, from rref([a | I])."""
     d = a.shape[0]
     r, piv = field.rref(np.concatenate([a, field.eye(d)], axis=1))
-    assert list(piv) == list(range(d)), "matrix is singular"
+    if list(piv) != list(range(d)):
+        raise AssertionError("matrix is singular")
     return np.ascontiguousarray(r[:, d:])
 
 
@@ -184,7 +305,8 @@ def quotient_reference(algebra, n):
     )
     tmp = np.ascontiguousarray(tmp.reshape(q, d, d).transpose(1, 0, 2))
     act = field.matmul(tmp.reshape(d * q, d), proj).reshape(d, q, q)
-    assert field.is_zero(field.sub(field.matmul(lift, proj), field.eye(q)))
+    if not field.is_zero(field.sub(field.matmul(lift, proj), field.eye(q))):
+        raise AssertionError("lift @ proj is not the identity on R/F_n")
     return act, proj, lift
 
 

@@ -1,7 +1,7 @@
 """Polynomial arithmetic and the degrevlex order."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lindef.errors import LindefError
 from lindef.fields import Field
@@ -15,6 +15,8 @@ from lindef.poly import (
     monomial_mul,
     monomial_quotient,
 )
+
+from references import leading_term_reference, shift_by_monomial
 
 GF7 = Field(7)
 GF101 = Field(101)
@@ -88,8 +90,9 @@ class TestPolynomialArithmetic:
 
     def test_shift_by_monomial(self):
         f = P(GF7, 2, {(1, 0): 2, (0, 0): 1})
-        g = f.shift_by_monomial((0, 2), 3)
+        g = shift_by_monomial(f, (0, 2), 3)
         assert g.terms == {(1, 2): 6, (0, 2): 3}
+        assert g == f * P(GF7, 2, {(0, 2): 3})
 
     def test_to_string(self):
         f = P(GF101, 2, {(2, 0): 1, (1, 1): 100, (0, 0): 5})
@@ -135,3 +138,29 @@ def test_leading_term_of_product_multiplies(ta):
     # GF(7) has no zero divisors, so leading terms multiply
     assert mp == monomial_mul(mf, mg)
     assert cp == cf * cg % 7
+
+
+def _terms(field):
+    return st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.integers(-3, 3) if field.p == 0 else st.integers(0, field.p - 1),
+        max_size=8,
+    )
+
+
+@pytest.mark.parametrize("field", [Field(2), GF101, Field(2**31 - 1), QQ], ids=repr)
+@settings(max_examples=30, derandomize=True)
+@given(data=st.data())
+def test_every_result_leads_with_its_largest_term(field, data):
+    """The leading term of each arithmetic result, cached or not, is the
+    degrevlex-largest of its terms, and no result holds a zero term."""
+    f = P(field, 2, data.draw(_terms(field)))
+    g = P(field, 2, data.draw(_terms(field)))
+    c = data.draw(st.integers(-3, 3))
+    results = [f + g, f - g, -f, f * g, f * c, c * g]
+    if not f.is_zero:
+        results.append(f.monic())
+    for h in results:
+        assert all(v != 0 for v in h.terms.values())
+        if not h.is_zero:
+            assert h.leading_term() == leading_term_reference(h)

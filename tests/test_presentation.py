@@ -1,5 +1,7 @@
 """Parsing, Groebner bases, and algebra construction from presentations."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from lindef import presentation
 from lindef.errors import AlgebraError, LindefError, ParseError, ResourceLimitError
 from lindef.fields import Field
 from lindef.lab import ScanConfig, random_algebra
-from lindef.poly import Polynomial
+from lindef.poly import Polynomial, format_monomial
 from lindef.presentation import (
     Presentation,
     algebra_from_text,
@@ -19,9 +21,18 @@ from lindef.presentation import (
     normal_form,
     parse_presentation,
     quotient_basis,
+    s_polynomial,
 )
 
-from references import input_table, mult, pairwise_table
+from references import (
+    buchberger_reference,
+    input_table,
+    leading_term_reference,
+    mult,
+    normal_form_reference,
+    pairwise_table,
+    s_polynomial_reference,
+)
 
 GF101 = Field(101)
 GF7 = Field(7)
@@ -155,7 +166,8 @@ class TestGroebner:
         pres = parse_presentation("vars x y\nideal x^2 + y, y^2\n")
         gb = buchberger(pres.gens)
         f = Polynomial(GF101, 2, dict(terms))
-        g = f * pres.gens[0] + f.shift_by_monomial((0, 1), 1) * pres.gens[1]
+        y = Polynomial.from_monomial(GF101, 2, (0, 1))
+        g = f * pres.gens[0] + f * y * pres.gens[1]
         assert normal_form(g, gb).is_zero
 
 
@@ -212,6 +224,94 @@ class TestTableParity:
                 f"ideal {', '.join(desc['ideal'])}\n"
             )
             assert np.array_equal(input_table(algebra), pairwise_table(pres))
+
+
+FIELDS = [Field(2), GF101, Field(2**31 - 1), Field(0)]
+
+
+def _polynomial(draw, field, n, degrees):
+    """Two to four terms, each of total degree in `degrees`, with
+    nonzero coefficients."""
+    mons = [m for m in itertools.product(range(max(degrees) + 1), repeat=n)
+            if sum(m) in degrees]
+    chosen = draw(st.lists(st.sampled_from(mons), min_size=min(2, len(mons)),
+                           max_size=4, unique=True))
+    if field.p:
+        coefficient = st.integers(1, field.p - 1)
+    else:
+        coefficient = st.integers(-3, 3).filter(bool)
+    return Polynomial(field, n, {m: draw(coefficient) for m in chosen})
+
+
+@st.composite
+def presentations(draw, field, homogeneous, local=False):
+    """One to three generators over `field` without constant term, each
+    homogeneous of one degree or spread over degrees 1 to 3; with
+    local=True also a pure power of every variable, so the quotient is a
+    finite local algebra."""
+    n = draw(st.integers(2, 3))
+    gens = []
+    if local:
+        top = 5 if n == 2 else 3
+        for v in range(n):
+            power = tuple(draw(st.integers(2, top)) * (u == v) for u in range(n))
+            gens.append(Polynomial.from_monomial(field, n, power))
+    for _ in range(draw(st.integers(1, 3))):
+        if homogeneous:
+            degrees = [draw(st.integers(1, 3))]
+        else:
+            degrees = range(1, draw(st.integers(2, 3)) + 1)
+        gens.append(_polynomial(draw, field, n, degrees))
+    return Presentation(field, list("xyz"[:n]), draw(st.permutations(gens)))
+
+
+@pytest.mark.parametrize("homogeneous", [True, False],
+                         ids=["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+class TestRingBuildReference:
+    """Groebner bases, normal forms and tables equal those of the
+    reference ring build by plain Polynomial arithmetic (references.py),
+    term for term."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_groebner_basis(self, field, homogeneous, data):
+        pres = data.draw(presentations(field, homogeneous))
+        gb = buchberger(pres.gens)
+        assert [g.terms for g in gb] == [
+            g.terms for g in buchberger_reference(pres.gens)
+        ]
+        for g in gb:
+            assert g.leading_term() == leading_term_reference(g)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_normal_forms(self, field, homogeneous, data):
+        pres = data.draw(presentations(field, homogeneous))
+        n = len(pres.varnames)
+        gb = buchberger(pres.gens)
+        for _ in range(3):
+            f = _polynomial(data.draw, field, n, range(6))
+            # the generators are no Groebner basis: the divisor order counts
+            for divisors in (gb, pres.gens):
+                nf = normal_form(f, divisors)
+                assert nf.terms == normal_form_reference(f, divisors).terms
+                if not nf.is_zero:
+                    assert nf.leading_term() == leading_term_reference(nf)
+        for f, g in itertools.combinations(gb + pres.gens, 2):
+            sp = s_polynomial(f, g)
+            assert sp.terms == s_polynomial_reference(f, g).terms
+            if not sp.is_zero:
+                assert sp.leading_term() == leading_term_reference(sp)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_build_algebra(self, field, homogeneous, data):
+        pres = data.draw(presentations(field, homogeneous, local=True))
+        algebra = build_algebra(pres)
+        qb = quotient_basis(buchberger_reference(pres.gens), len(pres.varnames))
+        assert algebra.labels == [format_monomial(m, pres.varnames) for m in qb]
+        assert np.array_equal(input_table(algebra), pairwise_table(pres))
 
 
 class TestStructureConstants:
