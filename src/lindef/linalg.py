@@ -27,19 +27,17 @@ and one elimination. A matrix of
 ring elements entries[g, g', e] (coordinates e in some basis, ops[e]
 the operator of that basis element) is the scalar matrix
 sum_e entries[:, :, e] (x) ops[e] on these rows, built by
-`block_expand`. Its callers for differentials are
-`resolution.AlgebraMatrix.expand`, whose docstring lists the table
-truncations behind the Tor complexes and lin(F), the strand blocks of
-`resolution.MinimalResolution.strand_blocks` that the resolution and the
-Tor ladder use, one call per pair of generator degrees (one per stage in
-the trivial grading of an ungraded table), and the linear part's blocks,
-one call per linear strand.
+`block_expand`. Its callers for differentials are the strand blocks of
+`resolution.MinimalResolution.strand_blocks`, one call per pair of
+generator degrees (one per stage in the trivial grading), and the linear
+part's blocks, one per linear strand; `resolution.AlgebraMatrix.expand`
+lists the table truncations behind them.
 
 A direct sum of subspaces on disjoint sets of coordinates is handled
 part by part: the RREF basis of the sum is the union of the parts' RREF
-bases, sorted by pivot (`scatter_by_pivot`), so the resolution's
-strands and the linear part's strands give the bytes one elimination
-of the whole space gives.
+bases, sorted by pivot (`scatter_by_pivot`, `scatter_cells`), so the
+strands of the resolution, the Tor cells and the linear part give the
+bytes one elimination of the whole space gives.
 """
 
 from __future__ import annotations
@@ -334,6 +332,17 @@ def scatter_by_pivot(field: Field, ambient: int, parts):
             out[np.ix_(rank[start:start + len(rows)], index)] = rows
             start += len(rows)
     return out, pivots[order].tolist()
+
+
+def scatter_cells(field: Field, ambient: int, parts) -> HomologyCell:
+    """The homology cell of a direct sum of complexes on disjoint
+    coordinate sets: parts lists (index, cell), index as for
+    `scatter_by_pivot`, which joins the parts' cycles and boundaries."""
+    spaces = []
+    for k in range(2):
+        pieces = [(index, cell[k].basis, cell[k].pivots) for index, cell in parts]
+        spaces.append(Subspace(field, ambient, *scatter_by_pivot(field, ambient, pieces)))
+    return HomologyCell(*spaces)
 
 
 def block_apply(field: Field, rows, blocks: int, ops):

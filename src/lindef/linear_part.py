@@ -29,7 +29,7 @@ one row space per block, none for a block with no outgoing columns (all
 cycles) or no incoming rows (no boundaries). A strand's coordinates are
 a block layout of its own, and the RREF basis of a direct sum with
 disjoint coordinate supports is the union of the parts' RREF bases, so
-`linalg.scatter_by_pivot` reassembles each cell in global pivot order,
+`linalg.scatter_cells` reassembles each cell in global pivot order,
 the same bytes as one elimination of the whole slice; the m* checks
 read the reassembled cells.
 """
@@ -45,7 +45,7 @@ from .linalg import (
     block_apply,
     block_expand,
     homology_cell,
-    scatter_by_pivot,
+    scatter_cells,
 )
 from .resolution import MinimalResolution, resolve
 
@@ -153,7 +153,7 @@ class GradedComplex:
         width = self.gr.component_dim(j - i)
         has_out = self.gr.component_dim(j - i + 1) > 0
         has_in = self.gr.component_dim(j - i - 1) > 0
-        cycles, boundaries = [], []
+        parts = []
         for s, gens in self.strands(i).items():
             index = (gens[:, None] * width + np.arange(width)).ravel()
             n = len(index)
@@ -161,14 +161,9 @@ class GradedComplex:
                 field.zeros((n, 0)))
             inc = self._strand_block(i + 1, j, s, i + 1) if has_in and s in above else (
                 field.zeros((0, n)))
-            cell = homology_cell(field, out, inc, f"stage {i}, degree {j}, strand {s}")
-            cycles.append((index, cell.cycles.basis, cell.cycles.pivots))
-            boundaries.append((index, cell.boundaries.basis, cell.boundaries.pivots))
-        n = self.component_dim(i, j)
-        return HomologyCell(*(
-            Subspace(field, n, *scatter_by_pivot(field, n, parts))
-            for parts in (cycles, boundaries)
-        ))
+            parts.append((index, homology_cell(
+                field, out, inc, f"stage {i}, degree {j}, strand {s}")))
+        return scatter_cells(field, self.component_dim(i, j), parts)
 
     # -- homology ---------------------------------------------------------
 

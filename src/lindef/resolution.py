@@ -24,9 +24,9 @@ block-diagonal by strand, and each stage runs one strand at a time:
   of W with no strand below it needs no elimination;
 * each strand block of d_i is built from the entries and table
   truncations by `block_expand`, never the whole expanded matrix
-  (`MinimalResolution.strand_blocks`, which also serves the Tor ladder
-  the same blocks cut to low filtration degrees; the resolution keeps
-  each stage's strand layout for it);
+  (`MinimalResolution.strand_blocks`; the resolution keeps each stage's
+  strand layout, so the Tor ladder, the Tor cells of `upsilon` and
+  `syzygy` get the same blocks, whole or cut to low filtration degrees);
 * d o d = 0, the kernel and the last stage's rank are computed per
   block, and a strand of F_i with no coordinates in F_{i-1} is all
   kernel and makes no elimination.
@@ -110,26 +110,23 @@ class AlgebraMatrix:
               degree j, entries in gr(1)
             strand D of d_i, generators of      rows gr(D-a)   cols gr(D-a')
               degrees a -> a', entries in gr(a-a')
-            the Tor ladder's strand D, the      rows gr(D-a)   cols gr(D-a')
-              same pair, all n                    ∩ :q_{t-2}     ∩ :q_{t-1}
+            strand D of d_i (x) R/m^n, the      rows gr(D-a)   cols gr(D-a')
+              same pair                           ∩ :q_n         ∩ :q_n
 
-        (t the nilpotency index). F_i -> F_{i-1}/m^2 F_{i-1} needs no
-        expansion: on the generators of F_i it is entries[:, :, :q_2]
-        (`tor_ladder.msquared_preimage_condition`). On a resolution only
-        `syzygy`, `linear_part.GradedComplex.slice_matrix` and the Tor
-        complexes of `upsilon` (`tor_ladder._TorComplex`) call this
-        method; the resolution and the ladder build strand blocks, one
-        `block_expand` per pair of generator degrees with only the
-        entries in gr(a - a') (`MinimalResolution.strand_blocks`). A row
-        of degree a meets only columns of degree >= a + 1, so the
-        ladder's cut blocks hold every r(n, i) = rank(d_i (x) R/m^n):
-        with their columns in degree order, r(n, i) counts their pivots
-        among the columns of degree < n (`tor_ladder._rank_profile`). gr
-        is the grading's: in the trivial one gr(0) is the whole basis
-        and the one strand block the whole matrix. The linear part does
-        the same for its linear strands (`linear_part.GradedComplex`),
-        whose blocks keep the gr_1 entries between generators of one
-        strand.
+        F_i -> F_{i-1}/m^2 F_{i-1} needs no expansion: on the generators
+        of F_i it is entries[:, :, :q_2]
+        (`tor_ladder.msquared_preimage_condition`). Only
+        `linear_part.GradedComplex.slice_matrix`, which nothing in the
+        package calls, and the tests' references call this method. The
+        rest build strand blocks, one `block_expand` per pair of generator
+        degrees with only the entries in gr(a - a')
+        (`MinimalResolution.strand_blocks`): the resolution and `syzygy`
+        whole, the Tor ladder cut at n = t - 2 on the rows and t - 1 on
+        the columns (t the nilpotency index; `tor_ladder._rank_profile`),
+        the Tor cells of `upsilon` at n. gr is the grading's: in the
+        trivial one gr(0) is the whole basis and the one strand block the
+        whole matrix. The linear part does the same for its linear
+        strands (`linear_part.GradedComplex`).
 
         lin(F) keeps only the entries' gr_1 coordinates, yet its row in
         the table sums over every e. That is the same matrix: coordinate 0 of
@@ -224,39 +221,28 @@ class _Strands:
             pos = self._pos[D, a] = self.local[coords.ravel()]
         return pos
 
-    def layout(self, D: int):
-        """(size, place, None) of strand D in its own coordinate order:
-        place[a] = (positions(D, a), gr(D - a)) for each generator degree
-        a with coordinates in the strand."""
-        place = {}
-        for a in self.groups:
+    def layout(self, D: int, q: int | None = None):
+        """(index, place) of strand D, cut to the basis vectors e < q of
+        each block when q is given: index lists its coordinates g*d + e in
+        increasing order, and place[a] = (positions(D, a), gr(D - a)), both
+        cut, for each generator degree a with coordinates left. A cut
+        keeps a prefix of each generator's range: again a block layout."""
+        index, place, size = self.index[D], {}, 0
+        for a, gens in self.groups.items():
             r = self.gr(D - a)
+            if q is not None:
+                r = slice(r.start, min(r.stop, q))
             if r.stop > r.start:
                 place[a] = (self.positions(D, a), r)
-        return len(self.index.get(D, ())), place, None
-
-    def cut(self, D: int, q: int, fdeg=None):
-        """(size, place, cdeg) of strand D cut to the basis vectors e < q
-        of each block, laid out one generator degree after another, the
-        highest first, each generator-major: place[a] = (the slice of the
-        degree-a generators' coordinates, the cut range of gr(D - a)).
-        With fdeg, the filtration degree of each basis vector, cdeg lists
-        the coordinates' filtration degrees; the highest generator degree
-        first puts them in increasing order when each gr(D - a) is one
-        filtration degree, as in the filtration grading."""
-        place, cdeg, size = {}, [], 0
-        for a in reversed(self.groups):
-            r = self.gr(D - a)
-            r = slice(r.start, min(r.stop, q))
-            if r.stop > r.start:
-                n = len(self.groups[a]) * (r.stop - r.start)
-                place[a] = (slice(size, size + n), r)
-                if fdeg is not None:
-                    cdeg.append(np.tile(fdeg[r], len(self.groups[a])))
-                size += n
-        if fdeg is None:
-            return size, place, None
-        return size, place, np.concatenate(cdeg) if cdeg else fdeg[:0]
+                size += len(gens) * (r.stop - r.start)
+        if size in (0, len(index)):  # all or nothing cut
+            return index[:size], place
+        keep = index % self.d < q
+        local = np.cumsum(keep) - 1
+        for a, (pos, r) in place.items():
+            pos = pos.reshape(len(self.groups[a]), -1)[:, :r.stop - r.start]
+            place[a] = (local[pos.ravel()], r)
+        return index[keep], place
 
     def split(self, space: Subspace):
         """space's parts by strand, or None when a basis row touches two
@@ -355,9 +341,9 @@ class MinimalResolution:
     scalar matrix). Stage i reads only the syzygy space ker d_{i-1}
     (ker of the augmentation F_0 -> M at i = 1, all of M at i = 0), so
     construction carries one syzygy space at a time and keeps none;
-    syzygy(i) recomputes ker d_i from diff[i]. Every stage enforces
-    minimality, d o d = 0 and exactness; the last checks its rank
-    without building a kernel basis.
+    syzygy(i) recomputes ker d_i from its strand blocks. Every stage
+    enforces minimality, d o d = 0 and exactness; the last checks its
+    rank without building a kernel basis.
 
     Each stage runs one internal-degree strand at a time in the grading
     chosen for the whole resolution (see the module docstring), in which
@@ -462,7 +448,7 @@ class MinimalResolution:
         at the last stage) and the rank of d_i."""
         field = self.algebra.field
         stage, parts, rank = {}, {}, 0
-        for D, block, _ in self.strand_blocks(i):
+        for D, block, _, _ in self.strand_blocks(i):
             pm = prev.get(D)
             if pm is not None and not field.is_zero(field.matmul(block, pm)):
                 raise AssertionError(f"differential {i} does not compose to zero")
@@ -480,26 +466,29 @@ class MinimalResolution:
 
     def strand_blocks(self, i: int, rows: int | None = None,
                       cols: int | None = None):
-        """Yield (D, block, cdeg) for each internal-degree strand D of d_i
-        whose block has both rows and columns, in increasing D.
+        """Yield (D, block, row_index, col_index) for each internal-degree
+        strand D of d_i whose block has both rows and columns, in
+        increasing D.
 
         A generator of degree a meets one of degree a' through entries in
         gr(a - a') only, and a - a' >= m_degree by minimality, so a block
         is one `block_expand` of table[gr(a - a'), gr(D - a), gr(D - a')]
         per pair of generator degrees. No other coordinate of the entries
-        is read: `check_differential` checks that they are zero.
+        is read: callers check that they are zero (`check_differential`).
 
-        Without bounds the block is in the strands' own coordinate order
-        (`_Strands.positions`), which the resolution's kernels use, and
-        cdeg is None. With bounds it keeps, of each generator's block of
-        R, the basis vectors of filtration degree < rows on its rows and
-        < cols on its columns (the ranges :q_rows and :q_cols of the
-        adapted basis); its columns are in filtration-degree order and
-        cdeg lists their filtration degrees. Each block is checked against
-        max_expand_entries before it is allocated.
+        Rows and columns are the strands' layouts (`_Strands.layout`):
+        the coordinates g*d + e of strand D of F_i and of F_{i-1}, listed
+        in row_index and col_index, in increasing order. With bounds the
+        rows keep the basis vectors of filtration degree < rows of each
+        generator's block of R, and the columns those of degree < cols
+        (the ranges :q_rows and :q_cols of the adapted basis). Each block
+        is checked against max_expand_entries before it is allocated.
         """
+        self._check_index(i)
         field, table = self.algebra.field, self.algebra.table
         new, old = self._strands[i], self._strands[i - 1]
+        q_r = None if rows is None else self.algebra.quotient_dim(rows)
+        q_c = None if cols is None else self.algebra.quotient_dim(cols)
         s, gr = old.s, old.gr
         entries = self.diff[i].entries
         pairs = []
@@ -508,9 +497,13 @@ class MinimalResolution:
                 q = gr(a - a2)
                 if a - a2 >= s and q.stop > q.start:
                     pairs.append((a, a2, q, entries[gens[:, None], gens2, q]))
-        for D, (r, rplace, _), (c, cplace, cdeg) in self._layouts(i, rows, cols):
-            self._check_cap(i, r, c, D if s else None)
-            block = field.zeros((r, c))
+        for D in sorted(new.index.keys() & old.index.keys()):
+            row_index, rplace = new.layout(D, q_r)
+            col_index, cplace = old.layout(D, q_c)
+            if not (len(row_index) and len(col_index)):
+                continue
+            self._check_cap(i, len(row_index), len(col_index), D if s else None)
+            block = field.zeros((len(row_index), len(col_index)))
             for a, a2, q, ent in pairs:
                 if a in rplace and a2 in cplace:
                     (at_r, rr), (at_c, cr) = rplace[a], cplace[a2]
@@ -518,34 +511,13 @@ class MinimalResolution:
                     if sub.shape == block.shape:
                         # one pair of degrees fills the block, in order
                         block = sub
-                    elif isinstance(at_r, slice):
-                        block[at_r, at_c] = sub
                     else:
                         block[np.ix_(at_r, at_c)] = sub
-            if cdeg is not None and (cdeg[1:] < cdeg[:-1]).any():
-                order = np.argsort(cdeg, kind="stable")
-                block, cdeg = block[:, order], cdeg[order]
-            yield D, block, cdeg
+            yield D, block, row_index, col_index
 
-    def _layouts(self, i, rows, cols):
-        """(D, row layout, column layout) of each strand D of d_i with
-        both rows and columns, for `strand_blocks`."""
-        new, old = self._strands[i], self._strands[i - 1]
-        if rows is None:
-            for D in new.index:
-                if D in old.index:
-                    yield D, new.layout(D), old.layout(D)
-            return
-        alg = self.algebra
-        grd = alg.graded()
-        fdeg = np.repeat(np.arange(len(grd.dims)), grd.dims)
-        q_r, q_c = alg.quotient_dim(rows), alg.quotient_dim(cols)
-        for D in new.index:
-            row_layout = new.cut(D, q_r)
-            if row_layout[0]:
-                col_layout = old.cut(D, q_c, fdeg)
-                if col_layout[0]:
-                    yield D, row_layout, col_layout
+    def _check_index(self, i: int):
+        if not 1 <= i <= self.horizon:
+            raise LindefError(f"differential {i} outside 1..{self.horizon}")
 
     def check_differential(self, i: int):
         """Raise AssertionError unless d_i is minimal and homogeneous:
@@ -554,6 +526,7 @@ class MinimalResolution:
         a unit or an off-degree entry (in a d_i replaced after the
         resolution built it) would not show in its blocks. Explicit
         raises, so it checks under python -O too."""
+        self._check_index(i)
         dmat = self.diff[i]
         if not dmat.is_minimal():
             raise AssertionError(
@@ -572,18 +545,23 @@ class MinimalResolution:
     # -- accessors -----------------------------------------------------
 
     def syzygy(self, index: int) -> RModule:
-        """Syzygy module ker d_index (index 0 returns M itself)."""
+        """Syzygy module ker d_index (index 0 returns M itself), from the
+        kernels of d_index's strand blocks (`_stage`) scattered by pivot,
+        which is the canonical kernel of the whole expanded d_index."""
         if index == 0:
             return self.module
         if index > self.horizon:
             raise LindefError(
                 f"syzygy index {index} exceeds computed horizon {self.horizon}"
             )
-        field = self.algebra.field
-        d = self.algebra.dim
-        w = kernel(field, self.diff[index].expand().T)
+        self.check_differential(index)
+        field, d, b = self.algebra.field, self.algebra.dim, self.betti[index]
+        _, ker, _ = self._stage(index, {}, False)
+        parts = [(ker.strands.index[D], p.basis, p.pivots)
+                 for D, p in ker.parts.items()]
+        w = Subspace(field, b * d, *scatter_by_pivot(field, b * d, parts))
         # row j*z + r of the products is w.basis[r] * e_j
-        images = block_apply(field, w.basis, self.betti[index], self.algebra.table)
+        images = block_apply(field, w.basis, b, self.algebra.table)
         act = w.coords(images).reshape(d, w.dim, w.dim)
         return RModule(self.algebra, w.dim, act, validate=False)
 

@@ -4,9 +4,9 @@ Tor is computed from the already-built minimal resolution F of M: the
 complex F (x) R/m^n has one block of dim R/m^n per generator (the
 block layout of `linalg`); in the adapted basis of `algebra` its
 differential is F's, truncated to the leading q_n = dim R/m^n
-coordinates of each block (`AlgebraMatrix.expand`). The map v^n_i is
-induced on homology by the surjection R/m^{n+1} -> R/m^n, which keeps
-those leading coordinates blockwise.
+coordinates of each block. The map v^n_i is induced on homology by the
+surjection R/m^{n+1} -> R/m^n, which keeps those leading coordinates
+blockwise.
 
 The ladder reports only dimensions and ranks, and reads all of them off
 the ranks r(n, i) = rank(d_i (x) R/m^n), with r(n, 0) = 0. As F is
@@ -36,8 +36,10 @@ the trivial grading the one strand is the whole matrix. The m^2
 preimage condition (v^1_i = 0) is one rank of the generator rows of d_i
 (`msquared_preimage_condition`). `upsilon` builds the explicit matrix
 of one map from one homology cell of each of its two Tor complexes
-(`_TorComplex`), whole matrices that the tests also use as the
-independent reference for the ladder.
+(`_TorComplex`), strand by strand from the same blocks cut to
+filtration degree < n. Nothing here expands a whole differential; the
+tests keep the whole-matrix cells as the independent reference for the
+ladder and for `upsilon`.
 
 Power conventions follow m^0 = R: n = 0 gives the zero module, and
 n >= nilpotency index gives R itself, so those rows of the ladder are
@@ -51,7 +53,12 @@ import numpy as np
 from .errors import AlgebraError, LindefError
 # kernel stays bound here: perfbench/tracer.py rebinds it at every
 # lindef import site.
-from .linalg import homology_cell, induced_map_on_quotients, kernel  # noqa: F401
+from .linalg import (  # noqa: F401
+    homology_cell,
+    induced_map_on_quotients,
+    kernel,
+    scatter_cells,
+)
 from .linear_part import defect_classification
 from .resolution import MinimalResolution
 
@@ -77,28 +84,36 @@ def _pi_applier(algebra, n: int, b: int):
 
 
 class _TorComplex:
-    """The homology cell at i of F (x) R/m^n, n >= 1, built from d_i and
-    d_{i+1} truncated to the leading q_n = dim R/m^n coordinates."""
+    """The homology cell at i of F (x) R/m^n, n >= 1, strand by strand.
+
+    F (x) R/m^n is block-diagonal by internal degree: each strand of F_i
+    has the kernel of d_i's block and the row space of d_{i+1}'s, both
+    cut to filtration degree < n (`MinimalResolution.strand_blocks`), or
+    all cycles and no boundaries where a block is missing. Coordinate
+    g*d + e of a strand is g*q_n + e of the complex, an increasing map,
+    so `scatter_cells` joins the parts into the whole complex's cell.
+    """
 
     def __init__(self, res: MinimalResolution, n: int, i: int):
-        if i + 1 > res.horizon:
-            raise LindefError(
-                f"Tor at {i} needs the resolution through {i + 1}, "
-                f"have horizon {res.horizon}"
-            )
-        field = res.algebra.field
+        field, d = res.algebra.field, res.algebra.dim
         q = res.algebra.quotient_dim(n)
-        # the maps leaving and entering F_i (x) R/m^n; nothing leaves F_0
-        maps = [
-            res.diff[k].expand(slice(0, q), slice(0, q)) if k
-            else field.zeros((res.betti[0] * q, 0))
+        for k in range(max(i, 1), i + 2):
+            res.check_differential(k)
+        # nothing leaves F_0
+        outgoing, incoming = (
+            {D: block for D, block, _, _ in res.strand_blocks(k, n, n)} if k else {}
             for k in (i, i + 1)
-        ]
-        if n == 1 and not all(field.is_zero(m) for m in maps):
-            raise AssertionError(
-                "differential survives reduction mod m: resolution not minimal"
-            )
-        self.cell = homology_cell(field, *maps, f"Tor complex (n={n}, i={i})")
+        )
+        strands, parts = res._strands[i], []
+        for D in strands.index:
+            index, _ = strands.layout(D, q)
+            if len(index):
+                cell = homology_cell(
+                    field, outgoing.get(D, field.zeros((len(index), 0))),
+                    incoming.get(D, field.zeros((0, len(index)))),
+                    f"Tor complex (n={n}, i={i}), strand {D}")
+                parts.append((index // d * q + index % d, cell))
+        self.cell = scatter_cells(field, res.betti[i] * q, parts)
 
 
 def _rank_profile(res: MinimalResolution, i: int) -> list:
@@ -111,22 +126,23 @@ def _rank_profile(res: MinimalResolution, i: int) -> list:
     degree >= e + 1, so rows of degree >= t - 2 vanish on the columns of
     degree < t - 1 that d_i (x) R/m^{t-1} keeps: each strand block cut
     to rows of degree <= t - 3 and columns of degree <= t - 2 holds every
-    r(n, i). With its columns in degree order, the block's rank at n is
-    its number of pivots among its columns of degree < n, and r(n, i)
-    sums them over D. The trivial grading has one strand, the whole
-    matrix. The blocks read only the entries' coordinates in the degree
-    of their generator pair, so d_i is checked minimal and homogeneous
-    first (`MinimalResolution.check_differential`).
+    r(n, i). With its columns sorted by degree, its rank at n is its
+    number of pivots among its columns of degree < n, whatever their
+    order within a degree; r(n, i) sums them over D. The trivial grading
+    has one strand, the whole matrix. d_i is checked first.
     """
     algebra = res.algebra
     t = algebra.nilpotency_index
     res.check_differential(i)
+    fdeg = np.repeat(np.arange(t), algebra.graded().dims)
     degrees = np.arange(t)
     r = np.zeros(t, dtype=np.intp)
-    for _, block, cdeg in res.strand_blocks(i, t - 2, t - 1):
-        _, pivots = algebra.field.rref(block)
+    for _, block, _, cols in res.strand_blocks(i, t - 2, t - 1):
+        cdeg = fdeg[cols % algebra.dim]
+        order = np.argsort(cdeg, kind="stable")
+        _, pivots = algebra.field.rref(block[:, order])
         if pivots:
-            r += np.searchsorted(pivots, np.searchsorted(cdeg, degrees))
+            r += np.searchsorted(pivots, np.searchsorted(cdeg[order], degrees))
     return r.tolist()
 
 

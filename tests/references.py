@@ -14,7 +14,15 @@ import numpy as np
 from lindef import presentation
 from lindef.algebra import FiniteLocalAlgebra
 from lindef.errors import AlgebraError, ResourceLimitError
-from lindef.linalg import QuotientCoords, Subspace, block_apply, block_expand, kernel
+from lindef.linalg import (
+    QuotientCoords,
+    Subspace,
+    block_apply,
+    block_expand,
+    homology_cell,
+    induced_map_on_quotients,
+    kernel,
+)
 from lindef.poly import (
     Polynomial,
     degrevlex_key,
@@ -26,6 +34,7 @@ from lindef.poly import (
 )
 from lindef.presentation import quotient_basis
 from lindef.resolution import AlgebraMatrix
+from lindef.tor_ladder import _pi_applier
 
 
 # ---------------------------------------------------------------------------
@@ -453,3 +462,43 @@ def preimage_by_kernel(res, i):
     preimage = kernel(field, composite.T)
     heads = preimage.basis.reshape(preimage.dim, b_i, algebra.dim)[:, :, 0]
     return field.is_zero(heads)
+
+
+def tor_cell_reference(res, n, i):
+    """The homology cell at i of F (x) R/m^n, n >= 1, from the whole of
+    d_i and d_{i+1} truncated to the leading q_n = dim R/m^n coordinates
+    of each block: one kernel and one row space, no strand split."""
+    field = res.algebra.field
+    q = res.algebra.quotient_dim(n)
+    # the maps leaving and entering F_i (x) R/m^n; nothing leaves F_0
+    maps = [
+        res.diff[k].expand(slice(0, q), slice(0, q)) if k
+        else field.zeros((res.betti[0] * q, 0))
+        for k in (i, i + 1)
+    ]
+    if n == 1 and not all(field.is_zero(m) for m in maps):
+        raise AssertionError(
+            "differential survives reduction mod m: resolution not minimal"
+        )
+    return homology_cell(field, *maps, f"Tor complex (n={n}, i={i})")
+
+
+def upsilon_reference(res, n, i):
+    """`tor_ladder.upsilon`'s record of v^n_i from whole-matrix Tor cells."""
+    algebra = res.algebra
+    field = algebra.field
+    if n == 0:
+        src_dim = tor_cell_reference(res, 1, i).dim
+        return {"n": n, "i": i, "matrix": field.zeros((0, src_dim)), "rank": 0,
+                "src_dim": src_dim, "dst_dim": 0,
+                "note": "m^0 = R, so the target is Tor against the zero module"}
+    src = tor_cell_reference(res, n + 1, i)
+    dst = tor_cell_reference(res, n, i)
+    mat, rank = induced_map_on_quotients(
+        field, _pi_applier(algebra, n, res.betti[i]), src, dst)
+    note = None
+    if n + 1 >= algebra.nilpotency_index:
+        note = (f"R/m^{n + 1} is the free module R (m^{n + 1} = 0), "
+                "so higher Tor of the source vanishes")
+    return {"n": n, "i": i, "matrix": mat, "rank": rank,
+            "src_dim": src.dim, "dst_dim": dst.dim, "note": note}

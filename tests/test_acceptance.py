@@ -184,6 +184,8 @@ def test_criterion_6_no_silence_tail(capsys):
             f"{len(findings)} survived horizon 12; {elapsed:.1f}s")
 
 
+# tier-1 runs without -O and so runs this criterion; under -O it skips
+@pytest.mark.skipif(not __debug__, reason="criterion 7 needs assertions armed")
 def test_criterion_7_structural_invariants(capsys, suites):
     # the suites ran with assertions armed; re-verify a spread of
     # resolutions independently of the builder's own checks

@@ -7,6 +7,7 @@ import pytest
 from lindef.cli import main
 from lindef.errors import ResourceLimitError
 from lindef.presentation import algebra_from_text, parse_presentation
+from lindef.resolution import AlgebraMatrix
 
 from references import pairwise_table
 
@@ -339,3 +340,44 @@ differential 4: 5 -> 4
                      "4", "--verbose"])
         assert code == 0
         assert capsys.readouterr().out == self.RESOLVE_GOLDEN
+
+
+GRADED = "vars x y\nideal x^3, y^3, x*y^2\n"  # m^4 = 0
+REBASED = "vars x y\nideal x^2 - y^5, x*y, y^6\n"  # ungraded table, m^6 = 0
+
+
+def test_no_command_expands_a_whole_differential(ring_file, tmp_path, capsys,
+                                                 monkeypatch):
+    """Every command builds strand blocks only: with
+    `AlgebraMatrix.expand` raising, each prints its usual output."""
+    commands = []
+    for text, t in ((GRADED, 4), (REBASED, 6)):
+        path = ring_file(text, f"ring{t}.txt")
+        commands += [
+            ["analyze", "--ring", path, "--horizon", "4", "--format", "json"],
+            ["analyze", "--ring", path, "--horizon", "4"],
+            ["resolve", "--ring", path, "--horizon", "4", "--verbose"],
+        ]
+        # n = 0, honest cells, the last honest n, and forced cells
+        for n, i in ((0, 1), (1, 0), (1, 2), (t - 2, 1), (t - 1, 2), (t + 1, 1)):
+            commands.append(["upsilon", "--ring", path, "-i", str(i), "-n", str(n)])
+    out = tmp_path / "scan.jsonl"
+    commands.append(["scan", "--vars", "2", "--nilpotency", "3", "--count", "3",
+                     "--seed", "7", "--horizon", "3", "--extra-gens", "1",
+                     "--out", str(out)])
+
+    def run_all():
+        runs = []
+        for argv in commands:
+            code = main(argv)
+            runs.append((code, capsys.readouterr()))
+        return runs, out.read_text()
+
+    usual = run_all()
+    assert all(code in (0, 2) and not captured.err for code, captured in usual[0])
+
+    def whole_expand(self, rows=None, cols=None):
+        raise AssertionError("a whole differential was expanded")
+
+    monkeypatch.setattr(AlgebraMatrix, "expand", whole_expand)
+    assert run_all() == usual

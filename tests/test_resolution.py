@@ -148,6 +148,27 @@ class TestChecksRaise:
             resolve(algebra.residue_field(), horizon)
 
 
+class TestDifferentialIndex:
+    """check_differential and strand_blocks take the differentials
+    1..horizon only: -1 must not wrap around to the last one, 0 names
+    the augmentation, which is no AlgebraMatrix, and horizon + 1 was
+    never built."""
+
+    @pytest.mark.parametrize("i", [-1, 0, 4])
+    def test_outside_raises(self, i):
+        res = resolve(X3.residue_field(), 3)
+        with pytest.raises(LindefError, match=f"differential {i} outside .*1..3"):
+            res.check_differential(i)
+        with pytest.raises(LindefError, match=f"differential {i} outside .*1..3"):
+            list(res.strand_blocks(i))
+
+    @pytest.mark.parametrize("i", [1, 3])
+    def test_bounds_inside(self, i):
+        res = resolve(X3.residue_field(), 3)
+        res.check_differential(i)
+        assert list(res.strand_blocks(i))
+
+
 class TestAlgebraMatrix:
     def test_expand_of_unit_is_identity(self):
         f = X2.field
@@ -319,3 +340,32 @@ def test_syzygy_recomputed_from_differential(text):
             assert module.act.tolist() == act.tolist()
     with pytest.raises(LindefError):
         res.syzygy(h + 1)
+
+
+def test_syzygy_checks_the_differential():
+    # over k[x]/(x^4) every entry of d_2 is x^3; x^2 leaves its degree,
+    # where no strand block reads it
+    res = resolve(ring("vars x\nideal x^4").residue_field(), 3)
+    entries = res.diff[2].entries.copy()
+    entries[0, 0, 2] = 1
+    res.diff[2] = AlgebraMatrix(res.algebra, entries)
+    with pytest.raises(AssertionError, match="differential 2 is not homogeneous"):
+        res.syzygy(2)
+
+
+@pytest.mark.parametrize("module", ["k", "R/m^2"])
+@pytest.mark.parametrize("algebra", [
+    dense_change(ring("vars x y\nideal x^2, y^3"), 1),
+    dense_change(ring("char 0\nvars x y\nideal x^2, x*y, y^3"), 2),
+], ids=["dense basis GF(101)", "dense basis QQ"])
+def test_syzygy_in_the_trivial_grading(algebra, module):
+    # one strand per stage: the kernel scattered from the strand blocks
+    # is the whole differential's
+    m = algebra.residue_field() if module == "k" else algebra.quotient_module(2)
+    res = resolve(m, 3)
+    assert res.m_degree == 0
+    for i in range(1, 4):
+        syz = res.syzygy(i)
+        dim, act = reference_syzygy(res, i)
+        assert syz.dim == dim
+        assert syz.act.tolist() == act.tolist()

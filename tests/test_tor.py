@@ -7,24 +7,25 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lindef
 from lindef import tor_ladder as tor_ladder_module
 from lindef.errors import AlgebraError, LindefError
 from lindef.fields import Field
 from lindef.lab import ScanConfig, random_algebra
+from lindef.poly import Polynomial
+from lindef.presentation import Presentation, algebra_from_text, build_algebra
 from lindef.linalg import (
     QuotientCoords,
     Subspace,
     induced_map_on_quotients,
     kernel,
 )
-from lindef.presentation import algebra_from_text
 from lindef.resolution import AlgebraMatrix, resolve
 from lindef.tor_ladder import (
     _pi_applier,
     _rank_profile,
-    _TorComplex,
     msquared_preimage_condition,
     tor_ladder,
     upsilon,
@@ -37,6 +38,8 @@ from references import (
     dense_change,
     preimage_by_kernel,
     quotient_reference,
+    tor_cell_reference,
+    upsilon_reference,
     whole_rank_profile,
 )
 from test_strands import CI_DIM100
@@ -168,8 +171,11 @@ class TestSingleCell:
         assert "m^0" in cell["note"]
 
     def test_one_cell_per_complex(self, monkeypatch):
-        # cycles and boundaries of one cell in each of the two Tor
-        # complexes, and the rank of the induced map: no other cell
+        """One kernel per strand of F_i with outgoing columns and one row
+        space per strand with incoming rows, in each of the two Tor
+        complexes, and the rank of the induced map: no other cell. The
+        blocks' shapes are counted from the generator degrees and the
+        Hilbert function, not from the builder."""
         res = resolve(GF101_RING.residue_field(), 7)
         eliminated = []
         real_rref = Field.rref
@@ -179,8 +185,15 @@ class TestSingleCell:
             return real_rref(field, a)
 
         monkeypatch.setattr(Field, "rref", counted_rref)
-        upsilon(res, 2, 6)
-        assert len(eliminated) == 5
+        cell = upsilon(res, 2, 6)
+        want = []
+        for n in (3, 2):
+            # kernel() eliminates the transpose of each outgoing block
+            want += [(c, r) for r, c in truncated_strand_shapes(res, 6, n - 1, n - 1)]
+            want += truncated_strand_shapes(res, 7, n - 1, n - 1)
+        want.append((cell["dst_dim"], cell["src_dim"]))
+        assert sorted(eliminated) == sorted(want)
+        assert len(want) > 5
 
     def test_matrix_shape_matches_dims(self):
         res = resolve(X4.residue_field(), 4)
@@ -240,11 +253,12 @@ X2 = ring("vars x\nideal x^2")
 
 
 def reference_ladder(res, horizon):
-    """tor_dims, ranks and forced with every Tor homology cell built first."""
+    """tor_dims, ranks and forced with every Tor homology cell built
+    first, each from whole truncated differentials."""
     alg = res.algebra
     t = alg.nilpotency_index
     cells = {
-        (n, i): _TorComplex(res, n, i).cell
+        (n, i): tor_cell_reference(res, n, i)
         for n in range(1, t) for i in range(horizon + 1)
     }
     tor_dims = {}
@@ -332,17 +346,65 @@ class TestOnePass:
             eliminated.clear()
             tor_ladder(res, 3)
             assert built == []
-            want = [shape for i in range(1, 5)
-                    for shape in truncated_strand_shapes(res, i)]
+            want = [shape for i in range(1, 5) for shape in
+                    truncated_strand_shapes(res, i, res.algebra.nilpotency_index - 3,
+                                            res.algebra.nilpotency_index - 2)]
             # the exact shapes: one rref per block, none larger than one
             assert eliminated == want
             counts.append(len(want))
         assert counts[0] == 6
 
 
-def truncated_strand_shapes(res, i):
-    """(rows, cols) of each truncated strand block of d_i that has both,
-    in increasing internal degree (filtration grading)."""
+@st.composite
+def local_rings(draw, char):
+    """k[x, y]/(x^a, y^b, f_1, ...) over GF(char) (QQ for char 0), with up
+    to two forms f_j of degree 2 or 3: a graded Artinian local ring.
+    Exact rational elimination is slow, so QQ keeps a, b <= 3."""
+    field = Field(char)
+    coeffs = st.integers(-2, 2) if char == 0 else st.integers(0, min(char, 1000) - 1)
+    powers = st.integers(2, 3 if char == 0 else 4)
+    gens = [Polynomial.from_monomial(field, 2, (draw(powers), 0), 1),
+            Polynomial.from_monomial(field, 2, (0, draw(powers)), 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        deg = draw(st.integers(2, 3))
+        form = Polynomial(field, 2, {(deg - k, k): draw(coeffs) for k in range(deg + 1)})
+        if not form.is_zero:
+            gens.append(form)
+    return build_algebra(Presentation(field, ["x", "y"], gens))
+
+
+@pytest.mark.parametrize("char", [2, 101, 2**31 - 1, 0])
+class TestUpsilonReference:
+    """`upsilon`, built strand by strand, against whole-matrix Tor cells
+    (`references.upsilon_reference`), for every n <= t and i < horizon,
+    on graded and dense-basis rings, for k and R/m^2."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_whole_matrix_cells(self, char, data):
+        algebra = data.draw(local_rings(char))
+        if data.draw(st.booleans()):
+            algebra = dense_change(algebra, data.draw(st.integers(0, 99)))
+        module = data.draw(st.sampled_from(
+            [algebra.residue_field(), algebra.quotient_module(2)]))
+        horizon = 3 if char == 0 else 4
+        res = resolve(module, horizon)
+        for n in range(algebra.nilpotency_index + 1):
+            for i in range(horizon):
+                got, want = upsilon(res, n, i), upsilon_reference(res, n, i)
+                mat, ref = got.pop("matrix"), want.pop("matrix")
+                assert got == want
+                assert (mat.dtype, mat.shape) == (ref.dtype, ref.shape)
+                if char:
+                    assert mat.tobytes() == ref.tobytes()
+                else:
+                    assert mat.tolist() == ref.tolist()
+
+
+def truncated_strand_shapes(res, i, rows_top, cols_top):
+    """(rows, cols) of each strand block of d_i that has both, cut to
+    filtration degree <= rows_top on the rows and <= cols_top on the
+    columns, in increasing internal degree (filtration grading)."""
     assert res.m_degree == 1
     dims = res.algebra.graded().dims
     t = len(dims)
@@ -353,7 +415,7 @@ def truncated_strand_shapes(res, i):
     new, old = res.degrees[i], res.degrees[i - 1]
     shapes = []
     for D in range(int(new.min()), int(new.max()) + t):
-        r, c = size(new, D, t - 3), size(old, D, t - 2)
+        r, c = size(new, D, rows_top), size(old, D, cols_top)
         if r and c:
             shapes.append((r, c))
     return shapes
@@ -455,6 +517,16 @@ class TestNonMinimal:
         with pytest.raises(AssertionError,
                            match=f"differential {i} is not homogeneous"):
             tor_ladder(res, 2)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_upsilon_raises(self, i):
+        # the Tor cells at i - 1 and i read d_i's strand blocks
+        res = resolve(X4.residue_field(), 3)
+        res.diff[i] = off_degree(res, i)
+        for j in {i - 1, min(i, 2)}:
+            with pytest.raises(AssertionError,
+                               match=f"differential {i} is not homogeneous"):
+                upsilon(res, 1, j)
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_preimage_raises(self, i):
