@@ -22,6 +22,8 @@ by the same number, which is what the classification compares.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import LindefError
@@ -325,19 +327,39 @@ def scan(cfg: ScanConfig, out_path=None):
     """Run the whole scan; returns (summary, reports).
 
     When out_path is given, one compact JSON record per sample is
-    written there (JSONL). Records carry no timing or environment
-    data: re-running the same config yields identical bytes.
+    written there (JSONL), each as soon as it and every sample before
+    it are checked. Records carry no timing or environment data:
+    re-running the same config yields identical bytes, in one process
+    or many. On a failing sample the error names it ("sample i: ..."),
+    and only the records before it are written.
+
+    Samples run in one process per usable CPU (`os.sched_getaffinity`):
+    this one and forked children, each taking every w-th index.
+    `taskset -c 0 lindef scan ...` gives a serial run. Each process
+    keeps its own BLAS thread pool; set OPENBLAS_NUM_THREADS=1 so that
+    w processes do not run w times as many BLAS threads as CPUs.
     """
     reports = []
-    for index in range(cfg.count):
-        try:
-            report = full_check(random_algebra(cfg, index), cfg.horizon)
-        except LindefError as err:
-            # same type and traceback, with the failing sample named
-            err.args = (f"sample {index}: {err}",)
-            raise
-        report.index = index
+    fh = None if out_path is None else open(out_path, "w", encoding="utf-8")
+
+    def emit(report):
         reports.append(report)
+        if fh is not None:
+            fh.write(
+                json.dumps(
+                    report.to_json_dict(seed=cfg.seed),
+                    separators=(",", ":"),
+                    sort_keys=True,
+                )
+            )
+            fh.write("\n")
+            fh.flush()
+
+    try:
+        _interleaved(cfg, _workers(cfg.count), emit)
+    finally:
+        if fh is not None:
+            fh.close()
 
     classifications = {}
     flag_counts = {name: 0 for name in FLAG_NAMES}
@@ -359,18 +381,158 @@ def scan(cfg: ScanConfig, out_path=None):
         "violations": violations,
         "resamples": 0,
     }
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for r in reports:
-                fh.write(
-                    json.dumps(
-                        r.to_json_dict(seed=cfg.seed),
-                        separators=(",", ":"),
-                        sort_keys=True,
-                    )
-                )
-                fh.write("\n")
     return summary, reports
+
+
+def _workers(count: int) -> int:
+    """Processes a scan of `count` samples runs in: one per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (and no fork) on this OS
+        return 1
+    return max(1, min(count, cpus))
+
+
+def _check_sample(cfg: ScanConfig, index: int) -> AlgebraReport:
+    try:
+        report = full_check(random_algebra(cfg, index), cfg.horizon)
+    except LindefError as err:
+        # same type and traceback, with the failing sample named
+        err.args = (f"sample {index}: {err}",)
+        raise
+    report.index = index
+    return report
+
+
+@dataclass
+class _Child:
+    pid: int
+    next_index: int  # the sample it is on; count once it stops reporting
+    buffer: bytearray = dataclass_field(default_factory=bytearray)
+
+
+def _interleaved(cfg: ScanConfig, workers: int, emit) -> None:
+    """Check every sample, calling emit on each report in index order.
+
+    This process takes the indices = 0 (mod workers), and one forked
+    child takes each other residue class (none with workers = 1). A
+    child pickles each (index, report, error) down its pipe as soon as
+    it is done and stops at its first error. The error of the lowest
+    failing index is raised once every index below it is emitted; a
+    child that dies without reporting fails the sample it was on. Every
+    child is killed and reaped before this returns or raises.
+    """
+    import select
+    import signal
+
+    count = cfg.count
+    parent = os.getpid()
+    children = {}  # read end of its pipe -> _Child
+    pipes = select.poll()
+    results = {}  # index -> (report, error), not yet emitted
+    failed = count  # lowest failing index known
+    try:
+        for start in range(1, workers):
+            read_end, write_end = os.pipe()
+            children[read_end] = child = _Child(0, start)
+            pipes.register(read_end, select.POLLIN)
+            # a Ctrl-C between fork and the child's try must not send the
+            # child back into the caller's code: hold SIGINT until then
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+            try:
+                child.pid = os.fork()
+                if child.pid == 0:
+                    _child(cfg, start, workers, write_end, list(children),
+                           mask, parent)
+            finally:
+                os.close(write_end)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+        own, emitted = 0, 0
+        while True:
+            while emitted in results:
+                report, err = results.pop(emitted)
+                if err is not None:
+                    raise err
+                emit(report)
+                emitted += 1
+            if emitted == count:
+                return
+            # every index below `failed` not yet in results is either ours
+            # or on an open pipe, so a blocking wait always ends
+            for fd, _ in pipes.poll(0 if own < failed else None):
+                child = children[fd]
+                data = os.read(fd, 1 << 16)
+                child.buffer += data
+                while len(child.buffer) >= 8:
+                    size = int.from_bytes(child.buffer[:8], "little")
+                    if len(child.buffer) < 8 + size:
+                        break
+                    index, report, err = pickle.loads(child.buffer[8 : 8 + size])
+                    del child.buffer[: 8 + size]
+                    results[index] = report, err
+                    child.next_index = count if err is not None else index + workers
+                    if err is not None:
+                        failed = min(failed, index)
+                if data:
+                    continue
+                pipes.unregister(fd)
+                status = os.waitpid(child.pid, 0)[1]
+                child.pid = 0
+                if child.next_index < count:
+                    index = child.next_index
+                    results[index] = None, LindefError(
+                        f"sample {index}: its worker process exited without "
+                        f"a report (status {os.waitstatus_to_exitcode(status)})"
+                    )
+                    failed = min(failed, index)
+            if own < failed:
+                try:
+                    results[own] = _check_sample(cfg, own), None
+                except Exception as err:
+                    results[own] = None, err
+                    failed = own
+                own += workers
+    finally:
+        for fd, child in children.items():
+            os.close(fd)
+            if child.pid:
+                os.kill(child.pid, signal.SIGKILL)
+                os.waitpid(child.pid, 0)
+
+
+def _child(cfg, start, step, write_end, inherited, mask, parent):
+    """Body of a forked scan worker; leaves only through os._exit, so no
+    buffer or exit handler inherited from the parent runs twice."""
+    import signal
+
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for index in range(start, cfg.count, step):
+            if os.getppid() != parent:  # orphaned: nobody reads the results
+                break
+            try:
+                message = index, _check_sample(cfg, index), None
+            except Exception as err:
+                message = index, None, err
+            try:
+                data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+            except Exception as err:  # an exception type pickle cannot take
+                data = pickle.dumps((index, None, LindefError(
+                    f"sample {index}: {message[2]!r} (not picklable: {err})"
+                )))
+            data = memoryview(len(data).to_bytes(8, "little") + data)
+            while data:
+                data = data[os.write(write_end, data):]
+            if message[2] is not None:
+                break
+        else:
+            code = 0
+    finally:
+        os._exit(code)
 
 
 def exit_code_for_summary(summary: dict) -> int:

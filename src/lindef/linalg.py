@@ -164,12 +164,6 @@ class Subspace:
         keep = [i for i, c in enumerate(piv) if c >= n]
         return Subspace.from_rows(f, r[keep][:, n:], n)
 
-    def quotient_dim(self, sub: "Subspace") -> int:
-        self._same_ambient(sub)
-        if not self.contains(sub):
-            raise LindefError("quotient by a non-subspace")
-        return self.dim - sub.dim
-
     def adapted_reps(self, sub: "Subspace", check: bool = True):
         """Rows of this basis representing a basis of self/sub.
 

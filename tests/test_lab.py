@@ -2,9 +2,11 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from lindef.lab import (
     scan,
 )
 from lindef.presentation import algebra_from_text
+from test_acceptance import SUITE_M3, SUITE_M4
 
 
 def ring(text):
@@ -265,19 +268,10 @@ class TestScan:
     @pytest.mark.parametrize("error", [LindefError, ResourceLimitError, ParseError])
     def test_failing_sample_named(self, error, monkeypatch):
         # the error escapes with its own type, now naming its sample
-        import lindef.lab as lab
-
-        real = lab.full_check
-        seen = []
-
-        def failing(algebra, horizon):
-            seen.append(algebra)
-            if len(seen) == 3:
-                raise (error("bad cell", 4, 2) if error is ParseError
-                       else error("differential 7 would expand"))
-            return real(algebra, horizon)
-
-        monkeypatch.setattr(lab, "full_check", failing)
+        fail_samples(monkeypatch, {
+            2: lambda: (error("bad cell", 4, 2) if error is ParseError
+                        else error("differential 7 would expand")),
+        })
         with pytest.raises(error) as info:
             scan(self.CFG)
         assert type(info.value) is error
@@ -290,3 +284,151 @@ class TestScan:
         summary, _ = scan(ScanConfig(count=0))
         assert exit_code_for_summary(summary) == 0
         assert exit_code_for_summary({"violations": 3}) == 2
+
+
+def fail_samples(monkeypatch, errors, delay=None):
+    """Make full_check raise errors[i]() on sample i, after sleeping
+    delay[i] seconds if given. random_algebra tags each algebra with its
+    index, so this holds in whichever process checks the sample."""
+    import lindef.lab as lab
+
+    real_sample, real_check = lab.random_algebra, lab.full_check
+    delay = delay or {}
+
+    def sample(cfg, index):
+        algebra = real_sample(cfg, index)
+        algebra.scan_index = index
+        return algebra
+
+    def check(algebra, horizon):
+        index = algebra.scan_index
+        time.sleep(delay.get(index, 0))
+        if index in errors:
+            raise errors[index]()
+        return real_check(algebra, horizon)
+
+    monkeypatch.setattr(lab, "random_algebra", sample)
+    monkeypatch.setattr(lab, "full_check", check)
+
+
+def pin_workers(monkeypatch, workers):
+    import lindef.lab as lab
+
+    monkeypatch.setattr(lab, "_workers", lambda count: min(count, workers))
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelScan:
+    """Samples split over forked workers give the serial bytes, and no
+    worker outlives the scan."""
+
+    CONFIGS = (TestScan.CFG, *SUITE_M3, *SUITE_M4)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"seed{c.seed}")
+    def test_same_output_for_any_worker_count(self, cfg, tmp_path, monkeypatch):
+        runs = []
+        for workers in (1, 2, 3):
+            pin_workers(monkeypatch, workers)
+            path = tmp_path / f"w{workers}.jsonl"
+            summary, reports = scan(cfg, out_path=path)
+            assert_no_children()
+            runs.append((path.read_bytes(), summary, reports))
+        assert len(runs[0][0]) > 0 and len(runs[0][2]) == cfg.count
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_failing_index_wins(self, workers, monkeypatch, tmp_path):
+        # sample 1 fails last, in another process than sample 2 (for
+        # workers > 1), and still names the error
+        pin_workers(monkeypatch, workers)
+        fail_samples(
+            monkeypatch,
+            {1: lambda: ResourceLimitError("late"), 2: lambda: ParseError("early", 1, 1)},
+            delay={1: 0.3},
+        )
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ResourceLimitError, match="^sample 1: late$"):
+            scan(TestScan.CFG, out_path=path)
+        assert_no_children()
+        lines = path.read_bytes().splitlines()
+        assert [json.loads(line)["index"] for line in lines] == [0]
+
+    @pytest.mark.parametrize("death", ["exit", "kill"])
+    def test_dead_worker_fails_its_sample(self, death, monkeypatch, tmp_path):
+        # with 2 workers sample 3 runs in the child, which dies unreported
+        pin_workers(monkeypatch, 2)
+        caller = os.getpid()
+
+        def die():
+            if os.getpid() == caller:
+                return AssertionError("sample 3 ran in the caller")
+            if death == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        fail_samples(monkeypatch, {3: die})
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(LindefError) as info:
+            scan(TestScan.CFG, out_path=path)
+        assert type(info.value) is LindefError
+        assert str(info.value).startswith("sample 3: ")
+        assert ("status 3" if death == "exit" else "status -9") in str(info.value)
+        assert_no_children()
+        full = tmp_path / "full.jsonl"
+        monkeypatch.undo()
+        scan(TestScan.CFG, out_path=full)
+        assert path.read_bytes() == b"".join(
+            full.read_bytes().splitlines(keepends=True)[:3])
+
+    def test_orphaned_worker_exits(self, tmp_path):
+        # the caller dies while its child checks sample 1; the child ends
+        # after that sample instead of running sample 3
+        pidfile = tmp_path / "child.pid"
+        script = textwrap.dedent(f"""
+            import os, signal, time
+            from lindef import lab
+            lab._workers = lambda count: min(count, 2)
+            real = lab.full_check
+            caller = os.getpid()
+
+            def check(algebra, horizon):
+                if os.getpid() != caller:
+                    with open({str(pidfile)!r}, "a") as fh:
+                        fh.write(f"{{os.getpid()}}\\n")
+                    time.sleep(1.0)
+                else:
+                    while not os.path.exists({str(pidfile)!r}):
+                        time.sleep(0.01)
+                    os.kill(caller, signal.SIGKILL)
+                return real(algebra, horizon)
+
+            lab.full_check = check
+            lab.scan(lab.ScanConfig(nvars=2, nilpotency=3, extra_gens=1,
+                                    count=4, horizon=3, seed=7))
+        """)
+        src = str(Path(lindef.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        pid = int(pidfile.read_text().split()[0])
+        deadline = time.monotonic() + 30
+        while _running(pid):
+            if time.monotonic() > deadline:
+                pytest.fail(f"orphaned scan worker {pid} still running")
+            time.sleep(0.05)
+        assert pidfile.read_text().split() == [str(pid)]  # sample 3 never ran
+
+
+def _running(pid):
+    """False once pid has exited (a zombie nobody reaps counts as exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")

@@ -299,12 +299,6 @@ class TestSubspace:
         with pytest.raises(LindefError):
             s.coords(GF7.asarray([[0, 0, 1]]))
 
-    def test_quotient_dim_requires_containment(self):
-        s = Subspace.from_rows(GF5, GF5.asarray([[1, 0, 0], [0, 1, 0]]))
-        t = Subspace.from_rows(GF5, GF5.asarray([[0, 0, 1]]))
-        with pytest.raises(LindefError):
-            s.quotient_dim(t)
-
     def test_adapted_reps_reduced_against_sub(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
