@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import AlgebraError, LindefError
-from .lab import ScanConfig, full_check, scan
+from .lab import ScanConfig, exit_code_for_summary, full_check, scan
 from .presentation import algebra_from_text, load_structure_constants
 from .resolution import resolve
 from .tor_ladder import upsilon
@@ -89,9 +89,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_resolve(args) -> int:
     algebra = _load_ring(args.ring)
-    if args.module != "k":
-        raise LindefError(f"only the residue field module is supported, got "
-                          f"{args.module!r}")
     res = resolve(algebra.residue_field(), args.horizon)
     print("betti:", ",".join(str(b) for b in res.betti))
     if args.verbose:
@@ -145,7 +142,7 @@ def _cmd_scan(args) -> int:
     )
     summary, _ = scan(cfg, out_path=args.out)
     print(json.dumps(summary, separators=(",", ":"), sort_keys=True))
-    return EXIT_VIOLATION if summary["violations"] else EXIT_OK
+    return exit_code_for_summary(summary)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="Betti table of the residue field")
     p.add_argument("--ring", required=True)
-    p.add_argument("--module", default="k")
     p.add_argument("--horizon", type=int, default=6)
     p.add_argument("--verbose", action="store_true",
                    help="print differential entries")

@@ -164,16 +164,18 @@ class Subspace:
         keep = [i for i, c in enumerate(piv) if c >= n]
         return Subspace.from_rows(f, r[keep][:, n:], n)
 
-    def adapted_reps(self, sub: "Subspace", check: bool = True):
+    def adapted_reps(self, sub: "Subspace"):
         """Rows of this basis representing a basis of self/sub.
 
         Returns (reps, cols): reps are the basis rows whose pivots are not
         pivots of sub; cols are those pivot columns, where quotient
-        coordinates of reduced vectors can be read off directly.
+        coordinates of reduced vectors can be read off directly. A whole
+        space contains every sub; a smaller one is checked.
         """
         self._same_ambient(sub)
         sub_piv = set(sub.pivots)
-        if check and not (sub_piv <= set(self.pivots) and self.contains(sub)):
+        if self.dim < self.ambient_dim and not (
+                sub_piv <= set(self.pivots) and self.contains(sub)):
             raise LindefError("adapted_reps requires sub ⊆ self")
         keep = [i for i, c in enumerate(self.pivots) if c not in sub_piv]
         cols = [self.pivots[i] for i in keep]

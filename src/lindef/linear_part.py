@@ -62,21 +62,20 @@ CLASSIFICATION_CLEAN = "ld=0 up to horizon"
 
 
 class GradedComplex:
-    """lin(F) for a minimal resolution F, with per-degree slices."""
+    """lin(F) for a minimal resolution F, with per-degree slices.
+
+    Each d_i is checked first (`MinimalResolution.check_differential`):
+    a slice keeps the entries' F_1/F_2 classes only if d_i is minimal,
+    and a strand block misses an entry off its degree.
+    """
 
     def __init__(self, res: MinimalResolution):
         self.res = res
         self.algebra = res.algebra
         self.field = res.algebra.field
         self.gr = res.algebra.graded()
-        # the slices truncate the whole entries, which equals keeping
-        # their classes in F_1/F_2 only for minimal differentials
         for i in range(1, res.horizon + 1):
-            if not res.diff[i].is_minimal():
-                raise LindefError(
-                    f"linear part undefined: differential {i} has an entry "
-                    "outside the maximal ideal"
-                )
+            res.check_differential(i)
         self._homology = {}
         self._strands = {}
         self._blocks = {}

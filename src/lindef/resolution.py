@@ -72,7 +72,8 @@ class AlgebraMatrix:
 
     entries has shape (src, dst, dim R): entries[c, c'] is the
     coordinate vector of the coefficient on target generator c' in the
-    image of source generator c.
+    image of source generator c. It is read-only, so a d_i that passed
+    `MinimalResolution.check_differential` cannot change in place.
     """
 
     __slots__ = ("algebra", "entries")
@@ -80,6 +81,7 @@ class AlgebraMatrix:
     def __init__(self, algebra: FiniteLocalAlgebra, entries):
         self.algebra = algebra
         self.entries = algebra.field.asarray(entries)
+        self.entries.flags.writeable = False
         if self.entries.ndim != 3 or self.entries.shape[2] != algebra.dim:
             raise LindefError(
                 f"entry array has shape {self.entries.shape}, expected "
@@ -130,9 +132,9 @@ class AlgebraMatrix:
 
         lin(F) keeps only the entries' gr_1 coordinates, yet its row in
         the table sums over every e. That is the same matrix: coordinate 0 of
-        every entry is zero since d_i is minimal (which the resolution
-        checks), and an e in F_2 maps F_q into F_{q+2}, whose
-        coordinates in the gr(q+1) range are zero.
+        every entry is zero since d_i is minimal (`GradedComplex` checks
+        each d_i, `MinimalResolution.check_differential`), and an e in F_2
+        maps F_q into F_{q+2}, whose coordinates in gr(q+1) are zero.
         """
         table = self.algebra.table[:, rows, cols]
         return block_expand(self.algebra.field, self.entries, table)
@@ -317,8 +319,7 @@ def minimal_generators(space: StrandSpace, blocks: int, ops):
                 else:
                     prods[:, dst] = images
         mw = Subspace.from_rows(field, prods, w.ambient_dim)
-        # a whole strand contains mW_D without a check
-        reps, cols = w.adapted_reps(mw, check=w.dim < w.ambient_dim)
+        reps, cols = w.adapted_reps(mw)
         found.append((st.index[D], reps, cols))
     return scatter_by_pivot(field, blocks * st.d, found)[0]
 
@@ -370,6 +371,7 @@ class MinimalResolution:
         self.diff = [None]
         self.degrees = []
         self.m_degree = 0
+        self._proved = {}  # i -> the entries of d_i that passed
         self._build()
 
     # -- construction --------------------------------------------------
@@ -411,14 +413,13 @@ class MinimalResolution:
         for i in range(1, self.horizon + 1):
             reps = minimal_generators(w, b, ops)
             dmat = AlgebraMatrix(alg, reps.reshape(len(reps), b, d))
-            if not dmat.is_minimal():
-                raise AssertionError(
-                    f"differential {i} has an entry outside the maximal ideal"
-                )
             self.diff.append(dmat)
+            self._check_minimal(i)
             gdeg = _row_degrees(reps, strands.cdeg)
             if gdeg is None:
                 raise AssertionError(f"stage {i} has a generator row in two strands")
+            # minimal, one strand per row: homogeneous, so never swept
+            self._proved[i] = dmat.entries
             self.degrees.append(gdeg)
             del reps
             strands = _Strands(gdeg, strands.edeg, strands.s)
@@ -474,7 +475,7 @@ class MinimalResolution:
         gr(a - a') only, and a - a' >= m_degree by minimality, so a block
         is one `block_expand` of table[gr(a - a'), gr(D - a), gr(D - a')]
         per pair of generator degrees. No other coordinate of the entries
-        is read: callers check that they are zero (`check_differential`).
+        is read, so d_i is checked first (`check_differential`).
 
         Rows and columns are the strands' layouts (`_Strands.layout`):
         the coordinates g*d + e of strand D of F_i and of F_{i-1}, listed
@@ -484,7 +485,7 @@ class MinimalResolution:
         (the ranges :q_rows and :q_cols of the adapted basis). Each block
         is checked against max_expand_entries before it is allocated.
         """
-        self._check_index(i)
+        self.check_differential(i)
         field, table = self.algebra.field, self.algebra.table
         new, old = self._strands[i], self._strands[i - 1]
         q_r = None if rows is None else self.algebra.quotient_dim(rows)
@@ -519,19 +520,27 @@ class MinimalResolution:
         if not 1 <= i <= self.horizon:
             raise LindefError(f"differential {i} outside 1..{self.horizon}")
 
+    def _check_minimal(self, i: int):
+        if not self.diff[i].is_minimal():
+            raise AssertionError(f"differential {i} has an entry outside the "
+                                 "maximal ideal: resolution not minimal")
+
     def check_differential(self, i: int):
         """Raise AssertionError unless d_i is minimal and homogeneous:
         every nonzero entry from a generator g to g' lies in
-        gr(deg g - deg g'). `strand_blocks` reads no other coordinate, so
-        a unit or an off-degree entry (in a d_i replaced after the
-        resolution built it) would not show in its blocks. Explicit
-        raises, so it checks under python -O too."""
+        gr(deg g - deg g'). `strand_blocks` (so the Tor ladder, `upsilon`
+        and `syzygy`), the linear part and the m^2 preimage condition
+        call it first: no other coordinate shows in their blocks.
+
+        The read-only entries array that passed is kept, and while diff[i]
+        holds it this returns at once. Construction proves each d_i it
+        builds, so only a d_i replaced since is swept. Explicit raises,
+        so it checks under python -O too."""
         self._check_index(i)
         dmat = self.diff[i]
-        if not dmat.is_minimal():
-            raise AssertionError(
-                f"differential {i} survives reduction mod m: resolution not minimal"
-            )
+        if self._proved.get(i) is dmat.entries:
+            return
+        self._check_minimal(i)
         edeg = self._strands[i].edeg
         want = self.degrees[i][:, None] - self.degrees[i - 1]
         off = np.asarray(dmat.entries != 0) & (edeg != want[:, :, None])
@@ -541,6 +550,7 @@ class MinimalResolution:
                 f"differential {i} is not homogeneous: entry ({g}, {g2}) has a "
                 f"coordinate of degree {edeg[e]}, not {want[g, g2]}"
             )
+        self._proved[i] = dmat.entries
 
     # -- accessors -----------------------------------------------------
 
@@ -554,7 +564,6 @@ class MinimalResolution:
             raise LindefError(
                 f"syzygy index {index} exceeds computed horizon {self.horizon}"
             )
-        self.check_differential(index)
         field, d, b = self.algebra.field, self.algebra.dim, self.betti[index]
         _, ker, _ = self._stage(index, {}, False)
         parts = [(ker.strands.index[D], p.basis, p.pivots)

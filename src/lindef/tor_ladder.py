@@ -88,17 +88,16 @@ class _TorComplex:
 
     F (x) R/m^n is block-diagonal by internal degree: each strand of F_i
     has the kernel of d_i's block and the row space of d_{i+1}'s, both
-    cut to filtration degree < n (`MinimalResolution.strand_blocks`), or
-    all cycles and no boundaries where a block is missing. Coordinate
-    g*d + e of a strand is g*q_n + e of the complex, an increasing map,
-    so `scatter_cells` joins the parts into the whole complex's cell.
+    cut to filtration degree < n (`MinimalResolution.strand_blocks`,
+    which checks each d first), or all cycles and no boundaries where a
+    block is missing. Coordinate g*d + e of a strand is g*q_n + e of the
+    complex, an increasing map, so `scatter_cells` joins the parts into
+    the whole complex's cell.
     """
 
     def __init__(self, res: MinimalResolution, n: int, i: int):
         field, d = res.algebra.field, res.algebra.dim
         q = res.algebra.quotient_dim(n)
-        for k in range(max(i, 1), i + 2):
-            res.check_differential(k)
         # nothing leaves F_0
         outgoing, incoming = (
             {D: block for D, block, _, _ in res.strand_blocks(k, n, n)} if k else {}
@@ -129,11 +128,10 @@ def _rank_profile(res: MinimalResolution, i: int) -> list:
     r(n, i). With its columns sorted by degree, its rank at n is its
     number of pivots among its columns of degree < n, whatever their
     order within a degree; r(n, i) sums them over D. The trivial grading
-    has one strand, the whole matrix. d_i is checked first.
+    has one strand, the whole matrix. `strand_blocks` checks d_i first.
     """
     algebra = res.algebra
     t = algebra.nilpotency_index
-    res.check_differential(i)
     fdeg = np.repeat(np.arange(t), algebra.graded().dims)
     degrees = np.arange(t)
     r = np.zeros(t, dtype=np.intp)
@@ -198,10 +196,8 @@ class UpsilonLadder:
                     dim = self.module.dim if n and i == 0 else 0
                 self.tor_dims[(n, i)] = dim
         self.ranks = {}
-        self.forced = {}
         for n in range(1, t + 1):
             for i in range(0, horizon + 1):
-                self.forced[(n, i)] = n + 1 >= t
                 if n + 1 >= t:
                     rank = self.tor_dims[(n, 0)] if i == 0 else 0
                 else:
@@ -350,8 +346,8 @@ def msquared_preimage_condition(res: MinimalResolution, i: int) -> bool:
     basis R/m^2 is the leading range :q_2 of each block, so the image of
     e_g is the generator row entries[g, :, :q_2], and the condition
     holds iff these b_i rows have rank b_i. Nothing here uses a grading,
-    so this holds in the trivial grading too. Minimality is checked
-    explicitly, as the argument needs it.
+    so this holds in the trivial grading too. The argument needs d_i
+    minimal, so d_i is checked first (`check_differential`).
     """
     if i < 0:
         raise LindefError(f"index must be >= 0, got {i}")
@@ -362,12 +358,8 @@ def msquared_preimage_condition(res: MinimalResolution, i: int) -> bool:
     b_i = res.betti[i]
     if b_i == 0:
         return True
-    dmat = res.diff[i]
-    if not dmat.is_minimal():
-        raise AssertionError(
-            f"differential {i} survives reduction mod m: resolution not minimal"
-        )
+    res.check_differential(i)
     # the generators' images in F_{i-1}/m^2 F_{i-1}: R/m^2 is the leading
     # block :q_2 of each target block
-    rows = dmat.entries[:, :, :res.algebra.quotient_dim(2)].reshape(b_i, -1)
+    rows = res.diff[i].entries[:, :, :res.algebra.quotient_dim(2)].reshape(b_i, -1)
     return res.algebra.field.rank(rows) == b_i

@@ -187,11 +187,6 @@ class TestResolve:
         assert "differential 1" in out
         assert "x" in out and "x^2" in out
 
-    def test_unknown_module_name(self, ring_file, capsys):
-        code = main(["resolve", "--ring", ring_file(X3), "--module", "M"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
 
 class TestUpsilon:
     def test_x3_honest_nonzero_cell(self, ring_file, capsys):

@@ -14,7 +14,7 @@ from lindef.linear_part import (
     mstar_cycle_boundary_equality,
 )
 from lindef.presentation import algebra_from_text
-from lindef.resolution import resolve
+from lindef.resolution import AlgebraMatrix, resolve
 
 from references import component_product_reference, mstar_annihilation_reference
 
@@ -269,8 +269,24 @@ class TestMStarChecks:
 class TestConstruction:
     def test_nonminimal_complex_rejected(self):
         res = resolve(X2.residue_field(), 2)
-        res.diff[1].entries[0, 0, 0] = 1  # inject a unit entry
-        with pytest.raises(LindefError, match="maximal ideal"):
+        entries = res.diff[1].entries.copy()
+        entries[0, 0, 0] = 1  # inject a unit entry
+        res.diff[1] = AlgebraMatrix(X2, entries)
+        with pytest.raises(AssertionError, match="maximal ideal"):
+            linear_part(res)
+
+    def test_off_degree_gr1_entry_rejected(self):
+        # over k[x,y]/(x^2, xy, y^3) generator 1 of F_2 (y^3's relation,
+        # degree 3) meets generator 0 of F_1 (degree 1) in gr_2 only; a
+        # gr_1 coordinate there keeps d_2 minimal, but no linear-strand
+        # block reads it, so lin(F) alone would not change
+        algebra = ring("vars x y\nideal x^2, x*y, y^3")
+        res = resolve(algebra.residue_field(), 5)
+        assert res.degrees[2][1] - res.degrees[1][0] == 2
+        entries = res.diff[2].entries.copy()
+        entries[1, 0, algebra.graded().component_range(1).start] += 1
+        res.diff[2] = AlgebraMatrix(algebra, entries)
+        with pytest.raises(AssertionError, match="differential 2 is not homogeneous"):
             linear_part(res)
 
     def test_linear_entries_survive_quadratic_die(self):

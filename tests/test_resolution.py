@@ -169,6 +169,40 @@ class TestDifferentialIndex:
         assert list(res.strand_blocks(i))
 
 
+class TestCheckedOnce:
+    """check_differential sweeps each d_i once: construction proves the
+    d_i it builds, and a proved entries array cannot change in place."""
+
+    @pytest.mark.parametrize("algebra", [X3, ring("char 0\nvars x\nideal x^3")],
+                             ids=["GF(101)", "QQ"])
+    def test_entries_are_read_only(self, algebra):
+        res = resolve(algebra.residue_field(), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            res.diff[1].entries[0, 0, 0] = 1
+
+    def test_fresh_full_check_never_sweeps(self, monkeypatch):
+        # a sweep starts with _check_minimal, which construction calls
+        # once per differential it builds: 4 for horizon 3 + 1
+        from lindef.lab import full_check
+        calls = {"check": 0, "minimal": 0}
+        real_check = MinimalResolution.check_differential
+        real_minimal = MinimalResolution._check_minimal
+
+        def check(self, i):
+            calls["check"] += 1
+            return real_check(self, i)
+
+        def minimal(self, i):
+            calls["minimal"] += 1
+            return real_minimal(self, i)
+
+        monkeypatch.setattr(MinimalResolution, "check_differential", check)
+        monkeypatch.setattr(MinimalResolution, "_check_minimal", minimal)
+        full_check(ring("vars x y\nideal x^2, x*y, y^3"), 3)
+        assert calls["minimal"] == 4
+        assert calls["check"] > 4
+
+
 class TestAlgebraMatrix:
     def test_expand_of_unit_is_identity(self):
         f = X2.field

@@ -14,6 +14,7 @@ from lindef import tor_ladder as tor_ladder_module
 from lindef.errors import AlgebraError, LindefError
 from lindef.fields import Field
 from lindef.lab import ScanConfig, random_algebra
+from lindef.linear_part import linear_part
 from lindef.poly import Polynomial
 from lindef.presentation import Presentation, algebra_from_text, build_algebra
 from lindef.linalg import (
@@ -91,8 +92,6 @@ class TestFrozenLadders:
         assert table[1] == [1, 0, 1, 0, 1, 0, 1]
         assert table[2] == [1, 0, 0, 0, 0, 0, 0]
         assert table[3] == [1, 0, 0, 0, 0, 0, 0]
-        assert lad.forced[(2, 3)] and lad.forced[(3, 0)]
-        assert not lad.forced[(1, 2)]
 
     def test_x4_rows(self):
         lad = ladder_of(X4, 6)
@@ -108,7 +107,7 @@ class TestFrozenLadders:
         assert table[1] == [1, 0, 0, 0, 0]
         assert table[2] == [1, 0, 0, 0, 0]
         # index 2: every row already has free source
-        assert all(lad.forced[(n, i)] for n in (1, 2) for i in range(5))
+        assert lad.index == 2
 
 
 class TestTorDims:
@@ -253,8 +252,8 @@ X2 = ring("vars x\nideal x^2")
 
 
 def reference_ladder(res, horizon):
-    """tor_dims, ranks and forced with every Tor homology cell built
-    first, each from whole truncated differentials."""
+    """tor_dims and ranks with every Tor homology cell built first, each
+    from whole truncated differentials."""
     alg = res.algebra
     t = alg.nilpotency_index
     cells = {
@@ -270,18 +269,17 @@ def reference_ladder(res, horizon):
                 tor_dims[(n, i)] = res.module.dim if i == 0 else 0
             else:
                 tor_dims[(n, i)] = cells[(n, i)].dim
-    ranks, forced = {}, {}
+    ranks = {}
     for n in range(1, t + 1):
         for i in range(0, horizon + 1):
-            forced[(n, i)] = n + 1 >= t
-            if forced[(n, i)]:
+            if n + 1 >= t:  # free source
                 ranks[(n, i)] = tor_dims[(n, 0)] if i == 0 else 0
             else:
                 _, ranks[(n, i)] = induced_map_on_quotients(
                     alg.field, _pi_applier(alg, n, res.betti[i]),
                     cells[(n + 1, i)], cells[(n, i)],
                 )
-    return tor_dims, ranks, forced
+    return tor_dims, ranks
 
 
 REFERENCE_RINGS = {
@@ -300,18 +298,16 @@ class TestOnePass:
     def test_matches_all_complexes_reference(self, algebra, horizon):
         res = resolve(algebra.residue_field(), horizon + 1)
         lad = tor_ladder(res, horizon)
-        tor_dims, ranks, forced = reference_ladder(res, horizon)
+        tor_dims, ranks = reference_ladder(res, horizon)
         assert list(lad.tor_dims.items()) == list(tor_dims.items())
         assert list(lad.ranks.items()) == list(ranks.items())
-        assert list(lad.forced.items()) == list(forced.items())
 
     def test_matches_reference_for_other_modules(self):
         # the rank formulas hold for a minimal resolution of any module
         for algebra in (GF101_RING, REBASED_QQ, CI4):
             res = resolve(algebra.quotient_module(2), 4)
             lad = tor_ladder(res, 3)
-            tor_dims, ranks, forced = reference_ladder(res, 3)
-            assert (lad.tor_dims, lad.ranks, lad.forced) == (tor_dims, ranks, forced)
+            assert (lad.tor_dims, lad.ranks) == reference_ladder(res, 3)
 
     def test_one_elimination_per_differential(self, monkeypatch):
         """The ladder eliminates each nonempty truncated strand block once.
@@ -500,6 +496,16 @@ def off_degree(res, i):
     return AlgebraMatrix(res.algebra, entries)
 
 
+# every reader of d_2 of a horizon-3 resolution
+READERS = {
+    "linear part": linear_part,
+    "ladder": lambda res: tor_ladder(res, 2),
+    "upsilon": lambda res: upsilon(res, 1, 1),
+    "syzygy": lambda res: res.syzygy(2),
+    "preimage": lambda res: msquared_preimage_condition(res, 2),
+}
+
+
 class TestNonMinimal:
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_ladder_raises(self, i):
@@ -534,6 +540,21 @@ class TestNonMinimal:
         res.diff[i] = non_minimal(res, i)
         with pytest.raises(AssertionError, match=f"differential {i} .*not minimal"):
             msquared_preimage_condition(res, i)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (non_minimal, "has an entry outside the maximal ideal: resolution not minimal"),
+        (off_degree, "is not homogeneous"),
+    ], ids=["non-minimal", "off-degree"])
+    @pytest.mark.parametrize("reader", READERS, ids=list(READERS))
+    def test_replaced_after_a_passing_check(self, reader, corrupt, message):
+        # a sound copy of d_2 is swept and passes on the first read; the
+        # corrupted replacement after it is a new array, swept again
+        res = resolve(X4.residue_field(), 3)
+        res.diff[2] = AlgebraMatrix(res.algebra, res.diff[2].entries)
+        READERS[reader](res)
+        res.diff[2] = corrupt(res, 2)
+        with pytest.raises(AssertionError, match=f"differential 2 {message}"):
+            READERS[reader](res)
 
     def test_ladder_raises_under_python_O(self):
         assert "not minimal" in ladder_under_python_O("non_minimal")
