@@ -333,8 +333,9 @@ class GradedAlgebra:
     Component q is F_q/F_{q+1}, the basis range offsets[q]..offsets[q+1]
     with offsets[q] = dim R/F_q (the basis is adapted), and the product
     gr_a x gr_b -> gr_{a+b} is the table's sub-block on those ranges.
-    Always standard graded: F_q is spanned by q-fold products, so
-    component 1 generates.
+    degrees[e] is the filtration degree of basis vector e, the q whose
+    range holds e. Always standard graded: F_q is spanned by q-fold
+    products, so component 1 generates.
     """
 
     def __init__(self, algebra: FiniteLocalAlgebra):
@@ -343,6 +344,8 @@ class GradedAlgebra:
         t = algebra.nilpotency_index
         self.offsets = [algebra.quotient_dim(q) for q in range(t + 1)]
         self.dims = [b - a for a, b in zip(self.offsets, self.offsets[1:])]
+        self.degrees = np.repeat(np.arange(t), self.dims)
+        self.degrees.flags.writeable = False  # shared by every reader
 
     def component_range(self, q: int) -> slice:
         """Basis range of component q (empty outside 0..t-1)."""

@@ -35,9 +35,10 @@ lists the table truncations behind them.
 
 A direct sum of subspaces on disjoint sets of coordinates is handled
 part by part: the RREF basis of the sum is the union of the parts' RREF
-bases, sorted by pivot (`scatter_by_pivot`, `scatter_cells`), so the
-strands of the resolution, the Tor cells and the linear part give the
-bytes one elimination of the whole space gives.
+bases, sorted by pivot (`scatter_by_pivot`; `direct_sum_cell` builds
+and joins the parts' homology cells), so the strands of the
+resolution, the Tor cells and the linear part give the bytes one
+elimination of the whole space gives.
 """
 
 from __future__ import annotations
@@ -275,21 +276,20 @@ class HomologyCell(NamedTuple):
         return self.cycles.dim - self.boundaries.dim
 
 
-def homology_cell(field: Field, outgoing, incoming, where: str) -> HomologyCell:
-    """Cycles and boundaries at one spot of a complex of row vectors.
+def homology_cell(field: Field, n: int, outgoing, incoming, where: str) -> HomologyCell:
+    """Cycles and boundaries at one spot k^n of a complex of row vectors.
 
-    outgoing is the matrix of the map leaving the spot (a zero-column
-    matrix at the end of the complex), incoming that of the map into
-    it. Raises AssertionError, named by `where`, when the boundaries
-    are not cycles. A map with no columns has every vector as a cycle
-    and one with no rows has no boundaries, so neither is eliminated.
+    outgoing is the matrix of the map leaving the spot, incoming that of
+    the map into it; None is no map. Raises AssertionError, named by
+    `where`, when the boundaries are not cycles. No map leaving (or one
+    with no columns) has every vector as a cycle and none entering (or
+    one with no rows) no boundaries, so neither is eliminated.
     """
-    n = outgoing.shape[0]
-    if outgoing.shape[1] == 0:
+    if outgoing is None or outgoing.shape[1] == 0:
         cycles = Subspace.full(field, n)
     else:
         cycles = kernel(field, outgoing.T)
-    if incoming.shape[0] == 0:
+    if incoming is None or incoming.shape[0] == 0:
         return HomologyCell(cycles, Subspace.zero(field, n))
     boundaries = row_space(field, incoming)
     if cycles.dim < n and not cycles.contains(boundaries):
@@ -330,13 +330,18 @@ def scatter_by_pivot(field: Field, ambient: int, parts):
     return out, pivots[order].tolist()
 
 
-def scatter_cells(field: Field, ambient: int, parts) -> HomologyCell:
+def direct_sum_cell(field: Field, ambient: int, parts) -> HomologyCell:
     """The homology cell of a direct sum of complexes on disjoint
-    coordinate sets: parts lists (index, cell), index as for
-    `scatter_by_pivot`, which joins the parts' cycles and boundaries."""
+    coordinate sets: parts yields (index, outgoing, incoming, where),
+    index as for `scatter_by_pivot`, which joins the parts' cells
+    `homology_cell(field, len(index), outgoing, incoming, where)`. Each
+    part's cell is taken before the next part is asked for, so a
+    generator can build one part's maps at a time."""
+    cells = [(index, homology_cell(field, len(index), out, inc, where))
+             for index, out, inc, where in parts]
     spaces = []
     for k in range(2):
-        pieces = [(index, cell[k].basis, cell[k].pivots) for index, cell in parts]
+        pieces = [(index, cell[k].basis, cell[k].pivots) for index, cell in cells]
         spaces.append(Subspace(field, ambient, *scatter_by_pivot(field, ambient, pieces)))
     return HomologyCell(*spaces)
 

@@ -20,18 +20,22 @@ deg g - deg g'. In the filtration grading (s = 1) its gr_1 class is zero
 unless deg g = deg g' + 1; in the trivial grading (s = 0) every degree
 is 0. Put g in linear strand deg g - i*s: then lin(F) joins only
 generators of the same strand, and every slice is block-diagonal by
-strand (an ungraded resolution has one linear strand). Its block on a
-strand is built directly by `block_expand` from the entries' gr_1
-coordinates between the strand's generators, once, and kept until both
-homology cells that read it are taken. The cycles and boundaries of
-slice (i, j) are the direct sums of those of its blocks: one kernel and
-one row space per block, none for a block with no outgoing columns (all
-cycles) or no incoming rows (no boundaries). A strand's coordinates are
-a block layout of its own, and the RREF basis of a direct sum with
-disjoint coordinate supports is the union of the parts' RREF bases, so
-`linalg.scatter_cells` reassembles each cell in global pivot order,
-the same bytes as one elimination of the whole slice; the m* checks
-read the reassembled cells.
+strand (an ungraded resolution has one linear strand); the strands of
+F_i are the resolution's generator groups (`MinimalResolution.strands`),
+degree a as strand a - i*s. The first `homology` call sweeps the spots
+0..horizon-1 forward once. The blocks of d_{i+1}, one per strand and
+degree, are built by `block_expand` from the entries' gr_1 coordinates
+between the strand's generators: the incoming maps at spot i and, kept
+one step, the outgoing maps at spot i + 1, dropped once read. So each
+block is built once, and at most two differentials' blocks are alive.
+The cycles and boundaries of slice (i, j) are the direct sums of those
+of its blocks: one kernel and one row space per block, none for a
+strand with no outgoing block (all cycles) or no incoming block (no
+boundaries). A strand's coordinates are a block layout of its own, and
+the RREF basis of a direct sum with disjoint coordinate supports is the
+union of the parts' RREF bases, so `linalg.direct_sum_cell` reassembles
+each cell in global pivot order, the same bytes as one elimination of
+the whole slice; the m* checks read the reassembled cells.
 """
 
 from __future__ import annotations
@@ -39,14 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LindefError
-from .linalg import (
-    HomologyCell,
-    Subspace,
-    block_apply,
-    block_expand,
-    homology_cell,
-    scatter_cells,
-)
+from .linalg import Subspace, block_apply, block_expand, direct_sum_cell
 from .resolution import MinimalResolution, resolve
 
 __all__ = [
@@ -66,7 +63,8 @@ class GradedComplex:
 
     Each d_i is checked first (`MinimalResolution.check_differential`):
     a slice keeps the entries' F_1/F_2 classes only if d_i is minimal,
-    and a strand block misses an entry off its degree.
+    and a strand block misses an entry off its degree. The first
+    `homology` call sweeps every spot (see the module docstring).
     """
 
     def __init__(self, res: MinimalResolution):
@@ -76,15 +74,9 @@ class GradedComplex:
         self.gr = res.algebra.graded()
         for i in range(1, res.horizon + 1):
             res.check_differential(i)
-        self._homology = {}
-        self._strands = {}
-        self._blocks = {}
+        self._homology = None
 
     # -- bookkeeping ----------------------------------------------------
-
-    @property
-    def horizon(self) -> int:
-        return self.res.horizon
 
     def stage_rank(self, i: int) -> int:
         if 0 <= i <= self.res.horizon:
@@ -117,52 +109,37 @@ class GradedComplex:
     # -- linear strands ---------------------------------------------------
 
     def strands(self, i: int):
-        """Generators of F_i by linear strand (none below stage 0)."""
+        """Generators of F_i by linear strand (none below stage 0): the
+        resolution's groups of F_i by degree a, as strand a - i*m_degree."""
         if i < 0:
             return {}
-        out = self._strands.get(i)
-        if out is None:
-            s = self.res.degrees[i] - i * self.res.m_degree
-            out = self._strands[i] = {
-                v: np.flatnonzero(s == v) for v in sorted(set(s.tolist()))
-            }
-        return out
+        shift = i * self.res.m_degree
+        return {a - shift: gens for a, gens in self.res.strands[i].groups.items()}
 
-    def _strand_block(self, i: int, j: int, s: int, other: int):
-        """Block of slice_matrix(i, j) on the generators of strand s of
-        F_i and F_{i-1}: their gr_1 entries expanded by gr_1 x gr_{j-i}.
+    def _strand_block(self, i: int, j: int, s: int):
+        """Block of slice_matrix(i, j) on the generators of linear strand s
+        of F_i and F_{i-1}: their gr_1 entries expanded by gr_1 x gr_{j-i}."""
+        rows, cols = self.strands(i)[s], self.strands(i - 1)[s]
+        ent = self.res.diff[i].entries[rows[:, None], cols, self.gr.component_range(1)]
+        return block_expand(self.field, ent, self.gr.component_product(1, j - i))
 
-        The block serves homology(i - 1) and homology(i); `other` names
-        the one not asking now, for which it is kept until it asks.
-        """
-        block = self._blocks.pop((i, j, s), None)
-        if block is None:
-            rows, cols = self.strands(i)[s], self.strands(i - 1)[s]
-            ent = self.res.diff[i].entries[rows[:, None], cols,
-                                           self.gr.component_range(1)]
-            block = block_expand(self.field, ent, self.gr.component_product(1, j - i))
-            if 0 <= other < self.res.horizon and other not in self._homology:
-                self._blocks[i, j, s] = block
-        return block
+    def _cell(self, i: int, j: int, outgoing: dict, incoming):
+        """The cell at (i, j), one linear strand at a time: the strand's
+        block of d_i is popped from outgoing, and its block of d_{i+1}
+        (none at j = i: gr_{j-i-1} = 0) built and kept in incoming for
+        spot i + 1, unless incoming is None (the last spot)."""
+        above, width = self.strands(i + 1), self.gr.component_dim(j - i)
 
-    def _strand_cell(self, i: int, j: int) -> HomologyCell:
-        """The cell at (i, j) from one cell per linear strand."""
-        field = self.field
-        below, above = self.strands(i - 1), self.strands(i + 1)
-        width = self.gr.component_dim(j - i)
-        has_out = self.gr.component_dim(j - i + 1) > 0
-        has_in = self.gr.component_dim(j - i - 1) > 0
-        parts = []
-        for s, gens in self.strands(i).items():
-            index = (gens[:, None] * width + np.arange(width)).ravel()
-            n = len(index)
-            out = self._strand_block(i, j, s, i - 1) if has_out and s in below else (
-                field.zeros((n, 0)))
-            inc = self._strand_block(i + 1, j, s, i + 1) if has_in and s in above else (
-                field.zeros((0, n)))
-            parts.append((index, homology_cell(
-                field, out, inc, f"stage {i}, degree {j}, strand {s}")))
-        return scatter_cells(field, self.component_dim(i, j), parts)
+        def parts():
+            for s, gens in self.strands(i).items():
+                inc = self._strand_block(i + 1, j, s) if j > i and s in above else None
+                if incoming is not None and inc is not None:
+                    incoming[j, s] = inc
+                yield ((gens[:, None] * width + np.arange(width)).ravel(),
+                       outgoing.pop((j, s), None), inc,
+                       f"stage {i}, degree {j}, strand {s}")
+
+        return direct_sum_cell(self.field, self.component_dim(i, j), parts())
 
     # -- homology ---------------------------------------------------------
 
@@ -174,9 +151,16 @@ class GradedComplex:
                 f"homology at {i} needs the resolution through {i + 1}, "
                 f"horizon is {self.res.horizon}"
             )
-        if i not in self._homology:
-            self._homology[i] = {
-                j: self._strand_cell(i, j) for j in self.degree_range(i)}
+        if self._homology is None:
+            # one forward sweep: d_{k+1}'s blocks enter spot k and leave
+            # spot k + 1; nothing leaves F_0
+            spots, outgoing = [], {}
+            for k in range(self.res.horizon):
+                incoming = {} if k + 1 < self.res.horizon else None
+                spots.append({j: self._cell(k, j, outgoing, incoming)
+                              for j in self.degree_range(k)})
+                outgoing = incoming
+            self._homology = spots
         return self._homology[i]
 
     def gr1_cycles(self, n: int, j: int):
@@ -244,7 +228,7 @@ def defect_classification(h) -> dict:
     }
 
 
-def linearity_defect_profile(algebra, module, horizon: int) -> dict:
+def linearity_defect_profile(module, horizon: int) -> dict:
     """Resolve the module to horizon + 1 and report its defect profile."""
     res = resolve(module, horizon + 1)
     return defect_profile(linear_part(res), horizon)

@@ -39,9 +39,12 @@ DEFAULT_CHARACTERISTIC = 101
 KEYWORDS = ("char", "vars", "ideal")
 
 # ResourceLimitError caps of the ring build: Groebner pair reductions,
-# quotient dimension, and the staircase's enumeration box
+# quotient dimension, and the staircase's enumeration box. The table and
+# the law check hold a few d x d x d arrays: d = 361 (x^19, y^19) peaks
+# at 1.9 GB resident and builds under a 2 GiB address space, d = 366
+# runs out of it.
 PAIR_CAP = 20000
-DIM_CAP = 2000
+DIM_CAP = 361
 BOX_CAP = 50 * DIM_CAP
 
 

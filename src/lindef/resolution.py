@@ -25,8 +25,9 @@ block-diagonal by strand, and each stage runs one strand at a time:
 * each strand block of d_i is built from the entries and table
   truncations by `block_expand`, never the whole expanded matrix
   (`MinimalResolution.strand_blocks`; the resolution keeps each stage's
-  strand layout, so the Tor ladder, the Tor cells of `upsilon` and
-  `syzygy` get the same blocks, whole or cut to low filtration degrees);
+  strand layout, `MinimalResolution.strands`, so the Tor ladder, the Tor
+  cells of `upsilon` and `syzygy` get the same blocks, whole or cut to
+  low filtration degrees);
 * d o d = 0, the kernel and the last stage's rank are computed per
   block, and a strand of F_i with no coordinates in F_{i-1} is all
   kernel and makes no elimination.
@@ -152,11 +153,10 @@ class AlgebraMatrix:
 
 
 def _basis_degrees(algebra: FiniteLocalAlgebra):
-    """Filtration degree of each adapted basis vector, or None when the
-    table is not graded (some nonzero table[a, b, c] has
-    deg c != deg a + deg b)."""
-    gr = algebra.graded()
-    deg = np.repeat(np.arange(len(gr.dims)), gr.dims)
+    """Filtration degree of each adapted basis vector
+    (`GradedAlgebra.degrees`), or None when the table is not graded
+    (some nonzero table[a, b, c] has deg c != deg a + deg b)."""
+    deg = algebra.graded().degrees
     a, b, c = np.nonzero(np.asarray(algebra.table != 0))
     return deg if np.array_equal(deg[c], deg[a] + deg[b]) else None
 
@@ -349,9 +349,12 @@ class MinimalResolution:
     Each stage runs one internal-degree strand at a time in the grading
     chosen for the whole resolution (see the module docstring), in which
     m is generated in degree m_degree (1 filtration, 0 trivial) and F_i's
-    generators have degrees degrees[i]; the strand layout of each F_i is
-    kept, so `strand_blocks` rebuilds the blocks of any d_i, whole or cut
-    to low filtration degrees, without rebuilding a layout.
+    generators have degrees degrees[i]. strands[i], for every
+    0 <= i <= horizon, is the strand layout of F_i: its coordinates by
+    internal degree D (strands[i].index[D]) and its generators by degree
+    a (strands[i].groups[a]). `strand_blocks` rebuilds the blocks of any
+    d_i from these layouts, whole or cut to low filtration degrees; the
+    Tor cells and the linear part read them too.
     max_expand_entries caps every strand block built (in the trivial
     grading, the whole expanded differential). Betti numbers of Artinian algebras
     grow exponentially, and the cap turns a would-be out-of-memory kill
@@ -396,17 +399,17 @@ class MinimalResolution:
             )
         self.betti.append(b)
         self.degrees.append(np.zeros(b, dtype=np.intp))
-        if w is None:
-            return
-        # the grading: filtration when the table is graded and w splits
-        edeg = _basis_degrees(alg)
+        # the grading: filtration when the table is graded and w splits,
+        # else (and at horizon 0, with no w) the trivial one
+        edeg = None if w is None else _basis_degrees(alg)
         strands = None if edeg is None else _Strands(self.degrees[0], edeg, 1)
         split = None if strands is None else strands.split(w)
         if split is None:
             strands = _Strands(self.degrees[0], np.zeros(d, dtype=np.intp), 0)
-            split = strands.split(w)
-        w, self.m_degree = split, strands.s
-        self._strands = [strands]
+        self.strands, self.m_degree = [strands], strands.s
+        if w is None:
+            return
+        w = strands.split(w) if split is None else split
         ops = alg.table[strands.gr(1)] if strands.s else alg.generator_ops
         # prev maps each strand D of F_{i-1} to its block of d_{i-1}
         prev = {D: aug[idx] for D, idx in strands.index.items()}
@@ -423,7 +426,7 @@ class MinimalResolution:
             self.degrees.append(gdeg)
             del reps
             strands = _Strands(gdeg, strands.edeg, strands.s)
-            self._strands.append(strands)
+            self.strands.append(strands)
             prev, nxt, rank = self._stage(i, prev, i == self.horizon)
             if rank != w.dim:
                 raise AssertionError(
@@ -460,7 +463,7 @@ class MinimalResolution:
         if last:
             return stage, None, rank
         # a strand of F_i with no coordinates in F_{i-1} is all kernel
-        new = self._strands[i]
+        new = self.strands[i]
         parts = {D: parts[D] if D in parts else Subspace.full(field, len(idx))
                  for D, idx in new.index.items()}
         return stage, StrandSpace(field, new, parts), rank
@@ -487,7 +490,7 @@ class MinimalResolution:
         """
         self.check_differential(i)
         field, table = self.algebra.field, self.algebra.table
-        new, old = self._strands[i], self._strands[i - 1]
+        new, old = self.strands[i], self.strands[i - 1]
         q_r = None if rows is None else self.algebra.quotient_dim(rows)
         q_c = None if cols is None else self.algebra.quotient_dim(cols)
         s, gr = old.s, old.gr
@@ -541,7 +544,7 @@ class MinimalResolution:
         if self._proved.get(i) is dmat.entries:
             return
         self._check_minimal(i)
-        edeg = self._strands[i].edeg
+        edeg = self.strands[i].edeg
         want = self.degrees[i][:, None] - self.degrees[i - 1]
         off = np.asarray(dmat.entries != 0) & (edeg != want[:, :, None])
         if off.any():

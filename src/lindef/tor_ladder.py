@@ -54,10 +54,9 @@ from .errors import AlgebraError, LindefError
 # kernel stays bound here: perfbench/tracer.py rebinds it at every
 # lindef import site.
 from .linalg import (  # noqa: F401
-    homology_cell,
+    direct_sum_cell,
     induced_map_on_quotients,
     kernel,
-    scatter_cells,
 )
 from .linear_part import defect_classification
 from .resolution import MinimalResolution
@@ -87,12 +86,13 @@ class _TorComplex:
     """The homology cell at i of F (x) R/m^n, n >= 1, strand by strand.
 
     F (x) R/m^n is block-diagonal by internal degree: each strand of F_i
-    has the kernel of d_i's block and the row space of d_{i+1}'s, both
-    cut to filtration degree < n (`MinimalResolution.strand_blocks`,
-    which checks each d first), or all cycles and no boundaries where a
-    block is missing. Coordinate g*d + e of a strand is g*q_n + e of the
-    complex, an increasing map, so `scatter_cells` joins the parts into
-    the whole complex's cell.
+    (`MinimalResolution.strands`) has the kernel of d_i's block and the
+    row space of d_{i+1}'s, both cut to filtration degree < n
+    (`MinimalResolution.strand_blocks`, which checks each d first); a
+    strand with no block on one side has no map there (all cycles, or no
+    boundaries). Coordinate g*d + e of a strand is g*q_n + e of the
+    complex, an increasing map, so `direct_sum_cell` joins the strands'
+    cells into the whole complex's cell.
     """
 
     def __init__(self, res: MinimalResolution, n: int, i: int):
@@ -103,16 +103,13 @@ class _TorComplex:
             {D: block for D, block, _, _ in res.strand_blocks(k, n, n)} if k else {}
             for k in (i, i + 1)
         )
-        strands, parts = res._strands[i], []
+        strands, parts = res.strands[i], []
         for D in strands.index:
             index, _ = strands.layout(D, q)
             if len(index):
-                cell = homology_cell(
-                    field, outgoing.get(D, field.zeros((len(index), 0))),
-                    incoming.get(D, field.zeros((0, len(index)))),
-                    f"Tor complex (n={n}, i={i}), strand {D}")
-                parts.append((index // d * q + index % d, cell))
-        self.cell = scatter_cells(field, res.betti[i] * q, parts)
+                parts.append((index // d * q + index % d, outgoing.get(D),
+                              incoming.get(D), f"Tor complex (n={n}, i={i}), strand {D}"))
+        self.cell = direct_sum_cell(field, res.betti[i] * q, parts)
 
 
 def _rank_profile(res: MinimalResolution, i: int) -> list:
@@ -132,7 +129,7 @@ def _rank_profile(res: MinimalResolution, i: int) -> list:
     """
     algebra = res.algebra
     t = algebra.nilpotency_index
-    fdeg = np.repeat(np.arange(t), algebra.graded().dims)
+    fdeg = algebra.graded().degrees
     degrees = np.arange(t)
     r = np.zeros(t, dtype=np.intp)
     for _, block, _, cols in res.strand_blocks(i, t - 2, t - 1):

@@ -480,7 +480,7 @@ def tor_cell_reference(res, n, i):
         raise AssertionError(
             "differential survives reduction mod m: resolution not minimal"
         )
-    return homology_cell(field, *maps, f"Tor complex (n={n}, i={i})")
+    return homology_cell(field, res.betti[i] * q, *maps, f"Tor complex (n={n}, i={i})")
 
 
 def upsilon_reference(res, n, i):

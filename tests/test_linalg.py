@@ -14,6 +14,7 @@ from lindef.linalg import (
     Subspace,
     block_apply,
     block_expand,
+    direct_sum_cell,
     homology_cell,
     image,
     induced_map_on_quotients,
@@ -531,23 +532,20 @@ class TestHomologyCell:
     def test_cycles_and_boundaries(self, field):
         incoming = field.asarray([[1, 2], [2, 4], [0, 0]])
         outgoing = field.asarray([[2], [-1]])
-        cycles, boundaries = homology_cell(field, outgoing, incoming, "k^2")
+        cycles, boundaries = homology_cell(field, 2, outgoing, incoming, "k^2")
         assert cycles == kernel(field, outgoing.T) and cycles.dim == 1
         assert boundaries == row_space(field, incoming) and boundaries.dim == 1
 
     @pytest.mark.parametrize("field", [Field(101), QQ], ids=["GF101", "QQ"])
     def test_ends_of_a_complex(self, field):
-        # nothing leaves, nothing enters: all cycles, no boundaries
-        cycles, boundaries = homology_cell(
-            field, field.zeros((4, 0)), field.zeros((0, 4)), "end"
-        )
-        for got, want in ((cycles, Subspace.full(field, 4)),
-                          (boundaries, Subspace.zero(field, 4))):
-            assert got.ambient_dim == want.ambient_dim
-            assert got.pivots == want.pivots
-            assert got.basis.dtype == want.basis.dtype
-            assert got.basis.shape == want.basis.shape
-            assert (got.basis == want.basis).all()
+        # nothing leaves, nothing enters: all cycles, no boundaries,
+        # whether "no map" is None or a matrix with no columns / no rows
+        for outgoing, incoming in ((None, None),
+                                   (field.zeros((4, 0)), field.zeros((0, 4)))):
+            cycles, boundaries = homology_cell(field, 4, outgoing, incoming, "end")
+            for got, want in ((cycles, Subspace.full(field, 4)),
+                              (boundaries, Subspace.zero(field, 4))):
+                assert_same_space(got, want)
 
     @pytest.mark.parametrize("field", [Field(101), QQ], ids=["GF101", "QQ"])
     def test_non_complex_raises(self, field):
@@ -555,4 +553,50 @@ class TestHomologyCell:
         incoming = field.asarray([[1, 0]])
         outgoing = field.asarray([[1], [0]])
         with pytest.raises(AssertionError, match="cell-x"):
-            homology_cell(field, outgoing, incoming, "cell-x")
+            homology_cell(field, 2, outgoing, incoming, "cell-x")
+
+
+def assert_same_space(got, want):
+    assert got.ambient_dim == want.ambient_dim
+    assert got.pivots == want.pivots
+    assert got.basis.dtype == want.basis.dtype
+    assert got.basis.shape == want.basis.shape
+    assert got.basis.tolist() == want.basis.tolist()
+
+
+@pytest.mark.parametrize("field", [Field(101), Field(2147483647), QQ],
+                         ids=["GF101", "GF(2^31-1)", "QQ"])
+def test_direct_sum_cell_none_is_a_zero_shape_map(field):
+    # parts on disjoint coordinates of k^7: A with both maps, B with no
+    # map leaving, C with none entering, D with neither. None and a
+    # zero-shape matrix give the same cell, and both the cell of one
+    # elimination of the whole block-diagonal complex.
+    a_out = field.asarray([[1], [1], [0]])
+    a_in = field.asarray([[1, -1, 5]])
+    b_in = field.asarray([[2, 3]])
+    c_out = field.asarray([[1]])
+    index = {"A": [0, 2, 3], "B": [1, 4], "C": [5], "D": [6]}
+    maps = {"A": (a_out, a_in), "B": (None, b_in), "C": (c_out, None), "D": (None, None)}
+
+    def parts(none):
+        out = []
+        for name, (o, i) in maps.items():
+            n = len(index[name])
+            if not none:
+                o = field.zeros((n, 0)) if o is None else o
+                i = field.zeros((0, n)) if i is None else i
+            out.append((np.asarray(index[name]), o, i, name))
+        return out
+
+    outgoing = field.zeros((7, 2))
+    outgoing[index["A"], 0] = a_out[:, 0]
+    outgoing[index["C"], 1] = c_out[:, 0]
+    incoming = field.zeros((2, 7))
+    incoming[0, index["A"]] = a_in[0]
+    incoming[1, index["B"]] = b_in[0]
+    whole = homology_cell(field, 7, outgoing, incoming, "whole")
+    for none in (True, False):
+        cell = direct_sum_cell(field, 7, parts(none))
+        assert cell.dim == whole.dim == 3
+        assert_same_space(cell.cycles, whole.cycles)
+        assert_same_space(cell.boundaries, whole.boundaries)

@@ -71,12 +71,12 @@ class TestProfiles:
 
     def test_embdim2_hypersurface_profile(self):
         A = ring("vars x y\nideal y - x^2, x^3")
-        prof = linearity_defect_profile(A, A.residue_field(), 4)
+        prof = linearity_defect_profile(A.residue_field(), 4)
         assert all(v > 0 for v in prof["h"])
 
     def test_convenience_matches_manual(self):
         manual = defect_profile(lin_of(X3, 5), 4)
-        conv = linearity_defect_profile(X3, X3.residue_field(), 4)
+        conv = linearity_defect_profile(X3.residue_field(), 4)
         assert manual == conv
 
     def test_horizon_too_small(self):

@@ -1,11 +1,17 @@
 """Parsing, Groebner bases, and algebra construction from presentations."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lindef
 from lindef.algebra import FiniteLocalAlgebra
 from lindef import presentation
 from lindef.errors import AlgebraError, LindefError, ParseError, ResourceLimitError
@@ -135,8 +141,8 @@ class TestGroebner:
 
     def test_resource_caps(self, monkeypatch):
         assert (presentation.PAIR_CAP, presentation.DIM_CAP,
-                presentation.BOX_CAP) == (20000, 2000, 100000)
-        with pytest.raises(ResourceLimitError, match="^quotient dimension exceeds cap 2000$"):
+                presentation.BOX_CAP) == (20000, 361, 18050)
+        with pytest.raises(ResourceLimitError, match="^quotient dimension exceeds cap 361$"):
             algebra_from_text("vars x y\nideal x^45, y^45")  # dim 2025
         with pytest.raises(ResourceLimitError, match="^staircase enumeration box too large$"):
             algebra_from_text("vars x y\nideal x^400, x*y, y^400")  # dim 799
@@ -488,3 +494,36 @@ def test_fuzzed_presentations_build_or_raise_lindef_error(text):
     except LindefError:
         return
     assert isinstance(algebra, FiniteLocalAlgebra)
+
+
+@pytest.mark.parametrize("ideal, want", [
+    # dim 361 = DIM_CAP: the largest ring the cap admits builds
+    ("x^19, y^19", "361 True"),
+    # dim 1936: refused while the staircase is enumerated, before the
+    # 58 GB table is asked for
+    ("x^44, y^44", "ResourceLimitError: quotient dimension exceeds cap 361"),
+], ids=["at the cap", "dim 1936"])
+def test_dim_cap_fits_in_two_gib(ideal, want):
+    """A ring at the dimension cap builds under a 2 GiB address space;
+    one above it raises ResourceLimitError first."""
+    pytest.importorskip("resource")
+    script = textwrap.dedent(f"""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from lindef.errors import ResourceLimitError
+        from lindef.presentation import DIM_CAP, algebra_from_text
+        try:
+            algebra = algebra_from_text("vars x y\\nideal {ideal}")
+        except ResourceLimitError as exc:
+            print(f"ResourceLimitError: {{exc}}")
+        else:
+            print(algebra.dim, algebra.dim == DIM_CAP)
+    """)
+    src = str(Path(lindef.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == want

@@ -111,6 +111,23 @@ class TestStructure:
                                  "matrix, over the cap of 319 entries"):
             resolve(k, 4, max_expand_entries=319)
 
+    @pytest.mark.parametrize("horizon", [0, 3])
+    @pytest.mark.parametrize("graded", [True, False], ids=["graded", "dense basis"])
+    def test_strand_layout_of_every_stage(self, horizon, graded):
+        # strands[i] is kept for 0 <= i <= horizon, horizon 0 included;
+        # its generator groups are the generators of F_i by degree
+        algebra = KOSZUL3 if graded else dense_change(KOSZUL3, 3)
+        res = resolve(algebra.residue_field(), horizon)
+        assert len(res.strands) == horizon + 1
+        for i, strands in enumerate(res.strands):
+            groups = {a: g.tolist() for a, g in strands.groups.items()}
+            degrees = res.degrees[i].tolist()
+            assert groups == {a: [g for g, b in enumerate(degrees) if b == a]
+                              for a in sorted(set(degrees))}
+            assert strands.s == res.m_degree
+            assert sum(len(idx) for idx in strands.index.values()) == (
+                res.betti[i] * algebra.dim)
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(LindefError):
             resolve(X2.residue_field(), -1)

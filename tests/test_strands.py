@@ -134,9 +134,13 @@ LINEAR_CASES = {
     "fibre product GF(2)": (lambda: algebra_from_text(f"char 2\n{FIBRE}"), 5, True),
     "fibre product GF(101)": (lambda: algebra_from_text(FIBRE), 5, True),
     "fibre product QQ": (lambda: algebra_from_text(f"char 0\n{FIBRE}"), 2, True),
+    "fibre product GF(2^31-1)": (
+        lambda: algebra_from_text(f"char 2147483647\n{FIBRE}"), 4, True),
     "scan-wide seed 1": (lambda: random_algebra(SCAN_WIDE, 0), 5, True),
     "dense basis GF(101)": (
         lambda: dense_change(algebra_from_text(FIBRE), 3), 4, False),
+    "dense basis GF(2^31-1)": (lambda: dense_change(
+        algebra_from_text(f"char 2147483647\n{FIBRE}"), 3), 3, False),
     "dense basis QQ": (lambda: dense_change(algebra_from_text(
         "char 0\nvars x y\nideal x^2, x*y, y^3"), 5), 3, False),
 }
@@ -174,7 +178,8 @@ def test_linear_strands_match_whole_slices(name):
 @pytest.mark.parametrize("name", LINEAR_CASES)
 def test_each_strand_block_built_once(name, monkeypatch):
     build, top, _ = LINEAR_CASES[name]
-    lin = linear_part(resolve(build().residue_field(), top + 1))
+    res = resolve(build().residue_field(), top + 1)
+    lin = linear_part(res)
     gr = lin.gr
     # the (i, j, s) blocks the cells of stages 0..top read: outgoing from
     # stage i, and incoming from stage i + 1
@@ -186,19 +191,48 @@ def test_each_strand_block_built_once(name, monkeypatch):
                     wanted.add((i, j, s))
                 if gr.component_dim(j - i - 1) and s in lin.strands(i + 1):
                     wanted.add((i + 1, j, s))
-    built = []
-    real = linear_part_module.block_expand
+    built, expanded = [], []
+    real_block = GradedComplex._strand_block
+    real_expand = linear_part_module.block_expand
+
+    def recording(self, i, j, s):
+        built.append((i, j, s))
+        return real_block(self, i, j, s)
 
     def counting(field, entries, ops):
-        built.append(entries.shape)
-        return real(field, entries, ops)
+        expanded.append(entries.shape)
+        return real_expand(field, entries, ops)
 
+    monkeypatch.setattr(GradedComplex, "_strand_block", recording)
     monkeypatch.setattr(linear_part_module, "block_expand", counting)
-    # full_check's order: the profile's stages first, then stage 0
-    for i in [*range(1, top + 1), 0]:
-        lin.homology(i)
-    assert len(built) == len(wanted)
-    assert not lin._blocks
+    # stage 0 first, then full_check's order: the profile's stages, then 0
+    for stages in ([0, *range(1, top + 1)], [*range(1, top + 1), 0]):
+        built.clear()
+        expanded.clear()
+        lin = linear_part(res)
+        for i in stages:
+            lin.homology(i)
+        assert sorted(built) == sorted(wanted)
+        assert len(expanded) == len(wanted)
+
+
+@pytest.mark.parametrize("name, horizon", [
+    ("fibre product GF(2)", 4), ("scan-wide seed 1", 4), ("dense basis GF(101)", 3),
+])
+def test_full_check_builds_each_strand_block_once(name, horizon, monkeypatch):
+    # full_check resolves to horizon + 1 and reads lin(F) at spots
+    # 0..horizon: every linear-strand block of d_1..d_{horizon+1} once
+    built = []
+    real = GradedComplex._strand_block
+
+    def recording(self, i, j, s):
+        built.append((i, j, s))
+        return real(self, i, j, s)
+
+    monkeypatch.setattr(GradedComplex, "_strand_block", recording)
+    full_check(LINEAR_CASES[name][0](), horizon)
+    assert len(built) == len(set(built))
+    assert {i for i, _, _ in built} == set(range(1, horizon + 2))
 
 
 def one_block_cells(self, i):
