@@ -55,6 +55,10 @@ from .errors import AlgebraError
 from .fields import Field
 from .linalg import Subspace, block_apply
 
+# entries of one part of a law-check slab: its products and the mask of
+# their nonzero entries are a few arrays of this size, not d x m x m
+LAW_CHUNK_ELEMS = 1 << 19
+
 __all__ = [
     "FiniteLocalAlgebra",
     "GradedAlgebra",
@@ -91,10 +95,13 @@ def _check_action(field: Field, table, act, unit, mgens):
     D[j, x, l] = (G_g @ act)[j, x, l] - (A_g @ act[j])[x, l]: one
     product with the flattened actions and one stacked product, both in
     (j, x, l) layout, left unreduced, and the slab passes when every
-    entry is zero in the field (`Field.nonzero`). Over GF(p) this runs
-    on float64 residues, exact while max(d, m) (p-1)^2 < 2^53; above
-    that bound on int64 through `matmul_mod`. A failing slab raises the
-    error of `_check_basis_slabs`.
+    entry is zero in the field (`Field.nonzero`). It is checked a block
+    of j at a time, about LAW_CHUNK_ELEMS entries each, so the check
+    holds a few arrays of that size besides the operands, not of d m^2.
+    Over GF(p) this runs on float64 residues, exact while
+    max(d, m) (p-1)^2 < 2^53; above that bound on int64 through
+    `matmul_mod`. A failing slab raises the error of
+    `_check_basis_slabs`.
     """
     d, m, _ = act.shape
     unit_op = _action(field, act, unit[None])[0]
@@ -106,13 +113,15 @@ def _check_action(field: Field, table, act, unit, mgens):
     gen_acts = gen_ops if act is table else field.exact_operands(
         _action(field, act, mgens), k)
     flat = af.reshape(d, m * m)
+    step = max(1, LAW_CHUNK_ELEMS // (m * m))
     for op, gen_act in zip(gen_ops, gen_acts):
-        slab = field.exact_matmul(op, flat).reshape(d, m, m)
-        slab -= field.exact_matmul(gen_act, af)
-        if field.nonzero(slab).any():
-            _check_basis_slabs(field, table, act)
-            # unreachable: slab g is the sum of g[i] times basis slab i
-            raise AlgebraError("action is not associative")
+        for j in range(0, d, step):
+            part = field.exact_matmul(op[j:j + step], flat).reshape(-1, m, m)
+            part -= field.exact_matmul(gen_act, af[j:j + step])
+            if field.nonzero(part).any():
+                _check_basis_slabs(field, table, act)
+                # unreachable: slab g is the sum of g[i] times basis slab i
+                raise AlgebraError("action is not associative")
 
 
 def _check_basis_slabs(field: Field, table, act):

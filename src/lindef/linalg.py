@@ -26,12 +26,16 @@ row r under ops[s]), so a span of products such as mW is one product
 and one elimination. A matrix of
 ring elements entries[g, g', e] (coordinates e in some basis, ops[e]
 the operator of that basis element) is the scalar matrix
-sum_e entries[:, :, e] (x) ops[e] on these rows, built by
-`block_expand`. Its callers for differentials are the strand blocks of
-`resolution.MinimalResolution.strand_blocks`, one call per pair of
-generator degrees (one per stage in the trivial grading), and the linear
-part's blocks, one per linear strand; `resolution.AlgebraMatrix.expand`
-lists the table truncations behind them.
+sum_e entries[:, :, e] (x) ops[e] on these rows. A differential is
+stored as its nonzero entries (`resolution.AlgebraMatrix`), so that
+matrix is built by `expand_tiles`: one product of the coefficients of
+the nonzero (g, g') tiles, placed in a zero matrix. Its callers are the
+strand blocks of `resolution.MinimalResolution.strand_blocks`, one call
+per pair of generator degrees (one per stage in the trivial grading),
+the linear part's blocks, one per linear strand (both through
+`MinimalResolution.place_tiles`), the augmentation of a module, stage 0
+of a resolution, and `resolution.AlgebraMatrix.expand`, which lists the
+table truncations behind them.
 
 A direct sum of subspaces on disjoint sets of coordinates is handled
 part by part: the RREF basis of the sum is the union of the parts' RREF
@@ -366,20 +370,21 @@ def block_apply(field: Field, rows, blocks: int, ops):
     return np.ascontiguousarray(out).reshape(e * z, blocks * b)
 
 
-def block_expand(field: Field, entries, ops):
-    """Scalar matrix sum_e entries[:, :, e] (x) ops[e] of a module map.
+def expand_tiles(field: Field, out, coef, ops, rows, cols):
+    """Write the tiles of a sparse module map into the scalar matrix out.
 
-    entries has shape (r, c, e) and ops shape (e, J, F); the result has
-    shape (r * J, c * F) with out[g*J + j, g'*F + f] equal to
-    sum_e entries[g, g', e] * ops[e, j, f].
+    Tile t is the J x F matrix sum_e coef[t, e] ops[e] of one nonzero
+    ring entry, with coef (T, e) and ops (e, J, F); it lands at the rows
+    rows[t] (length J) and the columns cols[t] (length F) of out, which
+    keeps its other entries. All T tiles are one product. Tiles must not
+    overlap: each is one pair of generators.
     """
-    r, c, e = entries.shape
-    _, J, F = ops.shape
-    if 0 in (r, c, e, J, F):
-        return field.zeros((r * J, c * F))
-    out = field.matmul(entries.reshape(r * c, e), ops.reshape(e, J * F))
-    out = out.reshape(r, c, J, F).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(out).reshape(r * J, c * F)
+    t = len(coef)
+    e, J, F = ops.shape
+    if 0 in (t, e, J, F):
+        return
+    tiles = field.matmul(coef, ops.reshape(e, J * F)).reshape(t, J, F)
+    out[rows[:, :, None], cols[:, None, :]] = tiles
 
 
 def induced_map_on_quotients(field: Field, apply_rows, src, dst):

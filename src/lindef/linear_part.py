@@ -24,10 +24,13 @@ strand (an ungraded resolution has one linear strand); the strands of
 F_i are the resolution's generator groups (`MinimalResolution.strands`),
 degree a as strand a - i*s. The first `homology` call sweeps the spots
 0..horizon-1 forward once. The blocks of d_{i+1}, one per strand and
-degree, are built by `block_expand` from the entries' gr_1 coordinates
-between the strand's generators: the incoming maps at spot i and, kept
-one step, the outgoing maps at spot i + 1, dropped once read. So each
-block is built once, and at most two differentials' blocks are alive.
+degree, are built by `MinimalResolution.place_tiles` from the gr_1
+coordinates of the nonzero entries between the strand's generators, the
+tiles of one pair of generator degrees (`MinimalResolution.tiles`), as
+the resolution builds its own strand blocks: the incoming maps at
+spot i and, kept one step, the outgoing maps at spot i + 1, dropped once
+read. So each block is built once, and at most two differentials'
+blocks are alive.
 The cycles and boundaries of slice (i, j) are the direct sums of those
 of its blocks: one kernel and one row space per block, none for a
 strand with no outgoing block (all cycles) or no incoming block (no
@@ -43,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LindefError
-from .linalg import Subspace, block_apply, block_expand, direct_sum_cell
+from .linalg import Subspace, block_apply, direct_sum_cell
 from .resolution import MinimalResolution, resolve
 
 __all__ = [
@@ -118,10 +121,22 @@ class GradedComplex:
 
     def _strand_block(self, i: int, j: int, s: int):
         """Block of slice_matrix(i, j) on the generators of linear strand s
-        of F_i and F_{i-1}: their gr_1 entries expanded by gr_1 x gr_{j-i}."""
+        of F_i and F_{i-1}: their gr_1 entries expanded by gr_1 x gr_{j-i}.
+        Those are the tiles of d_i's degree pair (a, a - m_degree), a = s
+        + i*m_degree (`MinimalResolution.tiles`), cut to e in gr_1."""
+        a = s + i * self.res.m_degree
         rows, cols = self.strands(i)[s], self.strands(i - 1)[s]
-        ent = self.res.diff[i].entries[rows[:, None], cols, self.gr.component_range(1)]
-        return block_expand(self.field, ent, self.gr.component_product(1, j - i))
+        gr = self.gr.component_range
+        J, F = self.gr.component_dim(j - i), self.gr.component_dim(j - i + 1)
+        block = self.field.zeros((len(rows) * J, len(cols) * F))
+        t = self.res.tiles(i).get((a, a - self.res.m_degree))
+        if t is not None:
+            # generator k of each strand holds the k-th run of J rows (F
+            # columns) of the block
+            self.res.place_tiles(
+                t, block, (np.arange(len(rows) * J).reshape(len(rows), J), gr(j - i)),
+                (np.arange(len(cols) * F).reshape(len(cols), F), gr(j - i + 1)), gr(1))
+        return block
 
     def _cell(self, i: int, j: int, outgoing: dict, incoming):
         """The cell at (i, j), one linear strand at a time: the strand's

@@ -572,7 +572,9 @@ def load_structure_constants(data: dict):
     Expected keys: char, dim, basis (labels), unit (basis index),
     m_generators (list of basis indices), table (dim x dim nested lists,
     table[i][j] = coefficient vector of e_i * e_j). A value of the wrong
-    shape or type raises AlgebraError naming its key. The
+    shape or type raises AlgebraError naming its key, and a dim over
+    DIM_CAP raises ResourceLimitError, both before the d x d x d table
+    is allocated. The
     FiniteLocalAlgebra constructor checks commutativity and the unit on
     the basis, associativity on the slabs of the n generators of m, and
     locality; the last two together prove associativity on all of R.
@@ -587,6 +589,8 @@ def load_structure_constants(data: dict):
     d = _integer(data["dim"], "dim")
     if d < 1:
         raise AlgebraError("dim must be at least 1")
+    if d > DIM_CAP:
+        raise ResourceLimitError(f"dim {d} exceeds cap {DIM_CAP}")
     labels = [str(s) for s in _list(data["basis"], "basis")]
     if len(labels) != d:
         raise AlgebraError(f"expected {d} basis labels, got {len(labels)}")
@@ -600,8 +604,6 @@ def load_structure_constants(data: dict):
         return v
 
     def coeff_vector(v, what):
-        if len(_list(v, what)) != d:
-            raise AlgebraError(f"{what} must have length {d}")
         try:
             return field.asarray([field.parse_scalar(str(c)) for c in v])
         except (ValueError, ZeroDivisionError):
@@ -615,6 +617,10 @@ def load_structure_constants(data: dict):
     table_data = _list(data["table"], "table")
     if len(table_data) != d or any(len(_list(r, "table row")) != d for r in table_data):
         raise AlgebraError(f"table must be {d}x{d} vectors of length {d}")
+    for i, row in enumerate(table_data):
+        for j, v in enumerate(row):
+            if len(_list(v, f"table[{i}][{j}]")) != d:
+                raise AlgebraError(f"table[{i}][{j}] must have length {d}")
     table = field.zeros((d, d, d))
     for i in range(d):
         for j in range(d):

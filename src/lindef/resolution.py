@@ -22,12 +22,16 @@ block-diagonal by strand, and each stage runs one strand at a time:
 * (mW)_D = m_s W_{D-s}, so mW is eliminated strand by strand from the
   products of W_{D-s} with the degree-s generators of m, and a strand
   of W with no strand below it needs no elimination;
-* each strand block of d_i is built from the entries and table
-  truncations by `block_expand`, never the whole expanded matrix
-  (`MinimalResolution.strand_blocks`; the resolution keeps each stage's
-  strand layout, `MinimalResolution.strands`, so the Tor ladder, the Tor
-  cells of `upsilon` and `syzygy` get the same blocks, whole or cut to
-  low filtration degrees);
+* d_i is stored as its nonzero ring entries (`AlgebraMatrix`), read off
+  the strands' generator rows without a dense b_i x b_{i-1} x d array,
+  and grouped once by pair of generator degrees
+  (`MinimalResolution.tiles`); each strand block is built from those
+  groups and table truncations by `expand_tiles`, never the whole
+  expanded matrix (`MinimalResolution.strand_blocks`; the resolution
+  keeps each stage's strand layout, `MinimalResolution.strands`, so the
+  Tor ladder, the Tor cells of `upsilon` and `syzygy` get the same
+  blocks, whole or cut to low filtration degrees); a block is dense only
+  while it is eliminated;
 * d o d = 0, the kernel and the last stage's rank are computed per
   block, and a strand of F_i with no coordinates in F_{i-1} is all
   kernel and makes no elimination.
@@ -50,6 +54,8 @@ generators, the entries and every record are the same bytes.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .algebra import FiniteLocalAlgebra, RModule
@@ -59,7 +65,7 @@ from .errors import LindefError, ResourceLimitError
 from .linalg import (  # noqa: F401
     Subspace,
     block_apply,
-    block_expand,
+    expand_tiles,
     kernel,
     kernel_structured,
     scatter_by_pivot,
@@ -71,31 +77,58 @@ __all__ = ["AlgebraMatrix", "MinimalResolution", "resolve", "minimal_generators"
 class AlgebraMatrix:
     """Matrix of ring elements, a map of free modules R^src -> R^dst.
 
-    entries has shape (src, dst, dim R): entries[c, c'] is the
-    coordinate vector of the coefficient on target generator c' in the
-    image of source generator c. It is read-only, so a d_i that passed
-    `MinimalResolution.check_differential` cannot change in place.
+    It is stored as its nonzero ring entries: nonzeros is a tuple of four
+    read-only arrays (g, g', e, value), sorted by (g, g', e), the order
+    `resolve --verbose` prints them in. Nonzero k says that coordinate
+    e[k] of the coefficient on target generator g'[k] in the image of
+    source generator g[k] is value[k]; every other coordinate is zero.
+    A differential of a minimal resolution is almost all zeros (d_6 of
+    the `scan-wide` ring of seed 1, 729 x 243 x 8, has 1657 nonzeros),
+    and nothing that resolves or checks builds the dense array. Being
+    read-only, a d_i that passed `MinimalResolution.check_differential`
+    cannot change in place.
+
+    The constructor also takes the dense (src, dst, dim R) array, and
+    `entries` builds that dense view on demand (read-only, for the
+    tests); `from_nonzeros` takes the four arrays. `expand` builds the
+    scalar matrix from the nonzeros too.
     """
 
-    __slots__ = ("algebra", "entries")
+    __slots__ = ("algebra", "src_rank", "dst_rank", "nonzeros")
 
     def __init__(self, algebra: FiniteLocalAlgebra, entries):
-        self.algebra = algebra
-        self.entries = algebra.field.asarray(entries)
-        self.entries.flags.writeable = False
-        if self.entries.ndim != 3 or self.entries.shape[2] != algebra.dim:
+        entries = algebra.field.asarray(entries)
+        if entries.ndim != 3 or entries.shape[2] != algebra.dim:
             raise LindefError(
-                f"entry array has shape {self.entries.shape}, expected "
+                f"entry array has shape {entries.shape}, expected "
                 f"(src, dst, {algebra.dim})"
             )
+        g, g2, e = np.nonzero(np.asarray(entries != 0))
+        self._store(algebra, entries.shape[:2], (g, g2, e, entries[g, g2, e]))
+
+    @classmethod
+    def from_nonzeros(cls, algebra: FiniteLocalAlgebra, shape, g, g2, e, value):
+        """The matrix of the given shape (src, dst) with these nonzeros:
+        index arrays sorted by (g, g', e), values nonzero in the field."""
+        dmat = cls.__new__(cls)
+        dmat._store(algebra, shape, (g, g2, e, value))
+        return dmat
+
+    def _store(self, algebra, shape, nonzeros):
+        self.algebra = algebra
+        self.src_rank, self.dst_rank = int(shape[0]), int(shape[1])
+        for a in nonzeros:
+            a.flags.writeable = False
+        self.nonzeros = nonzeros
 
     @property
-    def src_rank(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def dst_rank(self) -> int:
-        return self.entries.shape[1]
+    def entries(self):
+        """The dense (src, dst, dim R) array, built on each call."""
+        g, g2, e, value = self.nonzeros
+        out = self.algebra.field.zeros((self.src_rank, self.dst_rank, self.algebra.dim))
+        out[g, g2, e] = value
+        out.flags.writeable = False
+        return out
 
     def expand(self, rows=slice(None), cols=slice(None)):
         """Scalar matrix of the map, each entry e acting on a block by
@@ -117,19 +150,21 @@ class AlgebraMatrix:
               same pair                           ∩ :q_n         ∩ :q_n
 
         F_i -> F_{i-1}/m^2 F_{i-1} needs no expansion: on the generators
-        of F_i it is entries[:, :, :q_2]
-        (`tor_ladder.msquared_preimage_condition`). Only
-        `linear_part.GradedComplex.slice_matrix`, which nothing in the
-        package calls, and the tests' references call this method. The
-        rest build strand blocks, one `block_expand` per pair of generator
-        degrees with only the entries in gr(a - a')
-        (`MinimalResolution.strand_blocks`): the resolution and `syzygy`
-        whole, the Tor ladder cut at n = t - 2 on the rows and t - 1 on
-        the columns (t the nilpotency index; `tor_ladder._rank_profile`),
-        the Tor cells of `upsilon` at n. gr is the grading's: in the
-        trivial one gr(0) is the whole basis and the one strand block the
-        whole matrix. The linear part does the same for its linear
-        strands (`linear_part.GradedComplex`).
+        of F_i it is the nonzeros with e < q_2
+        (`tor_ladder.msquared_preimage_condition`). This method places
+        every (g, g') tile with a nonzero entry in one `expand_tiles`
+        product. Only `linear_part.GradedComplex.slice_matrix`, which
+        nothing in the package calls, and the tests call it. The rest
+        build strand blocks from the nonzeros, one product per pair of
+        generator degrees of the pair's coordinates in gr(a - a')
+        (`MinimalResolution.strand_blocks`, `tiles` and `place_tiles`):
+        the resolution and `syzygy` whole, the Tor ladder cut at n = t - 2
+        on the rows and t - 1 on the columns (t the nilpotency index;
+        `tor_ladder._rank_profile`), the Tor cells of `upsilon` at n. gr
+        is the grading's: in the trivial one gr(0) is the whole basis and
+        the one strand block the whole matrix. The linear part does the
+        same for its linear strands from the same groups, cut to gr(1)
+        (`linear_part.GradedComplex`).
 
         lin(F) keeps only the entries' gr_1 coordinates, yet its row in
         the table sums over every e. That is the same matrix: coordinate 0 of
@@ -137,19 +172,52 @@ class AlgebraMatrix:
         each d_i, `MinimalResolution.check_differential`), and an e in F_2
         maps F_q into F_{q+2}, whose coordinates in gr(q+1) are zero.
         """
-        table = self.algebra.table[:, rows, cols]
-        return block_expand(self.algebra.field, self.entries, table)
+        field, table = self.algebra.field, self.algebra.table[:, rows, cols]
+        _, J, F = table.shape
+        out = field.zeros((self.src_rank * J, self.dst_rank * F))
+        g, g2, coef = _tile_runs(self.algebra, self.nonzeros)
+        expand_tiles(field, out, coef, table,
+                     g[:, None] * J + np.arange(J), g2[:, None] * F + np.arange(F))
+        return out
 
     def is_minimal(self) -> bool:
         """True when every entry lies in the maximal ideal: F_1 is spanned
-        by e_1..e_{d-1} in the algebra's adapted basis."""
-        return self.algebra.field.is_zero(self.entries[:, :, 0])
+        by e_1..e_{d-1} in the algebra's adapted basis, so no nonzero has
+        e = 0."""
+        return not (self.nonzeros[2] == 0).any()
 
     def entry_string(self, src: int, dst: int) -> str:
-        return self.algebra.format_element(self.entries[src, dst])
+        g, g2, e, value = self.nonzeros
+        lo, hi = np.searchsorted(g, (src, src + 1))
+        lo, hi = lo + np.searchsorted(g2[lo:hi], (dst, dst + 1))
+        element = self.algebra.field.zeros(self.algebra.dim)
+        element[e[lo:hi]] = value[lo:hi]
+        return self.algebra.format_element(element)
 
     def __repr__(self):
         return f"AlgebraMatrix({self.src_rank}x{self.dst_rank} over dim {self.algebra.dim})"
+
+
+def _tile_runs(algebra: FiniteLocalAlgebra, nonzeros):
+    """The tiles of a matrix's sorted nonzeros (g, g', e, value): the
+    pairs (g, g') with a nonzero entry, in order, and coef (pairs, d)
+    with coef[t] the entry of pair t. Each pair is a run of nonzeros."""
+    g, g2, e, value = nonzeros
+    first = np.ones(len(g), dtype=bool)
+    first[1:] = (g[1:] != g[:-1]) | (g2[1:] != g2[:-1])
+    coef = algebra.field.zeros((int(first.sum()), algebra.dim))
+    coef[first.cumsum() - 1, e] = value
+    return g[first], g2[first], coef
+
+
+class Tiles(NamedTuple):
+    """The nonzero entries of d_i between the generators of degree a of
+    F_i and of degree a' of F_{i-1} (`MinimalResolution.tiles`)."""
+
+    q: slice  # gr(a - a'), the coordinates the entries lie in
+    rows: np.ndarray  # each tile's generator of F_i, by place in its group
+    cols: np.ndarray  # and of F_{i-1}
+    coef: np.ndarray  # (tiles, len q): each tile's coordinates in q
 
 
 def _basis_degrees(algebra: FiniteLocalAlgebra):
@@ -161,19 +229,19 @@ def _basis_degrees(algebra: FiniteLocalAlgebra):
     return deg if np.array_equal(deg[c], deg[a] + deg[b]) else None
 
 
-def _row_degrees(rows, cdeg):
-    """Internal degree of each row, or None when a row is zero or has
-    nonzero coordinates in two strands (cdeg the coordinate degrees)."""
-    if not len(rows):
-        return np.zeros(0, dtype=np.intp)
-    nz = np.asarray(rows != 0)
-    first = nz.argmax(axis=1)
-    deg = cdeg[first]
-    if not nz[np.arange(len(first)), first].all() or (
-        nz & (cdeg != deg[:, None])
-    ).any():
+def _row_degrees(n: int, row, col, cdeg):
+    """Internal degree of each of n rows whose nonzero entries sit at
+    (row[k], col[k]), row nondecreasing, or None when a row is zero or
+    has nonzero coordinates in two strands (cdeg the coordinate
+    degrees)."""
+    counts = np.bincount(row, minlength=n)
+    if not counts.all():
         return None
-    return deg
+    deg = cdeg[col]
+    first = deg[counts.cumsum() - counts]
+    if (deg != first.repeat(counts)).any():
+        return None
+    return first
 
 
 class _Strands:
@@ -183,15 +251,15 @@ class _Strands:
 
     index[D] holds the coordinates of strand D in increasing order, which
     is the strand's own coordinate order; groups[a] the generators of
-    degree a; gr(q) the range of a block's degree-q basis vectors.
-    positions(D, a) lists where the coordinates of the degree-a
-    generators sit in strand D, generator-major: they form a block layout
-    with blocks gr(D - a), so `block_apply` and `block_expand` act on
-    them directly.
+    degree a, and member[g] the place of generator g in its group; gr(q)
+    the range of a block's degree-q basis vectors. positions(D, a) lists
+    where the coordinates of the degree-a generators sit in strand D,
+    generator-major: they form a block layout with blocks gr(D - a), so
+    `block_apply` and `expand_tiles` act on them directly.
     """
 
     __slots__ = ("edeg", "s", "offsets", "d", "cdeg", "index", "local", "groups",
-                 "_pos")
+                 "member", "_pos")
 
     def __init__(self, gdeg, edeg, s: int):
         self.edeg, self.s = edeg, s
@@ -208,6 +276,9 @@ class _Strands:
         self.local = np.empty(len(cdeg), dtype=np.intp)
         self.local[order] = np.arange(len(cdeg)) - np.repeat(starts, counts)
         self.groups = {a: np.flatnonzero(gdeg == a) for a in sorted(set(gdeg.tolist()))}
+        self.member = np.empty(len(gdeg), dtype=np.intp)
+        for gens in self.groups.values():
+            self.member[gens] = np.arange(len(gens))
         self._pos = {}
 
     def gr(self, q: int) -> slice:
@@ -226,30 +297,31 @@ class _Strands:
     def layout(self, D: int, q: int | None = None):
         """(index, place) of strand D, cut to the basis vectors e < q of
         each block when q is given: index lists its coordinates g*d + e in
-        increasing order, and place[a] = (positions(D, a), gr(D - a)), both
-        cut, for each generator degree a with coordinates left. A cut
-        keeps a prefix of each generator's range: again a block layout."""
+        increasing order, and place[a] = (at, gr(D - a)), both cut, for
+        each generator degree a with coordinates left, with at[k] the
+        positions(D, a) of the group's k-th generator. A cut keeps a
+        prefix of each generator's range: again a block layout."""
         index, place, size = self.index[D], {}, 0
         for a, gens in self.groups.items():
             r = self.gr(D - a)
             if q is not None:
                 r = slice(r.start, min(r.stop, q))
             if r.stop > r.start:
-                place[a] = (self.positions(D, a), r)
+                place[a] = (self.positions(D, a).reshape(len(gens), -1), r)
                 size += len(gens) * (r.stop - r.start)
         if size in (0, len(index)):  # all or nothing cut
             return index[:size], place
         keep = index % self.d < q
         local = np.cumsum(keep) - 1
         for a, (pos, r) in place.items():
-            pos = pos.reshape(len(self.groups[a]), -1)[:, :r.stop - r.start]
-            place[a] = (local[pos.ravel()], r)
+            place[a] = (local[pos[:, :r.stop - r.start]], r)
         return index[keep], place
 
     def split(self, space: Subspace):
         """space's parts by strand, or None when a basis row touches two
         strands (then space is not a sum of its parts)."""
-        deg = _row_degrees(space.basis, self.cdeg)
+        deg = _row_degrees(space.dim, *np.nonzero(np.asarray(space.basis != 0)),
+                           self.cdeg)
         if deg is None:
             return None
         piv = np.asarray(space.pivots, dtype=np.intp)
@@ -292,8 +364,10 @@ def minimal_generators(space: StrandSpace, blocks: int, ops):
 
     (mW)_D = ops W_{D-s}: one `block_apply` product per generator degree
     and one elimination per strand of W with a nonzero strand s below
-    it. The strands' representatives, as rows of R^blocks, are returned
-    in order of their pivots, which is the one-block order.
+    it. Returns the strands' parts (index, reps, cols) as
+    `scatter_by_pivot` takes them: the coordinates of strand D in
+    R^blocks, its representatives in those coordinates and their pivots.
+    Ordered by global pivot, the representatives are the one-block ones.
     """
     field, st = space.field, space.strands
     found = []
@@ -318,10 +392,40 @@ def minimal_generators(space: StrandSpace, blocks: int, ops):
                     prods = images
                 else:
                     prods[:, dst] = images
+                del images, sub
         mw = Subspace.from_rows(field, prods, w.ambient_dim)
-        reps, cols = w.adapted_reps(mw)
-        found.append((st.index[D], reps, cols))
-    return scatter_by_pivot(field, blocks * st.d, found)[0]
+        del prods
+        found.append((st.index[D], *w.adapted_reps(mw)))
+        # no strand's stack or mW outlives it into the next one's products
+        del mw
+    return found
+
+
+def _differential(algebra: FiniteLocalAlgebra, parts, blocks: int) -> AlgebraMatrix:
+    """d_i from `minimal_generators`' parts, generators in order of
+    global pivot (as `scatter_by_pivot` orders the rows), straight to its
+    sorted nonzeros: no dense generator row is built. Within a part each
+    row's coordinates increase, so a stable sort by generator puts the
+    nonzeros in (g, g', e) order."""
+    empty = np.zeros(0, dtype=np.intp)
+    gens, coords, values, pivots, n = [empty], [empty], [algebra.field.zeros(0)], [empty], 0
+    for index, reps, cols in parts:
+        index = np.asarray(index, dtype=np.intp)
+        r, c = np.asarray(reps != 0).nonzero()
+        gens.append(r + n)
+        coords.append(index[c])
+        values.append(reps[r, c])
+        pivots.append(index[np.asarray(cols, dtype=np.intp)])
+        n += len(reps)
+    g, coord, value = np.concatenate(gens), np.concatenate(coords), np.concatenate(values)
+    # number the generators by global pivot, then sort by generator
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.concatenate(pivots).argsort()] = np.arange(n)
+    g = rank[g]
+    order = g.argsort(kind="stable")
+    g, coord, value = g[order], coord[order], value[order]
+    return AlgebraMatrix.from_nonzeros(algebra, (n, blocks), g, coord // algebra.dim,
+                                       coord % algebra.dim, value)
 
 
 def _kernel_or_rank(field, expand, last: bool):
@@ -374,7 +478,8 @@ class MinimalResolution:
         self.diff = [None]
         self.degrees = []
         self.m_degree = 0
-        self._proved = {}  # i -> the entries of d_i that passed
+        self._proved = {}  # i -> the nonzeros of d_i that passed
+        self._tiles = {}  # i -> (the nonzeros of d_i, their tiles)
         self._build()
 
     # -- construction --------------------------------------------------
@@ -387,11 +492,15 @@ class MinimalResolution:
         # the module's own generator actions
         top = _Strands(np.zeros(1, dtype=np.intp),
                        np.zeros(mod.dim, dtype=np.intp), 0)
-        reps = minimal_generators(top.split(Subspace.full(field, mod.dim)), 1,
-                                  mod.generator_actions)
+        reps = scatter_by_pivot(field, mod.dim, minimal_generators(
+            top.split(Subspace.full(field, mod.dim)), 1, mod.generator_actions))[0]
         b = reps.shape[0]
-        # the augmentation F_0 -> M sends generator g to reps[g]
-        aug = block_expand(field, reps[:, None, :], mod.act.transpose(1, 0, 2))
+        # the augmentation F_0 -> M sends generator g to reps[g]: its tile
+        # g is reps[g] e_j on rows g*d + j
+        aug = field.zeros((b * d, mod.dim))
+        expand_tiles(field, aug, reps, mod.act.transpose(1, 0, 2),
+                     np.arange(b * d).reshape(b, d),
+                     np.broadcast_to(np.arange(mod.dim), (b, mod.dim)))
         w, rank = _kernel_or_rank(field, aug, self.horizon == 0)
         if rank != mod.dim:
             raise AssertionError(
@@ -414,17 +523,16 @@ class MinimalResolution:
         # prev maps each strand D of F_{i-1} to its block of d_{i-1}
         prev = {D: aug[idx] for D, idx in strands.index.items()}
         for i in range(1, self.horizon + 1):
-            reps = minimal_generators(w, b, ops)
-            dmat = AlgebraMatrix(alg, reps.reshape(len(reps), b, d))
+            dmat = _differential(alg, minimal_generators(w, b, ops), b)
             self.diff.append(dmat)
             self._check_minimal(i)
-            gdeg = _row_degrees(reps, strands.cdeg)
+            g, g2, e, _ = dmat.nonzeros
+            gdeg = _row_degrees(dmat.src_rank, g, g2 * d + e, strands.cdeg)
             if gdeg is None:
                 raise AssertionError(f"stage {i} has a generator row in two strands")
             # minimal, one strand per row: homogeneous, so never swept
-            self._proved[i] = dmat.entries
+            self._proved[i] = dmat.nonzeros
             self.degrees.append(gdeg)
-            del reps
             strands = _Strands(gdeg, strands.edeg, strands.s)
             self.strands.append(strands)
             prev, nxt, rank = self._stage(i, prev, i == self.horizon)
@@ -475,10 +583,12 @@ class MinimalResolution:
         increasing D.
 
         A generator of degree a meets one of degree a' through entries in
-        gr(a - a') only, and a - a' >= m_degree by minimality, so a block
-        is one `block_expand` of table[gr(a - a'), gr(D - a), gr(D - a')]
-        per pair of generator degrees. No other coordinate of the entries
-        is read, so d_i is checked first (`check_differential`).
+        gr(a - a') only, so a block is, per pair of generator degrees
+        (`tiles`), one `expand_tiles` product of the pair's coefficients
+        with table[gr(a - a'), gr(D - a), gr(D - a')], placed in the
+        block's tiles (`place_tiles`); the block is dense, the entries
+        never are. No other coordinate of the entries is read, so d_i is
+        checked first (`check_differential`, which `tiles` calls).
 
         Rows and columns are the strands' layouts (`_Strands.layout`):
         the coordinates g*d + e of strand D of F_i and of F_{i-1}, listed
@@ -488,36 +598,68 @@ class MinimalResolution:
         (the ranges :q_rows and :q_cols of the adapted basis). Each block
         is checked against max_expand_entries before it is allocated.
         """
-        self.check_differential(i)
-        field, table = self.algebra.field, self.algebra.table
+        pairs = self.tiles(i)
+        field = self.algebra.field
         new, old = self.strands[i], self.strands[i - 1]
         q_r = None if rows is None else self.algebra.quotient_dim(rows)
         q_c = None if cols is None else self.algebra.quotient_dim(cols)
-        s, gr = old.s, old.gr
-        entries = self.diff[i].entries
-        pairs = []
-        for a, gens in new.groups.items():
-            for a2, gens2 in old.groups.items():
-                q = gr(a - a2)
-                if a - a2 >= s and q.stop > q.start:
-                    pairs.append((a, a2, q, entries[gens[:, None], gens2, q]))
         for D in sorted(new.index.keys() & old.index.keys()):
             row_index, rplace = new.layout(D, q_r)
             col_index, cplace = old.layout(D, q_c)
             if not (len(row_index) and len(col_index)):
                 continue
-            self._check_cap(i, len(row_index), len(col_index), D if s else None)
+            self._check_cap(i, len(row_index), len(col_index), D if old.s else None)
             block = field.zeros((len(row_index), len(col_index)))
-            for a, a2, q, ent in pairs:
+            for (a, a2), t in pairs.items():
                 if a in rplace and a2 in cplace:
-                    (at_r, rr), (at_c, cr) = rplace[a], cplace[a2]
-                    sub = block_expand(field, ent, table[q, rr, cr])
-                    if sub.shape == block.shape:
-                        # one pair of degrees fills the block, in order
-                        block = sub
-                    else:
-                        block[np.ix_(at_r, at_c)] = sub
+                    self.place_tiles(t, block, rplace[a], cplace[a2])
             yield D, block, row_index, col_index
+
+    def place_tiles(self, t: Tiles, block, rplace, cplace, coords: slice | None = None):
+        """Write the tiles of one degree pair of a differential (`tiles`)
+        into block, in one `expand_tiles` product. rplace = (at, rr) puts
+        coordinate rr[j] of the generator of F_i at place k of its degree
+        group in row at[k, j] of block (`_Strands.layout`), and cplace =
+        (at, cr) those of F_{i-1} in its columns. The entries are cut to
+        coords, a range inside t.q (all of t.q by default)."""
+        (at_r, rr), (at_c, cr) = rplace, cplace
+        q = t.q if coords is None else coords
+        coef = t.coef[:, q.start - t.q.start:q.stop - t.q.start]
+        expand_tiles(self.algebra.field, block, coef, self.algebra.table[q, rr, cr],
+                     at_r[t.rows], at_c[t.cols])
+
+    def tiles(self, i: int) -> dict:
+        """d_i's nonzeros by pair of generator degrees, after
+        `check_differential`: a Tiles per pair (a, a') of degrees of F_i
+        and F_{i-1} with nonzeros between them. Its tiles are the pairs
+        (g, g') of generators with a nonzero entry; rows[t] and cols[t]
+        are the places of g and g' in their degree groups, and coef[t]
+        the coordinates of entry (g, g') in q = gr(a - a'), the only
+        ones it has (homogeneity). Grouped once per differential: kept
+        while diff[i] holds the same nonzeros."""
+        self.check_differential(i)
+        dmat = self.diff[i]
+        kept = self._tiles.get(i)
+        if kept is not None and kept[0] is dmat.nonzeros:
+            return kept[1]
+        g, g2, coef = _tile_runs(self.algebra, dmat.nonzeros)
+        new, old = self.strands[i], self.strands[i - 1]
+        # runs of the tiles sorted by a << 32 | a', each pair's tiles in
+        # their order
+        key = self.degrees[i][g] << 32 | self.degrees[i - 1][g2]
+        order = key.argsort(kind="stable")
+        key, coef = key[order], coef[order]
+        rows, cols = new.member[g[order]], old.member[g2[order]]
+        bounds = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(), len(key)]
+        runs = [(divmod(int(key[lo]), 1 << 32), lo, hi)
+                for lo, hi in zip(bounds, bounds[1:])] if len(key) else []
+        pairs = {}
+        for (a, a2), lo, hi in runs:
+            q = old.gr(a - a2)
+            # the pair's own columns: the cache keeps no tiles x d array
+            pairs[a, a2] = Tiles(q, rows[lo:hi], cols[lo:hi], coef[lo:hi, q].copy())
+        self._tiles[i] = dmat.nonzeros, pairs
+        return pairs
 
     def _check_index(self, i: int):
         if not 1 <= i <= self.horizon:
@@ -535,25 +677,27 @@ class MinimalResolution:
         and `syzygy`), the linear part and the m^2 preimage condition
         call it first: no other coordinate shows in their blocks.
 
-        The read-only entries array that passed is kept, and while diff[i]
-        holds it this returns at once. Construction proves each d_i it
-        builds, so only a d_i replaced since is swept. Explicit raises,
-        so it checks under python -O too."""
+        The sweep reads the nonzeros only: edeg[e] = deg g - deg g' for
+        each. The read-only nonzeros that passed are kept, and while
+        diff[i] holds them this returns at once. Construction proves each
+        d_i it builds, so only a d_i replaced since is swept. Explicit
+        raises, so it checks under python -O too."""
         self._check_index(i)
         dmat = self.diff[i]
-        if self._proved.get(i) is dmat.entries:
+        if self._proved.get(i) is dmat.nonzeros:
             return
         self._check_minimal(i)
         edeg = self.strands[i].edeg
-        want = self.degrees[i][:, None] - self.degrees[i - 1]
-        off = np.asarray(dmat.entries != 0) & (edeg != want[:, :, None])
-        if off.any():
-            g, g2, e = np.argwhere(off)[0].tolist()
+        g, g2, e, _ = dmat.nonzeros
+        want = self.degrees[i][g] - self.degrees[i - 1][g2]
+        off = np.flatnonzero(edeg[e] != want)
+        if len(off):
+            k = off[0]
             raise AssertionError(
-                f"differential {i} is not homogeneous: entry ({g}, {g2}) has a "
-                f"coordinate of degree {edeg[e]}, not {want[g, g2]}"
+                f"differential {i} is not homogeneous: entry ({g[k]}, {g2[k]}) has "
+                f"a coordinate of degree {edeg[e[k]]}, not {want[k]}"
             )
-        self._proved[i] = dmat.entries
+        self._proved[i] = dmat.nonzeros
 
     # -- accessors -----------------------------------------------------
 

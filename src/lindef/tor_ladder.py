@@ -341,8 +341,10 @@ def msquared_preimage_condition(res: MinimalResolution, i: int) -> bool:
     The condition therefore says that the images of the e_g in
     F_{i-1}/m^2 F_{i-1} are linearly independent over k. In the adapted
     basis R/m^2 is the leading range :q_2 of each block, so the image of
-    e_g is the generator row entries[g, :, :q_2], and the condition
-    holds iff these b_i rows have rank b_i. Nothing here uses a grading,
+    e_g is the row of d_i's nonzeros (g, g', e) with e < q_2, and the
+    condition holds iff these b_i rows have rank b_i. The rows are built
+    on their nonzero columns (g', e) only: all-zero columns change no
+    rank. Nothing here uses a grading,
     so this holds in the trivial grading too. The argument needs d_i
     minimal, so d_i is checked first (`check_differential`).
     """
@@ -357,6 +359,13 @@ def msquared_preimage_condition(res: MinimalResolution, i: int) -> bool:
         return True
     res.check_differential(i)
     # the generators' images in F_{i-1}/m^2 F_{i-1}: R/m^2 is the leading
-    # block :q_2 of each target block
-    rows = res.diff[i].entries[:, :, :res.algebra.quotient_dim(2)].reshape(b_i, -1)
+    # block :q_2 of each target block; only its nonzero columns are built
+    g, g2, e, value = res.diff[i].nonzeros
+    q_2 = res.algebra.quotient_dim(2)
+    low = e < q_2
+    col = g2[low] * q_2 + e[low]
+    used = np.zeros(res.betti[i - 1] * q_2, dtype=bool)
+    used[col] = True
+    rows = res.algebra.field.zeros((b_i, int(used.sum())))
+    rows[g[low], (used.cumsum() - 1)[col]] = value[low]
     return res.algebra.field.rank(rows) == b_i

@@ -18,10 +18,10 @@ from lindef.linalg import (
     QuotientCoords,
     Subspace,
     block_apply,
-    block_expand,
     homology_cell,
     induced_map_on_quotients,
     kernel,
+    scatter_by_pivot,
 )
 from lindef.poly import (
     Polynomial,
@@ -35,6 +35,23 @@ from lindef.poly import (
 from lindef.presentation import quotient_basis
 from lindef.resolution import AlgebraMatrix
 from lindef.tor_ladder import _pi_applier
+
+
+def block_expand(field, entries, ops):
+    """Scalar matrix sum_e entries[:, :, e] (x) ops[e] of a module map,
+    from the dense entries.
+
+    entries has shape (r, c, e) and ops shape (e, J, F); the result has
+    shape (r * J, c * F) with out[g*J + j, g'*F + f] equal to
+    sum_e entries[g, g', e] * ops[e, j, f].
+    """
+    r, c, e = entries.shape
+    _, J, F = ops.shape
+    if 0 in (r, c, e, J, F):
+        return field.zeros((r * J, c * F))
+    out = field.matmul(entries.reshape(r * c, e), ops.reshape(e, J * F))
+    out = out.reshape(r, c, J, F).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(out).reshape(r * J, c * F)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +394,20 @@ def mstar_annihilation_reference(complex_, n):
     return True, None
 
 
+def generator_rows(space, blocks, parts):
+    """`minimal_generators`' parts as dense generator rows of
+    R^blocks, in order of pivot, the rows d_i is read from."""
+    return scatter_by_pivot(space.field, blocks * space.strands.d, parts)[0]
+
+
+def one_part(rows):
+    """Dense generator rows as one `minimal_generators` part on every
+    coordinate, each row's pivot at its first nonzero: a test edits
+    the rows and hands them back in this form."""
+    pivots = [int(np.flatnonzero(row != 0)[0]) for row in rows]
+    return [(np.arange(rows.shape[1]), rows, pivots)]
+
+
 def reference_resolution(module, horizon):
     """(betti, entries) of the minimal resolution of `module`, every stage
     as one block: mW from the products of W's basis with the generators
@@ -402,7 +433,7 @@ def reference_resolution(module, horizon):
                 field, reps[:, None, :], module.act.transpose(1, 0, 2))
         else:
             dmat = AlgebraMatrix(algebra, reps.reshape(b_i, blocks, d))
-            expand = dmat.expand()
+            expand = block_expand(field, dmat.entries, algebra.table)
             if not (dmat.is_minimal()
                     and field.is_zero(field.matmul(expand, prev))):
                 raise AssertionError(f"stage {i} is not a minimal complex")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lindef
+from lindef import algebra as algebra_module
 from lindef.algebra import FiniteLocalAlgebra, RModule, quotient_module
 from lindef.errors import AlgebraError, LindefError
 from lindef._kernels import exact_dtype
@@ -318,6 +319,24 @@ class TestGeneratorSlabs:
         Q = quotient_module(algebra, 2)
         RModule(algebra, Q.dim, Q.act)
         assert len(calls) == 2 * n
+
+    @pytest.mark.parametrize("char", LAW_CHECK_PRIMES)
+    def test_slabs_checked_in_parts(self, char, monkeypatch):
+        # parts of one basis index j each: two products per generator and
+        # part, the same verdicts, and a fault in a late part of a slab
+        # still raises the basis-slab message
+        monkeypatch.setattr(algebra_module, "LAW_CHUNK_ELEMS", 1)
+        A = ring(f"char {char}\nvars x y\nideal x^3, y^3, x*y^2")
+        f, n, d = A.field, len(A.mgens), A.dim
+        calls = self.count_products(monkeypatch)
+        FiniteLocalAlgebra(f, A.table, A.unit, A.mgens)
+        assert len(calls) == 2 * n * d
+        assert all(shape[0] in (1, d) for shape in calls)
+        t = A.table.copy()
+        t[4, 5, 1] = t[5, 4, 1] = (t[4, 5, 1] + 1) % f.p
+        with pytest.raises(AlgebraError) as exc:
+            FiniteLocalAlgebra(f, t, A.unit, A.mgens)
+        assert str(exc.value) == slab_message(f, t, t)
 
     def test_non_local_table_runs_the_basis_slabs_first(self, monkeypatch):
         # k x k with e^2 = e is associative: the nilpotency error stands,

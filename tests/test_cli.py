@@ -341,10 +341,10 @@ GRADED = "vars x y\nideal x^3, y^3, x*y^2\n"  # m^4 = 0
 REBASED = "vars x y\nideal x^2 - y^5, x*y, y^6\n"  # ungraded table, m^6 = 0
 
 
-def test_no_command_expands_a_whole_differential(ring_file, tmp_path, capsys,
-                                                 monkeypatch):
-    """Every command builds strand blocks only: with
-    `AlgebraMatrix.expand` raising, each prints its usual output."""
+def every_command(ring_file, tmp_path, capsys):
+    """A function running every command, verbose resolve and upsilon cells
+    of each kind included, on a graded and a rebased ring: it returns
+    each run's exit code and captured output, and the scan's file."""
     commands = []
     for text, t in ((GRADED, 4), (REBASED, 6)):
         path = ring_file(text, f"ring{t}.txt")
@@ -368,6 +368,14 @@ def test_no_command_expands_a_whole_differential(ring_file, tmp_path, capsys,
             runs.append((code, capsys.readouterr()))
         return runs, out.read_text()
 
+    return run_all
+
+
+def test_no_command_expands_a_whole_differential(ring_file, tmp_path, capsys,
+                                                 monkeypatch):
+    """Every command builds strand blocks only: with
+    `AlgebraMatrix.expand` raising, each prints its usual output."""
+    run_all = every_command(ring_file, tmp_path, capsys)
     usual = run_all()
     assert all(code in (0, 2) and not captured.err for code, captured in usual[0])
 
@@ -375,4 +383,20 @@ def test_no_command_expands_a_whole_differential(ring_file, tmp_path, capsys,
         raise AssertionError("a whole differential was expanded")
 
     monkeypatch.setattr(AlgebraMatrix, "expand", whole_expand)
+    assert run_all() == usual
+
+
+def test_no_command_reads_a_dense_differential(ring_file, tmp_path, capsys,
+                                               monkeypatch):
+    """Every command, `resolve --verbose` included, reads the differentials'
+    nonzeros only: with the dense view `AlgebraMatrix.entries` raising,
+    each prints its usual output."""
+    run_all = every_command(ring_file, tmp_path, capsys)
+    usual = run_all()
+    assert all(code in (0, 2) and not captured.err for code, captured in usual[0])
+
+    def dense(self):
+        raise AssertionError("a differential was read as a dense array")
+
+    monkeypatch.setattr(AlgebraMatrix, "entries", property(dense))
     assert run_all() == usual

@@ -13,8 +13,8 @@ from lindef.linalg import (
     QuotientCoords,
     Subspace,
     block_apply,
-    block_expand,
     direct_sum_cell,
+    expand_tiles,
     homology_cell,
     image,
     induced_map_on_quotients,
@@ -23,7 +23,7 @@ from lindef.linalg import (
     row_space,
 )
 
-from references import block_sum
+from references import block_expand, block_sum
 
 GF5 = Field(5)
 GF7 = Field(7)
@@ -525,6 +525,38 @@ class TestBlockLayout:
         want = _loop_block_expand(field, entries, ops)
         assert got.shape == (r * J, c * F)
         assert got.dtype == want.dtype and (got == want).all()
+
+    @pytest.mark.parametrize("field", [Field(101), Field(2**31 - 1), QQ],
+                             ids=["GF101", "GF(2^31-1)", "QQ"])
+    @pytest.mark.parametrize("r,c,e,J,F", [
+        (3, 4, 4, 3, 2), (1, 1, 1, 1, 1), (0, 3, 4, 2, 2), (2, 3, 4, 0, 2),
+        (2, 3, 4, 2, 0),
+    ])
+    def test_expand_tiles_is_block_expand_of_the_nonzero_tiles(
+            self, field, r, c, e, J, F):
+        # the tiles of the (g, g') pairs with a nonzero entry, in one
+        # product, placed in a zero matrix in the block layout: the
+        # matrix block_expand makes of the dense entries
+        rng = np.random.default_rng(r + 5 * c + 17 * e + 41 * J + 83 * F)
+        entries = _random(field, rng, (r, c, e))
+        entries[rng.random((r, c)) < 0.5] = field.scalar(0)
+        ops = _random(field, rng, (e, J, F))
+        g, g2 = np.nonzero(np.asarray((entries != 0).any(axis=2)))
+        calls = []
+        real = Field.matmul
+
+        def counted(self, x, y):
+            calls.append(x.shape)
+            return real(self, x, y)
+
+        out = field.zeros((r * J, c * F))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Field, "matmul", counted)
+            expand_tiles(field, out, entries[g, g2], ops,
+                         g[:, None] * J + np.arange(J), g2[:, None] * F + np.arange(F))
+        want = block_expand(field, entries, ops)
+        assert out.dtype == want.dtype and (out == want).all()
+        assert len(calls) == (1 if len(g) and J and F else 0)
 
 
 class TestHomologyCell:

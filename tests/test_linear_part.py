@@ -4,7 +4,7 @@ import pytest
 
 from lindef.errors import LindefError
 from lindef.fields import Field
-from lindef.linalg import HomologyCell, Subspace, block_apply, block_expand
+from lindef.linalg import HomologyCell, Subspace, block_apply
 from lindef.linear_part import (
     CLASSIFICATION_CLEAN,
     defect_profile,
@@ -16,7 +16,11 @@ from lindef.linear_part import (
 from lindef.presentation import algebra_from_text
 from lindef.resolution import AlgebraMatrix, resolve
 
-from references import component_product_reference, mstar_annihilation_reference
+from references import (
+    block_expand,
+    component_product_reference,
+    mstar_annihilation_reference,
+)
 
 
 def ring(text):

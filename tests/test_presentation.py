@@ -527,3 +527,45 @@ def test_dim_cap_fits_in_two_gib(ideal, want):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == want
+
+
+def test_table_over_the_dim_cap_fits_in_two_gib():
+    """A dim-2000 structure-constant table of one-entry vectors passes
+    the row counts; its d x d x d array would take 59.6 GiB. Under a
+    2 GiB address space the load raises ResourceLimitError, not
+    MemoryError."""
+    pytest.importorskip("resource")
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from lindef.errors import ResourceLimitError
+        from lindef.presentation import load_structure_constants
+        d = 2000
+        data = {"char": 101, "dim": d, "basis": [f"e{i}" for i in range(d)],
+                "unit": 0, "m_generators": [1], "table": [[[0]] * d] * d}
+        try:
+            load_structure_constants(data)
+        except ResourceLimitError as exc:
+            print(f"ResourceLimitError: {exc}")
+    """)
+    src = str(Path(lindef.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ResourceLimitError: dim 2000 exceeds cap 361"
+
+
+@pytest.mark.parametrize("i, j, bad", [(0, 2, [0, 1]), (2, 1, [0, 0, 0, 1])],
+                         ids=["short", "long"])
+def test_table_vector_of_the_wrong_length_named(i, j, bad):
+    # every vector's length is checked before the table is allocated
+    A = algebra_from_text("vars x\nideal x^3\n")
+    table = [[[int(c) for c in A.table[r, c]] for c in range(3)] for r in range(3)]
+    table[i][j] = bad
+    data = {"char": 101, "dim": 3, "basis": A.labels, "unit": 0,
+            "m_generators": [1], "table": table}
+    with pytest.raises(AlgebraError, match=rf"table\[{i}\]\[{j}\] must have length 3"):
+        load_structure_constants(data)

@@ -13,13 +13,14 @@ from lindef import algebra as algebra_module
 from lindef.algebra import FiniteLocalAlgebra, quotient_module
 from lindef.errors import AlgebraError
 from lindef.lab import ScanConfig, full_check, random_algebra
-from lindef.linalg import block_apply, block_expand
+from lindef.linalg import block_apply
 from lindef.linear_part import linear_part
 from lindef.presentation import algebra_from_text
 from lindef.resolution import resolve
 from lindef.tor_ladder import _pi_applier
 
 from references import (
+    block_expand,
     component_product_reference,
     dense_change,
     graded_coords,

@@ -10,7 +10,7 @@ from lindef.linalg import kernel
 from lindef.presentation import algebra_from_text
 from lindef.resolution import AlgebraMatrix, MinimalResolution, resolve
 
-from references import dense_change, mult
+from references import block_expand, dense_change, generator_rows, mult, one_part
 
 
 def ring(text):
@@ -156,9 +156,11 @@ class TestChecksRaise:
         calls = []
 
         def corrupting(space, blocks, ops):
-            reps = real(space, blocks, ops)
-            calls.append(reps.shape)
-            return edit(reps) if len(calls) - 1 == stage else reps
+            parts = real(space, blocks, ops)
+            calls.append(len(calls))
+            if len(calls) - 1 != stage:
+                return parts
+            return one_part(edit(generator_rows(space, blocks, parts)))
 
         monkeypatch.setattr(resolution, "minimal_generators", corrupting)
         with pytest.raises(AssertionError, match=message):
@@ -420,3 +422,77 @@ def test_syzygy_in_the_trivial_grading(algebra, module):
         dim, act = reference_syzygy(res, i)
         assert syz.dim == dim
         assert syz.act.tolist() == act.tolist()
+
+
+class TestNonzeroStorage:
+    """A differential is stored as its nonzero ring entries."""
+
+    def test_scan_wide_d6_is_stored_sparse(self):
+        # d_6 of the scan-wide ring of seed 1 is 729 x 243 x 8: 10.8 MB
+        # as a dense int64 array, and 1657 nonzeros
+        from lindef.lab import ScanConfig, random_algebra
+        algebra = random_algebra(
+            ScanConfig(nvars=3, nilpotency=3, horizon=5, count=1, seed=1), 0)
+        dmat = resolve(algebra.residue_field(), 6).diff[6]
+        dense = dmat.src_rank * dmat.dst_rank * algebra.dim * 8
+        assert dense == 729 * 243 * 8 * 8
+        assert len(dmat.nonzeros[0]) == 1657
+        assert sum(a.nbytes for a in dmat.nonzeros) < dense / 100
+
+    @pytest.mark.parametrize("algebra", [
+        X3, KOSZUL3, ring("char 0\nvars x y\nideal x^2, y^3"),
+    ], ids=["X3", "KOSZUL3", "QQ"])
+    def test_nonzeros_match_the_dense_view(self, algebra):
+        # sorted by (g, g', e), every value nonzero, the dense view and
+        # each printed entry read from them, and the dense array converted
+        # back to the same nonzeros
+        res = resolve(algebra.residue_field(), 4)
+        for i in range(1, 5):
+            dmat = res.diff[i]
+            g, g2, e, value = dmat.nonzeros
+            keys = (g * dmat.dst_rank + g2) * algebra.dim + e
+            assert (np.diff(keys) > 0).all()
+            assert all(v != 0 for v in value.tolist())
+            dense = dmat.entries
+            assert dense.shape == (res.betti[i], res.betti[i - 1], algebra.dim)
+            assert not dense.flags.writeable
+            for c in range(dmat.src_rank):
+                for c2 in range(dmat.dst_rank):
+                    assert dmat.entry_string(c, c2) == algebra.format_element(dense[c, c2])
+            again = AlgebraMatrix(algebra, dense)
+            assert (again.src_rank, again.dst_rank) == (dmat.src_rank, dmat.dst_rank)
+            for a, b in zip(again.nonzeros, dmat.nonzeros):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("algebra", [
+        X3, KOSZUL3, ring("char 0\nvars x y\nideal x^2, y^3"),
+        ring("char 2147483647\nvars x y\nideal x^2 - y^3, x*y"),
+    ], ids=["X3", "KOSZUL3", "QQ", "GF(2^31-1)"])
+    def test_expand_is_the_dense_expansion(self, algebra):
+        # built from the nonzeros' tiles, the scalar matrix of every
+        # truncation is the Kronecker expansion of the dense entries
+        res = resolve(algebra.residue_field(), 3)
+        cuts = [slice(None)] + [slice(0, algebra.quotient_dim(n)) for n in (1, 2)]
+        for i in range(1, 4):
+            dmat = res.diff[i]
+            for rows in cuts:
+                for cols in cuts:
+                    got = dmat.expand(rows, cols)
+                    want = block_expand(algebra.field, dmat.entries,
+                                        algebra.table[:, rows, cols])
+                    assert got.dtype == want.dtype and (got == want).all()
+
+    def test_nonzeros_are_read_only(self):
+        res = resolve(X3.residue_field(), 2)
+        for a in res.diff[1].nonzeros:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+    def test_is_minimal_reads_the_unit_coordinate(self):
+        f = X2.field
+        unit = f.zeros((1, 2, 2))
+        unit[0, 1, 0] = 1
+        assert not AlgebraMatrix(X2, unit).is_minimal()
+        unit[0, 1] = [0, 5]
+        assert AlgebraMatrix(X2, unit).is_minimal()
+        assert AlgebraMatrix(X2, f.zeros((0, 3, 2))).is_minimal()

@@ -12,7 +12,6 @@ the cells that `one_block_homology` gets from whole slices, and the same
 
 import pytest
 
-from lindef import linear_part as linear_part_module
 from lindef import resolution
 from lindef.lab import ScanConfig, full_check, random_algebra
 from lindef.linalg import HomologyCell
@@ -20,7 +19,13 @@ from lindef.linear_part import GradedComplex, linear_part
 from lindef.presentation import algebra_from_text
 from lindef.resolution import resolve
 
-from references import dense_change, one_block_homology, reference_resolution
+from references import (
+    dense_change,
+    generator_rows,
+    one_block_homology,
+    one_part,
+    reference_resolution,
+)
 
 # the ci-dim100 benchmark ring of seed 1: two dense degree-10 forms
 CI_DIM100 = (
@@ -95,12 +100,15 @@ def test_generator_row_in_two_strands_raises(monkeypatch):
     stages = []
 
     def recombining(space, blocks, ops):
-        reps = real(space, blocks, ops)
+        parts = real(space, blocks, ops)
         stages.append(len(stages))
-        if len(stages) == 3:
-            reps = reps.copy()
-            reps[0] = algebra.field.add(reps[0], reps[1])
-        return reps
+        if len(stages) < 3:
+            return parts
+        # the rows as one part on every coordinate, which the stage must
+        # not take for one strand
+        reps = generator_rows(space, blocks, parts).copy()
+        reps[0] = algebra.field.add(reps[0], reps[1])
+        return one_part(reps)
 
     monkeypatch.setattr(resolution, "minimal_generators", recombining)
     with pytest.raises(AssertionError,
@@ -191,20 +199,26 @@ def test_each_strand_block_built_once(name, monkeypatch):
                     wanted.add((i, j, s))
                 if gr.component_dim(j - i - 1) and s in lin.strands(i + 1):
                     wanted.add((i + 1, j, s))
+    # a block whose generators meet in no nonzero entry is all zeros and
+    # makes no product; every other block makes one
+    m = res.m_degree
+    products = sum((s + i * m, s + (i - 1) * m) in res.tiles(i) for i, _, s in wanted)
+    assert products
     built, expanded = [], []
     real_block = GradedComplex._strand_block
-    real_expand = linear_part_module.block_expand
+    real_expand = resolution.expand_tiles
 
     def recording(self, i, j, s):
         built.append((i, j, s))
         return real_block(self, i, j, s)
 
-    def counting(field, entries, ops):
-        expanded.append(entries.shape)
-        return real_expand(field, entries, ops)
+    def counting(field, out, coef, ops, rows, cols):
+        expanded.append(coef.shape)
+        return real_expand(field, out, coef, ops, rows, cols)
 
     monkeypatch.setattr(GradedComplex, "_strand_block", recording)
-    monkeypatch.setattr(linear_part_module, "block_expand", counting)
+    # the linear part places its tiles through the resolution
+    monkeypatch.setattr(resolution, "expand_tiles", counting)
     # stage 0 first, then full_check's order: the profile's stages, then 0
     for stages in ([0, *range(1, top + 1)], [*range(1, top + 1), 0]):
         built.clear()
@@ -213,7 +227,7 @@ def test_each_strand_block_built_once(name, monkeypatch):
         for i in stages:
             lin.homology(i)
         assert sorted(built) == sorted(wanted)
-        assert len(expanded) == len(wanted)
+        assert len(expanded) == products
 
 
 @pytest.mark.parametrize("name, horizon", [
