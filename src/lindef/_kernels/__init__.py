@@ -6,14 +6,15 @@ echelon form around it, so the backends differ only in the panel. The
 compiled backend `_speedups` is used when it imports, `pure` (numpy)
 otherwise; `BACKEND` names the one in use.
 
-`rref` keeps one working copy of its input. A matrix that fits in one
-panel (n <= panel_width(p)) is eliminated by `panel_jordan` in place, on
-int64. Wider matrices go through the structured pass described below;
-what it leaves is eliminated left to right one panel at a time
-(`_rref_blocked`), and the working copy holds residues, nonnegative
-integers congruent to the true entries mod p, that are reduced only
-when needed (delayed reduction, as in FFLAS/FFPACK: Dumas, Giorgi and
-Pernet, ACM TOMS 35(3), 2008):
+`rref` returns a new array. A matrix that fits in one panel
+(n <= panel_width(p)) is eliminated by `panel_jordan` in place, on an
+int64 copy. A wider one goes first through the structured pass below,
+which runs on its nonzeros; what the pass leaves, or a dense matrix as
+a whole, is eliminated left to right one panel at a time
+(`_rref_blocked`) in one int64 working copy. That copy holds residues,
+nonnegative integers congruent to the true entries mod p, that are
+reduced only when needed (delayed reduction, as in FFLAS/FFPACK: Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008):
 
 - the panel and the new pivot rows are reduced into small int64 copies
   just before they are read; the pivot rows are written back reduced;
@@ -31,17 +32,27 @@ trailing update is one BLAS matmul. That holds for every prime up to
 on int64 with a 2^62 budget and panels one column wide.
 
 The structured pass (`_pivot_rounds`) takes the obvious pivots first,
-as Faugere and Lachartre do for sparse F4 matrices (PASCO 2010). The
-working copy is reduced to int64 residues and eliminated in rounds.
-Each round takes the leading column of every live row (unused and
-nonzero), keeps the first row per distinct lead, and of those the clean
-ones: leads that are zero in every other kept row (the smallest lead
-always is). Their rows are scaled to 1 at their leads and their columns
-cleared from every other row, earlier pivot rows included, by one
-`matmul_mod` per slab (`_clear_columns`), on the columns where those
-rows are nonzero. The blocked loop then eliminates the residual, the
-live rows on the columns that are not pivots yet, and the round pivots
-are back-reduced by its pivot rows with one more product.
+as Faugere and Lachartre do for sparse F4 matrices (PASCO 2010; GBLA,
+ISSAC 2016). It reads the input once, into a mask of its nonzeros, and
+keeps their positions row * n + col in increasing order (row-major)
+with their values mod p; only these values are reduced, never the
+whole matrix. Each round is a few vector operations on those arrays.
+The leads of the live rows (unused and nonzero) are their first
+entries. The first row per distinct lead is kept, and of those the
+clean ones: leads where no other kept row is nonzero, counted by one
+`bincount` (the smallest lead is always clean). Their rows are scaled
+to 1 at their leads, and their columns are cleared from every other
+row, earlier pivot rows included: the pivot rows' entries are gathered
+once per entry to clear (`np.repeat`), each product reduced mod p, and
+merged into the arrays by one sort on the position, where entries at
+one position are summed mod p and zeros dropped (`_merge`). For p
+below 2^31 (every field lindef accepts) a product of residues is below
+2^62, and a sum adds one reduced product per pivot to a reduced value,
+so int64 holds every step exactly. When the rounds stop, the live rows
+on the columns that are not pivots yet, the residual, are made dense
+and eliminated by the blocked loop; the round pivots are back-reduced
+by its pivot rows with `matmul_mod`, and every pivot row is written
+into the output by column (`_rref_residual`).
 
 Why the result is the RREF. Invariant: each pivot row is 1 at its pivot
 column, 0 at every other pivot column and 0 left of its pivot; every
@@ -54,18 +65,21 @@ row is cleared only of leads right of its own. The residual's pivot
 rows are 0 on the round pivot columns, so the back-reduction keeps the
 invariant too. Sorting the pivot rows by column then gives a reduced
 row echelon form of the same row space, and that form is unique: the
-bytes are those of the blocked loop alone.
+bytes are those of the blocked loop alone. Storing the rows as sorted
+nonzeros changes none of this: the rounds make the same row operations
+on the same entries, and every value they store is reduced mod p.
 
-The rounds stop when one would cost more than it saves
-(`_round_pays`): its scans and row updates against the panel and
-trailing-update work the blocked loop would spend on its pivots. A
-dense matrix stalls in round 1 (one clean lead, every row to clear) and
-runs the blocked loop on the whole working copy. Memory: there is no
-second copy. The residual is a view into the working copy, its columns
-moved left in place, and rows are permuted in place cycle by cycle;
-the other temporaries are row gathers of at most _SCAN_ELEMS entries
-and a mask of the rows nonzero at the kept leads, at most an eighth of
-the working copy.
+The rounds stop when one would cost more than it saves (`_round_pays`):
+its reads and merged fill against the panel, update and per-column
+work the blocked loop would spend on its pivots. Memory: the mask takes
+one byte per entry, an eighth of a dense copy. The positions and values
+take two int64 per nonzero, so a matrix more than half nonzero, counted
+on the mask before anything is extracted, goes straight to the blocked
+loop on one working copy, and a round whose merge could take the
+arrays past one dense copy is refused. A merge holds a few more arrays
+of the merged length while it sorts. What follows the rounds holds the
+residual, the output and back-reduction slabs of at most _SCAN_ELEMS
+entries.
 
 `exact_dtype` is the one test of when float64 sums of products are exact,
 shared by `matmul_mod` and the unreduced products of `matmul_unreduced`,
@@ -90,10 +104,15 @@ except ImportError:
 _FLOAT_BUDGET = 1 << 53
 _INT_BUDGET = 1 << 62
 _CHUNK_ELEMS = 4_000_000
-# row gathers of the structured pass, and the entries a float64 BLAS
-# update handles in the time a gather or scatter handles one
+# entries of one back-reduction slab of the structured pass
 _SCAN_ELEMS = 500_000
+# the costs `_round_pays` weighs, in entries of dense numpy work (about
+# 1 ns each), measured on the pure backend: a float64 BLAS update handles
+# _BLAS_GAIN entries in that time; reading one stored nonzero in a round
+# costs _SPARSE_COST; the blocked loop pays _COLUMN_COST per column it scans
 _BLAS_GAIN = 16
+_SPARSE_COST = 32
+_COLUMN_COST = 4_000
 
 
 def panel_width(p: int) -> int:
@@ -217,219 +236,194 @@ def rref(a, p):
     bottom, pivots is the tuple of pivot column indices. Output is the
     canonical RREF, independent of blocking or backend.
     """
-    a = np.array(a, dtype=np.int64, order="C")
+    a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("expected a 2-d array")
     m, n = a.shape
     if n <= panel_width(p):
         # one panel covers the matrix: its Jordan form is the RREF
+        a = np.array(a, dtype=np.int64, order="C")
         a %= p
         rows, cols = _panel_jordan(a, p)
         a[: len(rows)] = a[rows]
         a[len(rows) :] = 0
         return a, tuple(cols)
-    if a.size and (a.min() < 0 or a.max() >= p):
-        a %= p
-    prows, pcols, live = _pivot_rounds(a, p)
+    prows, pcols, live, nz = _pivot_rounds(a, p)
     if not prows.size:
+        a = np.array(a, dtype=np.int64, order="C")
         return a, tuple(_rref_blocked(a, p))
-    return a, _rref_residual(a, prows, pcols, live, p)
+    return _rref_residual((m, n), prows, pcols, live, nz, p)
 
 
-def _rref_residual(a, prows, pcols, live, p):
-    """Finish `rref` after the pivot rounds, in place; returns the pivots.
-
-    The round pivots move to the top by column, then the live rows; the
-    zero rows fill the places these leave. The live rows' free columns
-    move to their left end, where the blocked loop eliminates them as a
-    view; they move back, the round pivots are back-reduced by the
-    residual's pivot rows, and those are merged in by column.
-    """
-    m, n = a.shape
-    by_col = np.argsort(pcols)
-    prows, pcols = prows[by_col], pcols[by_col]
-    kp, mr = len(prows), len(live)
-    top = np.concatenate([prows, live])
-    vacant = np.ones(kp + mr, dtype=bool)
-    vacant[top[top < kp + mr]] = False
-    order = np.arange(m)
-    order[top[top >= kp + mr]] = np.flatnonzero(vacant)
-    order[: kp + mr] = top
-    _permute_rows(a, order)
-    free = np.ones(n, dtype=bool)
-    free[pcols] = False
-    F = np.flatnonzero(free)
-    step = max(1, _SCAN_ELEMS // n)
-    for i0 in range(kp, kp + mr, step):
-        i1 = min(i0 + step, kp + mr)
-        a[i0:i1, : F.size] = a[i0:i1].take(F, axis=1)
-    Q = F[_rref_blocked(a[kp : kp + mr, : F.size], p)]
-    for i0 in range(kp, kp + mr, step):
-        i1 = min(i0 + step, kp + mr)
-        t = a[i0:i1, : F.size].copy()
-        a[i0:i1] = 0
-        a[i0:i1, F] = t
-    if Q.size:
-        targets = [
-            i0 + np.flatnonzero(a[i0 : min(i0 + step, kp)].take(Q, axis=1).any(axis=1))
-            for i0 in range(0, kp, step)
-        ]
-        _clear_columns(a, np.arange(kp, kp + Q.size), Q, np.concatenate(targets), p)
-    cols = np.concatenate([pcols, Q])
-    order = np.argsort(cols)
-    _permute_rows(a, order)
-    return tuple(cols[order].tolist())
-
-
-def _permute_rows(a, order):
-    """a[: len(order)] = a[order] in place, one cycle at a time."""
-    order = order.tolist()
-    done = [False] * len(order)
-    for i in range(len(order)):
-        if done[i] or order[i] == i:
-            continue
-        tmp = a[i].copy()
-        k = i
-        while order[k] != i:
-            done[k] = True
-            a[k] = a[order[k]]
-            k = order[k]
-        done[k] = True
-        a[k] = tmp
-
-
-def _leads(a, rows, cols):
-    """Leading column of each row in `rows` (every row, over every
-    column, when None) among the sorted columns `cols`, outside which
-    those rows are zero; a.shape[1] for zero rows."""
-    m, n = a.shape
-    out = np.full(m if rows is None else len(rows), n, dtype=np.int64)
-    step = max(1, _SCAN_ELEMS // n)
-    for i0 in range(0, len(out) if cols.size else 0, step):
-        if rows is None:
-            nz = a[i0 : i0 + step] != 0
-        else:
-            nz = a[rows[i0 : i0 + step]].take(cols, axis=1) != 0
-        first = nz.argmax(axis=1)
-        has = nz[np.arange(len(first)), first]
-        out[i0 : i0 + step] = np.where(has, cols[first], n)
-    return out
-
-
-def _clear_columns(a, prow, pcol, targets, p):
-    """Clear the columns `pcol` from the rows `targets` of `a`, in place,
-    by the rows `prow`: row prow[j] is 1 at pcol[j] and 0 at every other
-    pcol. Each slab of pivot rows makes one matmul_mod per chunk of
-    targets, on the columns where those pivot rows are nonzero."""
-    n = a.shape[1]
-    flat = a.reshape(-1)
-    step = max(1, _SCAN_ELEMS // n)
-    for j0 in range(0, len(prow), step):
-        P = a[prow[j0 : j0 + step]]
-        C = pcol[j0 : j0 + step]
-        support = P.any(axis=0)
-        support[C] = False
-        G = np.flatnonzero(support)
-        U = P.take(G, axis=1)
-        del P
-        for i0 in range(0, len(targets), step):
-            R = targets[i0 : i0 + step]
-            rows = a[R]
-            coef = rows.take(C, axis=1)
-            r, c = np.nonzero(coef)
-            if not r.size:
-                continue
-            if G.size:
-                blk = rows.take(G, axis=1)
-                blk -= matmul_mod(coef, U, p)
-                np.remainder(blk, p, out=blk)
-                a[np.ix_(R, G)] = blk
-            flat[R[r] * n + C[c]] = 0
+def _segments(starts, lengths):
+    """Indices of the ranges [starts[i], starts[i] + lengths[i]), in order."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
 def _pivot_rounds(a, p):
-    """Rounds of clean leading-column pivots on the reduced int64 `a`.
+    """Rounds of clean leading-column pivots on the nonzeros of `a`.
 
-    Returns (pivot rows, pivot columns, live rows): the live rows are the
-    unused nonzero rows, zero on every pivot column.
+    Returns (pivot rows, pivot columns, live rows, (key, v)): key holds
+    the positions row * n + col of the nonzero entries once the rounds
+    are done, in increasing order, and v their values mod p; the live
+    rows are the unused nonzero rows, zero on every pivot column. A
+    dense `a` takes no rounds, and its nonzeros are not extracted (None).
     """
     m, n = a.shape
-    free = np.ones(n + 1, dtype=bool)  # not a pivot column yet; n: no lead
-    F = np.arange(n)
-    lead = _leads(a, None, F)  # n for zero and used rows
+    empty = np.zeros(0, dtype=np.int64)
+    nz = a != 0
+    # two int64 arrays per nonzero: never more than one dense copy
+    if 2 * np.count_nonzero(nz) > m * n:
+        return empty, empty, empty, None
+    key = np.flatnonzero(nz)
+    v = a[nz].astype(np.int64)
+    del nz
+    if v.size and (v.min() < 0 or v.max() >= p):
+        v %= p
+        keep = v != 0
+        key, v = key[keep], v[keep]
+    used = np.zeros(m, dtype=bool)  # rows taken as pivots
+    nfree = n
     prows, pcols = [], []
     while True:
-        live = np.flatnonzero(lead < n)
+        r = key // n
+        c = key - r * n
+        ptr = np.searchsorted(r, np.arange(m + 1))
+        first, size = ptr[:-1], np.diff(ptr)
+        live = np.flatnonzero((size > 0) & ~used)
         if live.size == 0:
             break
-        L, first = np.unique(lead[live], return_index=True)
-        S = live[first]
-        sel = np.zeros(m, dtype=bool)
-        sel[S] = True
-        # one scan of the lead columns: a lead is clean when only its own
-        # selected row is nonzero there; the other rows nonzero there are
-        # the candidates for clearing
-        hits = np.zeros(L.size, dtype=np.int64)
-        cand, cand_nz = [], []
-        step = max(1, _SCAN_ELEMS // n)
-        for i0 in range(0, m, step):
-            nz = a[i0 : i0 + step].take(L, axis=1) != 0
-            s = sel[i0 : i0 + step]
-            hits += np.count_nonzero(nz[s], axis=0)
-            r = np.flatnonzero(~s & nz.any(axis=1))
-            cand.append(r + i0)
-            cand_nz.append(nz[r])
-        clean = hits == 1
+        # a live row is zero on the pivot columns, so its first entry is
+        # its lead; keep the first row per distinct lead
+        L, at = np.unique(c[first[live]], return_index=True)
+        S = live[at]
+        # a lead is clean when no other kept row is nonzero there
+        kept = np.zeros(m, dtype=bool)
+        kept[S] = True
+        slot = np.full(n, -1, dtype=np.int64)  # column -> index of its lead
+        slot[L] = np.arange(L.size)
+        j = slot[c]
+        clean = np.bincount(j[(j >= 0) & kept[r]], minlength=L.size) == 1
         S, L = S[clean], L[clean]
-        A = np.concatenate([r[nz[:, clean].any(axis=1)] for r, nz in zip(cand, cand_nz)])
-        del cand_nz
-        support = _scale_rows(a, S, L, p)
-        # the scan of the lead columns, the row gathers of the pivots and
-        # the rows to clear, and the entries their update writes
-        touched = m * len(hits) + (A.size + S.size) * n + A.size * (support + S.size)
-        if not _round_pays(S.size, touched, live.size, F.size, p):
+        slot[:] = -1
+        slot[L] = np.arange(L.size)
+        kept[:] = False
+        kept[S] = True
+        # the entries to clear: the other rows' entries at the clean leads
+        j = slot[c]
+        T = np.flatnonzero((j >= 0) & ~kept[r])
+        j = j[T]
+        fill = size[S][j]
+        total = int(fill.sum())
+        # the round reads the entries a few times and merges `total` new
+        # ones; the merged arrays must stay within one dense copy
+        if (2 * (v.size + total) > m * n
+                or not _round_pays(S.size, v.size, total, live.size, nfree, p)):
             break
-        _clear_columns(a, S, L, A, p)
+        # scale the pivot rows to 1 at their leads
+        own = _segments(first[S], size[S])
+        inv = np.array([pow(int(x), -1, p) for x in v[first[S]]], dtype=np.int64)
+        v[own] = v[own] * np.repeat(inv, size[S]) % p
+        # row t -= v[t, L_j] * (pivot row j), each product reduced; the
+        # clean block is diagonal, so the updates of one round commute
+        src = _segments(first[S][j], fill)
+        key, v = _merge(key, v, np.repeat(key[T] - c[T], fill) + c[src],
+                        np.repeat(p - v[T], fill) * v[src] % p, p)
+        used[S] = True
+        nfree -= S.size
         prows.append(S)
         pcols.append(L)
-        free[L] = False
-        F = np.flatnonzero(free[:n])
-        # a row keeps its lead unless that lead was just cleared from it
-        lead[S] = n
-        moved = A[~free[lead[A]]]
-        lead[moved] = _leads(a, moved, F)
-    empty = np.zeros(0, dtype=np.int64)
     return (np.concatenate(prows or [empty]), np.concatenate(pcols or [empty]),
-            np.flatnonzero(lead < n))
+            live, (key, v))
 
 
-def _scale_rows(a, rows, cols, p):
-    """Scale each row a[rows[j]] to 1 at cols[j]; returns the number of
-    columns outside `cols` where some of those rows is nonzero."""
-    n = a.shape[1]
-    support = np.zeros(n, dtype=bool)
-    step = max(1, _SCAN_ELEMS // n)
-    for j0 in range(0, len(rows), step):
-        R = rows[j0 : j0 + step]
-        block = a[R]
-        inv = np.array(
-            [pow(int(x), -1, p) for x in block[np.arange(len(R)), cols[j0 : j0 + step]]],
-            dtype=np.int64)
-        r, c = np.nonzero(block)
-        a[R[r], c] = block[r, c] * inv[r] % p
-        support[c] = True
-    support[cols] = False
-    return int(np.count_nonzero(support))
+def _merge(key, v, new_key, new_v, p):
+    """The entries (key, v) plus (new_key, new_v), summed mod p where they
+    share a position, zeros dropped, by increasing position; `key` is
+    increasing already, so the stable sort merges two runs."""
+    key = np.concatenate([key, new_key])
+    v = np.concatenate([v, new_v])
+    order = np.argsort(key, kind="stable")
+    key, v = key[order], v[order]
+    del order
+    start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    v = np.add.reduceat(v, start) % p
+    keep = v != 0
+    return key[start[keep]], v[keep]
 
 
-def _round_pays(k, touched, live, free, p):
+def _rref_residual(shape, prows, pcols, live, nz, p):
+    """Finish `rref` after the pivot rounds; returns (R, pivots).
+
+    The live rows on the free columns, the residual, are the one dense
+    block the blocked loop eliminates. The round pivots are then
+    back-reduced by its pivot rows with one product per slab of rows,
+    and every pivot row is written into the output by column.
+    """
+    m, n = shape
+    key, v = nz
+    r = key // n
+    c = key - r * n
+    k, mr = prows.size, live.size
+    free = np.ones(n, dtype=bool)
+    free[pcols] = False
+    F = np.flatnonzero(free)
+    slot = np.zeros(m, dtype=np.int64)  # row -> round pivot j, or k + live index
+    slot[prows] = np.arange(k)
+    slot[live] = k + np.arange(mr)
+    s = slot[r]
+    on_live = s >= k
+    res = np.zeros((mr, F.size), dtype=np.int64)
+    res[s[on_live] - k, (np.cumsum(free) - 1)[c[on_live]]] = v[on_live]
+    Q = F[np.array(_rref_blocked(res, p), dtype=np.int64)]
+    rank = Q.size
+    cols = np.concatenate([pcols, Q])
+    order = np.argsort(cols)
+    place = np.empty(k + rank, dtype=np.int64)
+    place[order] = np.arange(k + rank)
+    out = np.zeros((m, n), dtype=np.int64)
+    out[place[s[~on_live]], c[~on_live]] = v[~on_live]
+    if rank:
+        out[np.ix_(place[k:], F)] = res[:rank]
+        # round pivot rows nonzero at the residual's pivot columns
+        at_q = np.full(n, -1, dtype=np.int64)
+        at_q[Q] = np.arange(rank)
+        hit = np.flatnonzero(~on_live & (at_q[c] >= 0))
+        if hit.size:
+            T, t = np.unique(s[hit], return_inverse=True)
+            coef = np.zeros((T.size, rank), dtype=np.int64)
+            coef[t, at_q[c[hit]]] = v[hit]
+            U = res[:rank]
+            step = max(1, _SCAN_ELEMS // F.size)
+            for i0 in range(0, T.size, step):
+                R = place[T[i0 : i0 + step]]
+                blk = out[np.ix_(R, F)]
+                blk -= matmul_mod(coef[i0 : i0 + step], U, p)
+                np.remainder(blk, p, out=blk)
+                out[np.ix_(R, F)] = blk
+    return out, tuple(cols[order].tolist())
+
+
+def _round_pays(k, reads, fill, live, free, p):
     """Whether a round's k clean pivots cost less than the blocked loop
-    would spend on them. The round reads or writes `touched` entries.
-    Per pivot the blocked loop eliminates the `live` rows across a panel
-    and updates them across the `free` columns; a float64 BLAS update
-    costs about 1/_BLAS_GAIN of an entry, an int64 one a whole entry."""
+    would spend on them, in units of one entry of dense numpy work.
+
+    The round reads its `reads` stored entries a few times, at
+    _SPARSE_COST units each, and gathers, multiplies and sorts `fill`
+    new ones into them, at twice that. On the residual left now, `live`
+    rows by `free` columns, the blocked loop pays _COLUMN_COST per
+    column it visits, about `free` of them, and per pivot eliminates
+    the live rows across a panel and updates them across the free
+    columns (a float64 BLAS update at 1/_BLAS_GAIN of a unit per entry,
+    an int64 one at a whole unit). Each of the round's pivots spares
+    one pivot's work and 1/live of the column costs.
+    """
     update = free // _BLAS_GAIN if _residue_type(p)[0] is np.float64 else free
-    return touched <= k * live * (min(panel_width(p), free) + update)
+    panel = min(panel_width(p), free)
+    spared = k * (_COLUMN_COST * free // live + live * (panel + update))
+    return _SPARSE_COST * (reads + 2 * fill) <= spared
 
 
 def _rref_blocked(a, p):

@@ -237,8 +237,7 @@ def kernel_structured(field: Field, a):
     piv_set = set(piv)
     free = [j for j in range(n) if j not in piv_set]
     basis = field.zeros((len(free), n))
-    for t, fcol in enumerate(free):
-        basis[t, fcol] = field.scalar(1)
+    basis[np.arange(len(free)), free] = field.scalar(1)
     if piv:
         block = np.ascontiguousarray(r[: len(piv)][:, free])
         basis[:, list(piv)] = field.neg(block).T

@@ -345,6 +345,13 @@ def structured_inputs(p):
     zeros = staircase_rows(rng, 30, n, p)
     zeros[:, rng.choice(n, n // 4, replace=False)] = 0
     zeros = np.insert(zeros, [0, 7, 7, 30], 0, axis=0)
+    # sparse, with nonzeros shifted by multiples of p and some zeros
+    # written as +-p
+    shifted = staircase_rows(rng, 30, n, p, tail=0.05)
+    nz = shifted != 0
+    shifted[nz] += p * rng.integers(-3, 4, size=np.count_nonzero(nz))
+    shifted[rng.random(shifted.shape) < 0.01] = p
+    shifted[rng.random(shifted.shape) < 0.01] = -p
     return {
         "identity_with_tail": staircase_rows(rng, 40, n, p, tail=0.05),
         # the operator-stack shape of minimal_generators' products
@@ -355,6 +362,9 @@ def structured_inputs(p):
         "half_dense": np.vstack([staircase_rows(rng, 30, n, p), dense]),
         "zero_rows_and_columns": zeros,
         "all_zero": np.zeros((5, n), dtype=np.int64),
+        # each clearing adds entries to the rows it touches
+        "fill_in": sparse_matrix(rng, (40, n), p, 0.03),
+        "outside_range": shifted,
     }
 
 
@@ -392,19 +402,35 @@ class TestStructuredPass:
     def test_partial_pass_then_blocked_residual(self, monkeypatch):
         p = 101
         rounds, blocked = [], []
-        spy(monkeypatch, "_pivot_rounds", lambda args, out: rounds.append(len(out[0])))
+        spy(monkeypatch, "_pivot_rounds", lambda args, out: rounds.append(
+            (len(out[0]), len(out[2]))))
         spy(monkeypatch, "_rref_blocked", lambda args, out: blocked.append(
-            (args[0].shape, len(out), args[0].flags.c_contiguous)))
+            (args[0].shape, len(out))))
         a = structured_inputs(p)["half_dense"]
         assert_matches_reference(a, p)
         # the rounds take staircase pivots until the dense rows stall them;
-        # the rest goes to the blocked loop as a residual on the free
-        # columns, a view into the working copy
-        [taken] = rounds
-        [((rows, cols), rank, contiguous)] = blocked
+        # the rest goes to the blocked loop as a residual: the live rows
+        # (unused and nonzero) on the free columns
+        [(taken, live)] = rounds
+        [((rows, cols), rank)] = blocked
         assert 0 < taken < 50 and cols == a.shape[1] - taken
         assert taken + rank == len(reference_rref(a, p)[1]) and rank >= 19
-        assert not contiguous
+        assert rows == live and rank <= live <= a.shape[0] - taken
+
+    def test_rounds_stay_within_one_dense_copy(self, monkeypatch):
+        # every round pays here, so only the memory bound can refuse one
+        # that clears a dense pivot row from every other row
+        monkeypatch.setattr(_kernels, "_round_pays", lambda *args: True)
+        stored = []
+        spy(monkeypatch, "_merge", lambda args, out: stored.append(out[0].size))
+        p, m, n = 101, 60, 600
+        rng = np.random.default_rng(13)
+        a = np.zeros((m, n), dtype=np.int64)
+        a[0] = rng.integers(1, p, size=n)
+        a[1:, 0] = 1
+        a[np.arange(1, m), rng.choice(np.arange(1, n), m - 1, replace=False)] = 2
+        assert_matches_reference(a, p)
+        assert all(2 * size <= m * n for size in stored)
 
     def test_pass_runs_on_sparse_inputs(self, monkeypatch):
         # the inputs of TestRref.test_sparse_inputs take pivots in rounds
@@ -462,6 +488,51 @@ class TestStructuredPass:
         assert len(piv) == 1500
         assert not got[1500:].any()
         assert (got[np.arange(1500), list(piv)] == 1).all()
+
+
+# the scan-wide benchmark unit of seed 1: one dim-8 sample resolved to b_5
+SCAN_WIDE = dict(nvars=3, nilpotency=3, horizon=5, count=1, seed=1)
+
+
+@pytest.fixture(scope="module")
+def scan_wide_inputs():
+    """The inputs wider than one panel that rref receives while one
+    scan-wide sample is checked: its strand blocks, mW stacks and
+    linear-part blocks, 0.25-2% nonzero."""
+    from lindef.lab import ScanConfig, full_check, random_algebra
+
+    cfg = ScanConfig(**SCAN_WIDE)
+    real, wide = _kernels.rref, []
+
+    def recording(a, p):
+        if a.shape[1] > _kernels.panel_width(p):
+            wide.append(np.array(a))
+        return real(a, p)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernels, "rref", recording)
+        full_check(random_algebra(cfg, 0), cfg.horizon)
+    return wide
+
+
+class TestScanWideInputs:
+    """The structured pass against the reference on the matrices of a
+    workload, and on their sparsity patterns over other fields."""
+
+    def test_against_reference(self, scan_wide_inputs):
+        shapes = [a.shape for a in scan_wide_inputs]
+        assert len(shapes) >= 9 and (448, 2240) in shapes and (2256, 448) in shapes
+        for a in scan_wide_inputs:
+            assert_matches_reference(a, 101)
+
+    @pytest.mark.parametrize("p", [2, 32003, 2**31 - 1])
+    def test_values_redrawn(self, scan_wide_inputs, p):
+        # over GF(2^31 - 1) panels are one column wide, so every input
+        # with two columns or more takes the pass
+        rng = np.random.default_rng(p % 1000)
+        for a in scan_wide_inputs:
+            b = np.where(a != 0, rng.integers(1, p, size=a.shape, dtype=np.int64), 0)
+            assert_matches_reference(b, p)
 
 
 class TestMatmulMod:
