@@ -1,9 +1,9 @@
 """Exact homological algebra over Artinian local algebras.
 
-Computes minimal free resolutions of modules over finite-dimensional local
-algebras, the linear part of a resolution, linearity defect profiles, and
-the ladder of maps Tor_i(M, R/m^{n+1}) -> Tor_i(M, R/m^n), entirely in
-exact arithmetic over GF(p) or the rationals.
+Computes the minimal free resolution of the residue field k of a
+finite-dimensional local algebra, its linear part, linearity defect
+profiles, and the ladder of maps Tor_i(k, R/m^{n+1}) -> Tor_i(k, R/m^n),
+entirely in exact arithmetic over GF(p) or the rationals.
 """
 
 from .fields import Field

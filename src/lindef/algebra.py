@@ -329,12 +329,6 @@ class FiniteLocalAlgebra:
             self._graded = GradedAlgebra(self)
         return self._graded
 
-    def quotient_module(self, n: int) -> "RModule":
-        return quotient_module(self, n)
-
-    def residue_field(self) -> "RModule":
-        return self.quotient_module(1)
-
 
 class GradedAlgebra:
     """Associated graded algebra of the power filtration.
@@ -398,11 +392,6 @@ class RModule:
         algebra = self.algebra
         _check_action(self.field, algebra.table, self.act, algebra.unit,
                       algebra.mgens)
-
-    @property
-    def generator_actions(self):
-        """(n, dim, dim) stack of the actions of the algebra's mgens."""
-        return _action(self.field, self.act, self.algebra.mgens)
 
     def __repr__(self):
         return f"RModule(dim={self.dim})"

@@ -16,7 +16,7 @@ from .errors import AlgebraError, LindefError
 from .lab import ScanConfig, exit_code_for_summary, full_check, scan
 from .presentation import algebra_from_text, load_structure_constants
 from .resolution import resolve
-from .tor_ladder import upsilon
+from .tor_ladder import check_cell_indices, upsilon
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -89,7 +89,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_resolve(args) -> int:
     algebra = _load_ring(args.ring)
-    res = resolve(algebra.residue_field(), args.horizon)
+    res = resolve(algebra, args.horizon)
     print("betti:", ",".join(str(b) for b in res.betti))
     if args.verbose:
         for i in range(1, res.horizon + 1):
@@ -102,8 +102,9 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_upsilon(args) -> int:
+    check_cell_indices(args.n, args.i)
     algebra = _load_ring(args.ring)
-    res = resolve(algebra.residue_field(), args.i + 1)
+    res = resolve(algebra, args.i + 1)
     cell = upsilon(res, args.n, args.i)
     print(f"v^{args.n}_{args.i}: "
           f"Tor_{args.i}(k, R/m^{args.n + 1}) dim {cell['src_dim']} -> "

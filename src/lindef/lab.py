@@ -226,8 +226,7 @@ def full_check(algebra, horizon: int) -> AlgebraReport:
     """
     if horizon < 2:
         raise LindefError(f"full_check horizon must be >= 2, got {horizon}")
-    module = algebra.residue_field()
-    res = resolve(module, horizon + 1, max_expand_entries=80_000_000)
+    res = resolve(algebra, horizon + 1, max_expand_entries=80_000_000)
     complex_ = GradedComplex(res)
     lin = defect_profile(complex_, horizon)
     ladder = tor_ladder(res, horizon)

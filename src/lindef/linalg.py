@@ -33,9 +33,8 @@ the nonzero (g, g') tiles, placed in a zero matrix. Its callers are the
 strand blocks of `resolution.MinimalResolution.strand_blocks`, one call
 per pair of generator degrees (one per stage in the trivial grading),
 the linear part's blocks, one per linear strand (both through
-`MinimalResolution.place_tiles`), the augmentation of a module, stage 0
-of a resolution, and `resolution.AlgebraMatrix.expand`, which lists the
-table truncations behind them.
+`MinimalResolution.place_tiles`), and `resolution.AlgebraMatrix.expand`,
+which lists the table truncations behind them.
 
 A direct sum of subspaces on disjoint sets of coordinates is handled
 part by part: the RREF basis of the sum is the union of the parts' RREF

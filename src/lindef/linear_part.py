@@ -161,11 +161,9 @@ class GradedComplex:
     def homology(self, i: int) -> dict:
         """HomologyCell per internal degree (needs stage i+1 incoming),
         one linear strand at a time (see the module docstring)."""
-        if i < 0 or i + 1 > self.res.horizon:
-            raise LindefError(
-                f"homology at {i} needs the resolution through {i + 1}, "
-                f"horizon is {self.res.horizon}"
-            )
+        if not 0 <= i < self.res.horizon:
+            raise LindefError(f"homology index {i} outside 0..{self.res.horizon - 1}"
+                              f" for resolution horizon {self.res.horizon}")
         if self._homology is None:
             # one forward sweep: d_{k+1}'s blocks enter spot k and leave
             # spot k + 1; nothing leaves F_0
@@ -243,9 +241,9 @@ def defect_classification(h) -> dict:
     }
 
 
-def linearity_defect_profile(module, horizon: int) -> dict:
-    """Resolve the module to horizon + 1 and report its defect profile."""
-    res = resolve(module, horizon + 1)
+def linearity_defect_profile(algebra, horizon: int) -> dict:
+    """Resolve k to horizon + 1 and report its defect profile."""
+    res = resolve(algebra, horizon + 1)
     return defect_profile(linear_part(res), horizon)
 
 

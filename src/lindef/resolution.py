@@ -1,9 +1,11 @@
-"""Minimal free resolutions over a finite local algebra.
+"""Minimal free resolution of the residue field k of a finite local algebra.
 
-The resolution of a module M is built stage by stage: minimal
-generators of the current syzygy module are chosen by Nakayama (an
+The resolution is built stage by stage. Stage 0 is F_0 = R, one
+generator of degree 0, whose syzygy space is W_0 = m: in the algebra's
+adapted basis m is spanned by e_1..e_{d-1}. At each later stage minimal
+generators of the current syzygy space W are chosen by Nakayama (an
 adapted basis of W/mW), the differential entries are read off from the
-generator rows, and the next syzygy module is the left kernel of the
+generator rows, and the next syzygy space is the left kernel of the
 expanded differential. Everything is exact linear algebra over the base
 field; all structural facts (complex property, minimality, exactness)
 are recomputed and enforced, not assumed.
@@ -14,7 +16,7 @@ A free module R^b is the row space k^(b*d) in the block layout of
 Strands. A grading puts basis vector e of R in degree deg e, with m
 generated in degree s. Give generator g of F_i a degree deg g, so that
 coordinate (g, e) has internal degree deg g + deg e, and split R^b into
-strands, one per internal degree. F_0's generators sit in degree 0, and
+strands, one per internal degree. F_0's generator sits in degree 0, and
 a generator of F_i (i >= 1) has the degree of its row in F_{i-1}. Every
 generator row lies in one strand, so every expanded d_i is
 block-diagonal by strand, and each stage runs one strand at a time:
@@ -36,15 +38,15 @@ block-diagonal by strand, and each stage runs one strand at a time:
   block, and a strand of F_i with no coordinates in F_{i-1} is all
   kernel and makes no elimination.
 
-The grading is chosen once per resolution. The filtration grading
-(deg e the filtration degree in the adapted basis, s = 1, m generated
-by gr_1's basis) is used when the table is graded (every nonzero
-table[a, b, c] has deg c = deg a + deg b, as for every homogeneous
-presentation) and the first syzygy space splits by strand. Otherwise
-(a rebased non-homogeneous ring, a module whose coordinates are not
-graded) the trivial grading is: every deg e is 0, s = 0, m is generated
-by the generators of m, and each stage is one strand, the whole
-expanded differential. Stage 0 resolves M itself in the trivial grading.
+The grading is chosen once per resolution, from the table alone. The
+filtration grading (deg e the filtration degree in the adapted basis,
+s = 1, m generated by gr_1's basis) is used when the table is graded
+(every nonzero table[a, b, c] has deg c = deg a + deg b, as for every
+homogeneous presentation). Otherwise (a rebased non-homogeneous ring)
+the trivial grading is: every deg e is 0, s = 0, m is generated by the
+generators of m, and each stage is one strand, the whole expanded
+differential. Either way each basis vector e_j of W_0 = m lies in one
+strand, so W_0 is the direct sum of its strand parts.
 
 The RREF basis of a direct sum with disjoint coordinate supports is the
 union of the summands' RREF bases, so kernels and W/mW representatives
@@ -58,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import FiniteLocalAlgebra, RModule
+from .algebra import FiniteLocalAlgebra, RModule, quotient_module
 from .errors import LindefError, ResourceLimitError
 # kernel_structured stays bound here: perfbench/tracer.py rebinds it at
 # every lindef import site, and `kernel` runs it for each block.
@@ -317,24 +319,6 @@ class _Strands:
             place[a] = (local[pos[:, :r.stop - r.start]], r)
         return index[keep], place
 
-    def split(self, space: Subspace):
-        """space's parts by strand, or None when a basis row touches two
-        strands (then space is not a sum of its parts)."""
-        deg = _row_degrees(space.dim, *np.nonzero(np.asarray(space.basis != 0)),
-                           self.cdeg)
-        if deg is None:
-            return None
-        piv = np.asarray(space.pivots, dtype=np.intp)
-        parts = {}
-        for D, idx in self.index.items():
-            rows = np.flatnonzero(deg == D)
-            parts[D] = Subspace(
-                space.field, len(idx),
-                np.ascontiguousarray(space.basis[np.ix_(rows, idx)]),
-                self.local[piv[rows]].tolist(),
-            )
-        return StrandSpace(space.field, self, parts)
-
 
 class StrandSpace:
     """A subspace of R^b that is the direct sum of its strand parts:
@@ -439,16 +423,16 @@ def _kernel_or_rank(field, expand, last: bool):
 
 
 class MinimalResolution:
-    """Truncated minimal free resolution of an R-module.
+    """Truncated minimal free resolution of the residue field k over R.
 
-    betti[i] for 0 <= i <= horizon; diff[i] (1 <= i) the differential
-    R^{b_i} -> R^{b_{i-1}} as an AlgebraMatrix (diff[i].expand() is its
-    scalar matrix). Stage i reads only the syzygy space ker d_{i-1}
-    (ker of the augmentation F_0 -> M at i = 1, all of M at i = 0), so
-    construction carries one syzygy space at a time and keeps none;
-    syzygy(i) recomputes ker d_i from its strand blocks. Every stage
-    enforces minimality, d o d = 0 and exactness; the last checks its
-    rank without building a kernel basis.
+    betti[i] for 0 <= i <= horizon (betti[0] = 1: F_0 = R); diff[i]
+    (1 <= i) the differential R^{b_i} -> R^{b_{i-1}} as an AlgebraMatrix
+    (diff[i].expand() is its scalar matrix). Stage i reads only the
+    syzygy space ker d_{i-1} (m at i = 1), so construction carries one
+    syzygy space at a time and keeps none; syzygy(i) recomputes ker d_i
+    from its strand blocks. Every stage enforces minimality, d o d = 0
+    and exactness; the last checks its rank without building a kernel
+    basis.
 
     Each stage runs one internal-degree strand at a time in the grading
     chosen for the whole resolution (see the module docstring), in which
@@ -466,18 +450,16 @@ class MinimalResolution:
     of a filtration strand block) and the shape.
     """
 
-    def __init__(self, module: RModule, horizon: int,
+    def __init__(self, algebra: FiniteLocalAlgebra, horizon: int,
                  max_expand_entries: int = 250_000_000):
         if horizon < 0:
             raise LindefError(f"horizon must be >= 0, got {horizon}")
-        self.module = module
-        self.algebra = module.algebra
+        self.algebra = algebra
         self.horizon = horizon
         self.max_expand_entries = max_expand_entries
-        self.betti = []
+        self.betti = [1]
         self.diff = [None]
-        self.degrees = []
-        self.m_degree = 0
+        self.degrees = [np.zeros(1, dtype=np.intp)]
         self._proved = {}  # i -> the nonzeros of d_i that passed
         self._tiles = {}  # i -> (the nonzeros of d_i, their tiles)
         self._build()
@@ -487,41 +469,22 @@ class MinimalResolution:
     def _build(self):
         alg = self.algebra
         field, d = alg.field, alg.dim
-        mod = self.module
-        # stage 0 resolves M itself in the trivial grading, acted on by
-        # the module's own generator actions
-        top = _Strands(np.zeros(1, dtype=np.intp),
-                       np.zeros(mod.dim, dtype=np.intp), 0)
-        reps = scatter_by_pivot(field, mod.dim, minimal_generators(
-            top.split(Subspace.full(field, mod.dim)), 1, mod.generator_actions))[0]
-        b = reps.shape[0]
-        # the augmentation F_0 -> M sends generator g to reps[g]: its tile
-        # g is reps[g] e_j on rows g*d + j
-        aug = field.zeros((b * d, mod.dim))
-        expand_tiles(field, aug, reps, mod.act.transpose(1, 0, 2),
-                     np.arange(b * d).reshape(b, d),
-                     np.broadcast_to(np.arange(mod.dim), (b, mod.dim)))
-        w, rank = _kernel_or_rank(field, aug, self.horizon == 0)
-        if rank != mod.dim:
-            raise AssertionError(
-                "augmentation is not surjective: generators do not span M"
-            )
-        self.betti.append(b)
-        self.degrees.append(np.zeros(b, dtype=np.intp))
-        # the grading: filtration when the table is graded and w splits,
-        # else (and at horizon 0, with no w) the trivial one
-        edeg = None if w is None else _basis_degrees(alg)
-        strands = None if edeg is None else _Strands(self.degrees[0], edeg, 1)
-        split = None if strands is None else strands.split(w)
-        if split is None:
-            strands = _Strands(self.degrees[0], np.zeros(d, dtype=np.intp), 0)
+        # the grading: filtration when the table is graded, else trivial
+        edeg = _basis_degrees(alg)
+        strands = (_Strands(self.degrees[0], np.zeros(d, dtype=np.intp), 0)
+                   if edeg is None else _Strands(self.degrees[0], edeg, 1))
         self.strands, self.m_degree = [strands], strands.s
-        if w is None:
-            return
-        w = strands.split(w) if split is None else split
+        # W_0 = m: in strand D, the identity rows on the coordinates e != 0
+        w = StrandSpace(field, strands, {
+            D: Subspace(field, len(idx), field.eye(len(idx))[idx != 0],
+                        np.flatnonzero(idx != 0).tolist())
+            for D, idx in strands.index.items()
+        })
         ops = alg.table[strands.gr(1)] if strands.s else alg.generator_ops
-        # prev maps each strand D of F_{i-1} to its block of d_{i-1}
-        prev = {D: aug[idx] for D, idx in strands.index.items()}
+        # prev maps each strand D of F_{i-1} to its block of d_{i-1}; empty
+        # at i = 1: d_1 composed with R -> k is zero exactly when d_1 is
+        # minimal, which _check_minimal(1) checks
+        prev, b = {}, 1
         for i in range(1, self.horizon + 1):
             dmat = _differential(alg, minimal_generators(w, b, ops), b)
             self.diff.append(dmat)
@@ -702,15 +665,13 @@ class MinimalResolution:
     # -- accessors -----------------------------------------------------
 
     def syzygy(self, index: int) -> RModule:
-        """Syzygy module ker d_index (index 0 returns M itself), from the
+        """Syzygy module ker d_index (index 0 returns k itself), from the
         kernels of d_index's strand blocks (`_stage`) scattered by pivot,
         which is the canonical kernel of the whole expanded d_index."""
+        if not 0 <= index <= self.horizon:
+            raise LindefError(f"syzygy index {index} outside 0..{self.horizon}")
         if index == 0:
-            return self.module
-        if index > self.horizon:
-            raise LindefError(
-                f"syzygy index {index} exceeds computed horizon {self.horizon}"
-            )
+            return quotient_module(self.algebra, 1)
         field, d, b = self.algebra.field, self.algebra.dim, self.betti[index]
         _, ker, _ = self._stage(index, {}, False)
         parts = [(ker.strands.index[D], p.basis, p.pivots)
@@ -722,6 +683,6 @@ class MinimalResolution:
         return RModule(self.algebra, w.dim, act, validate=False)
 
 
-def resolve(module: RModule, horizon: int, **kw) -> MinimalResolution:
-    """Minimal free resolution of the module up to the horizon."""
-    return MinimalResolution(module, horizon, **kw)
+def resolve(algebra: FiniteLocalAlgebra, horizon: int, **kw) -> MinimalResolution:
+    """Minimal free resolution of the residue field k up to the horizon."""
+    return MinimalResolution(algebra, horizon, **kw)

@@ -1,6 +1,6 @@
-"""Tor modules Tor_i(M, R/m^n) and the comparison maps between them.
+"""Tor modules Tor_i(k, R/m^n) and the comparison maps between them.
 
-Tor is computed from the already-built minimal resolution F of M: the
+Tor is computed from the already-built minimal resolution F of k: the
 complex F (x) R/m^n has one block of dim R/m^n per generator (the
 block layout of `linalg`); in the adapted basis of `algebra` its
 differential is F's, truncated to the leading q_n = dim R/m^n
@@ -15,12 +15,12 @@ differential, and the long exact sequence of
 
     0 -> F (x) m^n/m^{n+1} -> F (x) R/m^{n+1} -> F (x) R/m^n -> 0
 
-has connecting maps Tor_i(M, R/m^n) -> F_{i-1} (x) m^n/m^{n+1} of rank
+has connecting maps Tor_i(k, R/m^n) -> F_{i-1} (x) m^n/m^{n+1} of rank
 r(n+1, i) - r(n, i) (their image is im(d_i (x) R/m^{n+1}) meeting
 F_{i-1} (x) m^n/m^{n+1}). Hence
 
-    dim Tor_i(M, R/m^n) = b_i q_n - r(n, i) - r(n, i+1)
-    rank v^n_i          = dim Tor_i(M, R/m^n) - r(n+1, i) + r(n, i).
+    dim Tor_i(k, R/m^n) = b_i q_n - r(n, i) - r(n, i+1)
+    rank v^n_i          = dim Tor_i(k, R/m^n) - r(n+1, i) + r(n, i).
 
 Every entry of d_i lies in m, so a row of degree a meets only columns
 of degree >= a + 1. With the columns of d_i in degree order, the
@@ -145,7 +145,7 @@ class UpsilonLadder:
     """All maps v^n_i for 1 <= n <= nilpotency index, 0 <= i <= horizon.
 
     ranks[(n, i)] is the rank of v^n_i; tor_dims[(n, i)] the dimension
-    of Tor_i(M, R/m^n) for 0 <= n <= index + 1. Rows with free source
+    of Tor_i(k, R/m^n) for 0 <= n <= index + 1. Rows with free source
     (m^{n+1} = 0) are forced: rank 0 for i >= 1 and full rank on Tor_0.
 
     Built from the ranks r(n, i) = rank(d_i (x) R/m^n) alone, with no
@@ -155,8 +155,8 @@ class UpsilonLadder:
 
     (zero differential on the left, as F is minimal) gives
 
-        dim Tor_i(M, R/m^n) = b_i q_n - r(n, i) - r(n, i+1)
-        rank v^n_i          = dim Tor_i(M, R/m^n) - r(n+1, i) + r(n, i)
+        dim Tor_i(k, R/m^n) = b_i q_n - r(n, i) - r(n, i+1)
+        rank v^n_i          = dim Tor_i(k, R/m^n) - r(n+1, i) + r(n, i)
 
     with q_n = dim R/m^n and r(n, 0) = 0. Each d_i, 1 <= i <= horizon
     + 1, is checked minimal and homogeneous, and each of its strand
@@ -175,7 +175,6 @@ class UpsilonLadder:
                 f"have {res.horizon}"
             )
         self.res = res
-        self.module = res.module
         self.algebra = res.algebra
         self.horizon = horizon
         self.index = self.algebra.nilpotency_index
@@ -185,12 +184,13 @@ class UpsilonLadder:
         self.tor_dims = {}
         for n in range(0, t + 2):
             for i in range(0, horizon + 1):
-                # R/m^0 is the zero module and R/m^n = R is free for n >= t
+                # R/m^0 is the zero module and R/m^n = R is free for
+                # n >= t: Tor against k has dim 1 at i = 0
                 if 0 < n < t:
                     q_n = self.algebra.quotient_dim(n)
                     dim = res.betti[i] * q_n - r[i][n] - r[i + 1][n]
                 else:
-                    dim = self.module.dim if n and i == 0 else 0
+                    dim = 1 if n and i == 0 else 0
                 self.tor_dims[(n, i)] = dim
         self.ranks = {}
         for n in range(1, t + 1):
@@ -212,7 +212,7 @@ class UpsilonLadder:
         if n <= 0:
             return 0
         if n > self.index:
-            return self.module.dim if i == 0 else 0
+            return 1 if i == 0 else 0
         return self.ranks[(n, i)]
 
     def rank_table(self) -> dict:
@@ -232,6 +232,15 @@ def tor_ladder(res: MinimalResolution, horizon: int) -> UpsilonLadder:
     return UpsilonLadder(res, horizon)
 
 
+def check_cell_indices(n: int, i: int):
+    """Raise LindefError unless v^n_i is a map `upsilon` takes: n >= 0
+    and i >= 0."""
+    if n < 0:
+        raise LindefError(f"power must be >= 0, got {n}")
+    if i < 0:
+        raise LindefError(f"homological index must be >= 0, got {i}")
+
+
 def upsilon(res: MinimalResolution, n: int, i: int) -> dict:
     """Single map v^n_i: matrix, rank, and both Tor dimensions.
 
@@ -239,10 +248,7 @@ def upsilon(res: MinimalResolution, n: int, i: int) -> dict:
     target or free source) come with an explanatory note, but the map
     is still computed honestly from homology representatives.
     """
-    if n < 0:
-        raise LindefError(f"power must be >= 0, got {n}")
-    if i < 0:
-        raise LindefError(f"homological index must be >= 0, got {i}")
+    check_cell_indices(n, i)
     if i + 1 > res.horizon:
         raise LindefError(
             f"v^{n}_{i} needs the resolution through {i + 1}, "
@@ -331,7 +337,8 @@ def msquared_preimage_condition(res: MinimalResolution, i: int) -> bool:
     """Whether every x with d_i(x) in m^2 F_{i-1} already lies in m F_i.
 
     Equivalent to v^1_i = 0. At i = 0 the outgoing map is zero, so the
-    condition degenerates to F_0 = m F_0, i.e. b_0 = 0.
+    condition degenerates to F_0 = m F_0, i.e. b_0 = 0: False, as
+    b_0 = 1.
 
     For i >= 1 it is one rank, with no expansion and no kernel. Write
     x = sum_g c_g e_g + y with c_g in k, e_g the generators of F_i and
@@ -353,7 +360,7 @@ def msquared_preimage_condition(res: MinimalResolution, i: int) -> bool:
     if i > res.horizon:
         raise LindefError(f"index {i} beyond resolution horizon {res.horizon}")
     if i == 0:
-        return res.betti[0] == 0
+        return False
     b_i = res.betti[i]
     if b_i == 0:
         return True

@@ -12,7 +12,7 @@ from bisect import bisect_left
 import numpy as np
 
 from lindef import presentation
-from lindef.algebra import FiniteLocalAlgebra
+from lindef.algebra import FiniteLocalAlgebra, quotient_module
 from lindef.errors import AlgebraError, ResourceLimitError
 from lindef.linalg import (
     QuotientCoords,
@@ -408,16 +408,19 @@ def one_part(rows):
     return [(np.arange(rows.shape[1]), rows, pivots)]
 
 
-def reference_resolution(module, horizon):
-    """(betti, entries) of the minimal resolution of `module`, every stage
-    as one block: mW from the products of W's basis with the generators
-    of m, the whole expanded differential, its kernel and, at the last
-    stage, its rank. entries[i - 1] is the entry array of d_i.
+def reference_resolution(algebra, horizon):
+    """(betti, entries) of the minimal resolution of k = R/m, every stage
+    as one block: stage 0 resolves k itself through its augmentation,
+    then mW from the products of W's basis with the generators of m,
+    the whole expanded differential, its kernel and, at the last stage,
+    its rank. entries[i - 1] is the entry array of d_i.
     """
-    algebra = module.algebra
     field, d = algebra.field, algebra.dim
+    module = quotient_module(algebra, 1)
     w = Subspace.full(field, module.dim)
-    blocks, ops = 1, module.generator_actions
+    # the actions of m's generators on k
+    blocks, ops = 1, field.matmul(
+        algebra.mgens, module.act.reshape(d, -1)).reshape(-1, module.dim, module.dim)
     betti, entries = [], []
     prev = None
     for i in range(horizon + 1):

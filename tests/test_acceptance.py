@@ -58,7 +58,7 @@ def test_criterion_1_closed_forms(capsys):
     per_case = {}
 
     t0 = time.perf_counter()
-    res = resolve(ring("vars x\nideal x^2").residue_field(), 9)
+    res = resolve(ring("vars x\nideal x^2"), 9)
     prof = defect_profile(linear_part(res), 8)
     ok1 = (
         res.betti[:9] == [1] * 9
@@ -67,7 +67,7 @@ def test_criterion_1_closed_forms(capsys):
     per_case["x2"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    res = resolve(ring("vars x\nideal x^3").residue_field(), 9)
+    res = resolve(ring("vars x\nideal x^3"), 9)
     prof = defect_profile(linear_part(res), 8)
     entries = [res.diff[i].entry_string(0, 0) for i in range(1, 9)]
     ok2 = (
@@ -78,7 +78,7 @@ def test_criterion_1_closed_forms(capsys):
     per_case["x3"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    res = resolve(ring("vars x y\nideal x^2, x*y, y^2").residue_field(), 9)
+    res = resolve(ring("vars x y\nideal x^2, x*y, y^2"), 9)
     prof = defect_profile(linear_part(res), 8)
     ok3 = (
         res.betti[:9] == [2**i for i in range(9)]
@@ -165,7 +165,7 @@ def test_criterion_6_no_silence_tail(capsys):
     for cfg in SUITE_M4:
         for index in range(cfg.count):
             algebra = random_algebra(cfg, index)
-            res = resolve(algebra.residue_field(), 9)
+            res = resolve(algebra, 9)
             prof = defect_profile(linear_part(res), 8)
             total += 1
             if prof["silence_tail"]:
@@ -173,7 +173,7 @@ def test_criterion_6_no_silence_tail(capsys):
     findings = []
     for seed, index, algebra in flagged:
         # deeper horizon needs a larger expansion budget
-        res = resolve(algebra.residue_field(), 13,
+        res = resolve(algebra, 13,
                       max_expand_entries=2_000_000_000)
         prof = defect_profile(linear_part(res), 12)
         if prof["silence_tail"]:
@@ -200,7 +200,7 @@ def test_criterion_7_structural_invariants(capsys, suites):
     ok = True
     for algebra in targets:
         field = algebra.field
-        res = resolve(algebra.residue_field(), 5)
+        res = resolve(algebra, 5)
         lad = tor_ladder(res, 4)
         expands = [None] + [res.diff[i].expand() for i in range(1, 6)]
         for i in range(1, 5):

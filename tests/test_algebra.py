@@ -416,7 +416,7 @@ class TestQuotientModules:
         assert act.tolist() == [[0, 1], [0, 0]]
 
     def test_residue_field(self):
-        k = X4.residue_field()
+        k = quotient_module(X4, 1)
         assert k.dim == 1
         assert operator(k.field, k.act, X4.mgens[0]).tolist() == [[0]]
 

@@ -214,6 +214,16 @@ class TestUpsilon:
         assert code == 0
         assert "rank 1" in out
 
+    @pytest.mark.parametrize("i, n, message", [
+        ("-3", "1", "homological index must be >= 0, got -3"),
+        ("1", "-1", "power must be >= 0, got -1"),
+    ])
+    def test_negative_index_named_as_given(self, ring_file, capsys, i, n, message):
+        # checked before resolving: no internal horizon i + 1 is named
+        code = main(["upsilon", "--ring", ring_file(X3), "-i", i, "-n", n])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestScan:
     ARGS = ["scan", "--vars", "2", "--nilpotency", "3", "--count", "3",

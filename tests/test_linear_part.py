@@ -41,7 +41,7 @@ CERTIFICATE_RINGS = {
 
 
 def lin_of(algebra, horizon):
-    return linear_part(resolve(algebra.residue_field(), horizon))
+    return linear_part(resolve(algebra, horizon))
 
 
 class TestProfiles:
@@ -75,12 +75,12 @@ class TestProfiles:
 
     def test_embdim2_hypersurface_profile(self):
         A = ring("vars x y\nideal y - x^2, x^3")
-        prof = linearity_defect_profile(A.residue_field(), 4)
+        prof = linearity_defect_profile(A, 4)
         assert all(v > 0 for v in prof["h"])
 
     def test_convenience_matches_manual(self):
         manual = defect_profile(lin_of(X3, 5), 4)
-        conv = linearity_defect_profile(X3.residue_field(), 4)
+        conv = linearity_defect_profile(X3, 4)
         assert manual == conv
 
     def test_horizon_too_small(self):
@@ -139,7 +139,7 @@ class TestMStarChecks:
         # then by those of the first cycle only: failures wherever
         # gr_1 * Z_j leaves them, at gr_1 index 0, above 0, and past the
         # first cycle
-        res = resolve(algebra.residue_field(), 4)
+        res = resolve(algebra, 4)
         failures = 0
         for n in range(4):
             for j in linear_part(res).degree_range(n):
@@ -272,7 +272,7 @@ class TestMStarChecks:
 
 class TestConstruction:
     def test_nonminimal_complex_rejected(self):
-        res = resolve(X2.residue_field(), 2)
+        res = resolve(X2, 2)
         entries = res.diff[1].entries.copy()
         entries[0, 0, 0] = 1  # inject a unit entry
         res.diff[1] = AlgebraMatrix(X2, entries)
@@ -285,7 +285,7 @@ class TestConstruction:
         # gr_1 coordinate there keeps d_2 minimal, but no linear-strand
         # block reads it, so lin(F) alone would not change
         algebra = ring("vars x y\nideal x^2, x*y, y^3")
-        res = resolve(algebra.residue_field(), 5)
+        res = resolve(algebra, 5)
         assert res.degrees[2][1] - res.degrees[1][0] == 2
         entries = res.diff[2].entries.copy()
         entries[1, 0, algebra.graded().component_range(1).start] += 1
@@ -296,7 +296,7 @@ class TestConstruction:
     def test_linear_entries_survive_quadratic_die(self):
         # d_1 = (x) and d_2 = (x^2): lin(F) keeps the linear entry and
         # drops the quadratic one, though both differentials are nonzero
-        res = resolve(X3.residue_field(), 4)
+        res = resolve(X3, 4)
         c = linear_part(res)
         f = X3.field
         gr1 = c.gr.component_range(1)

@@ -27,7 +27,7 @@ HORIZON = 6
 
 
 def betti(text, horizon=HORIZON):
-    return resolve(algebra_from_text(text).residue_field(), horizon).betti
+    return resolve(algebra_from_text(text), horizon).betti
 
 
 def inverse(series):
@@ -65,7 +65,7 @@ def test_quadratic_monomial_ring_is_koszul():
     horizon = 8
     hilbert = algebra.graded().dims
     assert hilbert == [1, 3, 2]
-    res = resolve(algebra.residue_field(), horizon)
+    res = resolve(algebra, horizon)
     p = res.betti
     assert p == [2 ** (i + 1) - 1 for i in range(horizon + 1)]
     h_minus = [(-1) ** q * h for q, h in enumerate(hilbert)]

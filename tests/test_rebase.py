@@ -77,7 +77,7 @@ class TestTruncationParity:
     def test_linear_part_classes(self, algebra):
         # lin(F) by definition: the entries' classes in F_1/F_2 times the
         # graded product gr_1 x gr_q -> gr_{q+1}, both from references
-        res = resolve(algebra.residue_field(), 4)
+        res = resolve(algebra, 4)
         lin = linear_part(res)
         qc = graded_coords(algebra, 1)
         for i in range(1, 5):
